@@ -10,7 +10,7 @@ latent width respects the data's intrinsic dimension and that the encoder
 stays injective and full rank.
 """
 
-from . import cli, dataio, detector, diagnostics, net, pendulum, tdc
+from . import dataio, detector, diagnostics, net, pendulum, tdc
 
-__all__ = ["cli", "dataio", "detector", "diagnostics", "net", "pendulum", "tdc"]
+__all__ = ["dataio", "detector", "diagnostics", "net", "pendulum", "tdc"]
 __version__ = "0.1.0"

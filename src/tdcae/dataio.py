@@ -23,7 +23,7 @@ VAL_FRACTION = 0.1
 
 
 class ParseError(ValueError):
-    """Malformed input line (wrong field count or non-numeric value)."""
+    """Malformed input line (wrong field count, non-numeric or non-finite value)."""
 
 
 class DataIntegrityError(ValueError):
@@ -118,11 +118,12 @@ class ScalerParams:
 def parse_cmapss(path: str | Path) -> list[EngineRun]:
     """Parse a C-MAPSS text file into one labeled EngineRun per unit.
 
-    Raises ParseError (with the 1-based line number) on malformed lines and
-    DataIntegrityError if any unit's cycles are not consecutive from 1.
+    Raises ParseError (with the 1-based line number) on malformed lines or
+    non-finite values (nan, inf), and DataIntegrityError if any unit's
+    cycles are not consecutive from 1.
     """
     path = Path(path)
-    by_unit: dict[int, list[tuple[int, list[float]]]] = {}
+    by_unit: dict[int, list[tuple[int, int, list[float]]]] = {}  # (cycle, line, values)
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
@@ -136,14 +137,19 @@ def parse_cmapss(path: str | Path) -> list[EngineRun]:
                 unit = int(float(fields[0]))
                 cycle = int(float(fields[1]))
                 values = [float(v) for v in fields[2:]]
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path.name}:{lineno}: non-numeric field ({exc})") from None
-            by_unit.setdefault(unit, []).append((cycle, values))
+            by_unit.setdefault(unit, []).append((cycle, lineno, values))
 
     runs = []
     for unit in sorted(by_unit):
         rows = sorted(by_unit[unit], key=lambda r: r[0])
-        cycles = [c for c, _ in rows]
+        features = np.array([v for _, _, v in rows], dtype=np.float64)
+        finite = np.isfinite(features)
+        if not finite.all():
+            bad = rows[int(np.argmin(finite.all(axis=1)))]
+            raise ParseError(f"{path.name}:{bad[1]}: non-finite field")
+        cycles = [c for c, _, _ in rows]
         if cycles != list(range(1, len(rows) + 1)):
             raise DataIntegrityError(
                 f"{path.name}: unit {unit} cycles are not consecutive from 1"
@@ -151,7 +157,6 @@ def parse_cmapss(path: str | Path) -> list[EngineRun]:
         if len(rows) < 5:
             # central differences and the smoothing windows need neighbors
             raise DataIntegrityError(f"{path.name}: unit {unit} has fewer than 5 cycles")
-        features = np.array([v for _, v in rows], dtype=np.float64)
         runs.append(EngineRun(unit_id=unit, features=features))
     return runs
 
@@ -211,10 +216,7 @@ def normal_row_split(run: EngineRun, val_fraction: float = VAL_FRACTION) -> tupl
     return range(0, n_train), range(n_train, n_normal)
 
 
-# --- columnar CSV serialization (unit, cycle, f0..f23, label) ----------------
-
-CSV_HEADER = "unit,cycle," + ",".join(f"f{i}" for i in range(N_FEATURES)) + ",label"
-
+# --- file output ---------------------------------------------------------------
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partials."""
@@ -222,53 +224,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def write_runs_csv(runs: list[EngineRun], path: str | Path) -> None:
-    """Write runs to the labeled columnar CSV format (exact float round-trip)."""
-    lines = [CSV_HEADER]
-    for run in runs:
-        for t in range(run.life_length):
-            label = "anomalous" if run.labels[t] else "normal"
-            values = ",".join(repr(float(v)) for v in run.features[t])
-            lines.append(f"{run.unit_id},{t + 1},{values},{label}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_runs_csv(path: str | Path) -> list[EngineRun]:
-    """Inverse of write_runs_csv."""
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ParseError(f"{path.name}: unexpected header {header!r}")
-        by_unit: dict[int, list[tuple[int, list[float], bool]]] = {}
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.strip().split(",")
-            if len(fields) == 1 and not fields[0]:
-                continue
-            if len(fields) != 3 + N_FEATURES:
-                raise ParseError(f"{path.name}:{lineno}: expected {3 + N_FEATURES} fields")
-            try:
-                unit, cycle = int(fields[0]), int(fields[1])
-                values = [float(v) for v in fields[2:-1]]
-            except ValueError as exc:
-                raise ParseError(f"{path.name}:{lineno}: non-numeric field ({exc})") from None
-            if fields[-1] not in ("normal", "anomalous"):
-                raise ParseError(f"{path.name}:{lineno}: bad label {fields[-1]!r}")
-            by_unit.setdefault(unit, []).append((cycle, values, fields[-1] == "anomalous"))
-
-    runs = []
-    for unit in sorted(by_unit):
-        rows = sorted(by_unit[unit], key=lambda r: r[0])
-        if [c for c, _, _ in rows] != list(range(1, len(rows) + 1)):
-            raise DataIntegrityError(f"{path.name}: unit {unit} cycles are not consecutive")
-        if len(rows) < 5:
-            raise DataIntegrityError(f"{path.name}: unit {unit} has fewer than 5 cycles")
-        features = np.array([v for _, v, _ in rows], dtype=np.float64)
-        labels = np.array([a for _, _, a in rows], dtype=bool)
-        runs.append(EngineRun(unit_id=unit, features=features, labels=labels))
-    return runs
 
 
 def write_cmapss(runs: list[EngineRun], path: str | Path) -> None:

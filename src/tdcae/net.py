@@ -7,6 +7,10 @@ output), but the engine is shape-agnostic so tests can run micro-nets.
 The latent layer of an hourglass network is located structurally: it is the
 unique narrowest layer output. Its vector is interpreted as state/derivative
 channel pairs: entry i is a state z_i, entry i + n/2 its derivative.
+
+forward() and backward() work on any contiguous range of layers, so a loss
+on the latent layer is added between a decoder backward and an encoder
+backward rather than hooked into one pass.
 """
 
 from __future__ import annotations
@@ -18,10 +22,6 @@ from pathlib import Path
 import numpy as np
 
 ACTIVATIONS = ("tanh", "identity")
-
-
-class CacheMismatchError(ValueError):
-    """Backward called with a cache that does not match the parameters."""
 
 
 @dataclass(frozen=True)
@@ -111,16 +111,28 @@ def init_params(specs: list[LayerSpec], rng: np.random.Generator) -> NetworkPara
 
 @dataclass
 class ForwardCache:
-    """Post-activations per layer (index 0 is the input), kept 2-D [B x dim]."""
+    """The input and the post-activation of each layer run from `start`, kept 2-D [B x dim]."""
 
     activations: list[np.ndarray]
-    n_layers: int
+    start: int
     squeeze: bool
 
 
-def forward(params: NetworkParams, x: np.ndarray,
-            n_layers: int | None = None) -> tuple[np.ndarray, ForwardCache]:
-    """Run the first n_layers (default all) on x, which may be [d] or [B x d].
+class Gradients(list):
+    """(dW, db) pairs for the layers a cache covers, in layer order.
+
+    input_grad is dLoss/d(cache input), shaped like that input; it is what a
+    preceding stack of layers needs as its output_grad.
+    """
+
+    def __init__(self, pairs, input_grad: np.ndarray):
+        super().__init__(pairs)
+        self.input_grad = input_grad
+
+
+def forward(params: NetworkParams, x: np.ndarray, n_layers: int | None = None,
+            start: int = 0) -> tuple[np.ndarray, ForwardCache]:
+    """Run layers start..n_layers-1 (default: all) on x, which may be [d] or [B x d].
 
     Returns (output, cache); the cache feeds backward(). tanh derivatives are
     recovered from post-activations, so pre-activations are not stored.
@@ -129,73 +141,52 @@ def forward(params: NetworkParams, x: np.ndarray,
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[1] != params.input_dim:
-        raise ValueError(f"input dim {x.shape[1]} != network input dim {params.input_dim}")
     n_layers = params.n_layers if n_layers is None else n_layers
-    if not 1 <= n_layers <= params.n_layers:
-        raise ValueError("n_layers out of range")
+    if not 0 <= start < n_layers <= params.n_layers:
+        raise ValueError("layer range out of bounds")
+    if x.shape[1] != params.specs[start].in_dim:
+        raise ValueError(f"input dim {x.shape[1]} != layer {start} input dim "
+                         f"{params.specs[start].in_dim}")
 
     activations = [x]
     y = x
-    for spec, w, b in zip(params.specs[:n_layers], params.weights, params.biases):
-        pre = y @ w.T + b
-        y = np.tanh(pre) if spec.activation == "tanh" else pre
+    for l in range(start, n_layers):
+        pre = y @ params.weights[l].T + params.biases[l]
+        y = np.tanh(pre) if params.specs[l].activation == "tanh" else pre
         activations.append(y)
-    cache = ForwardCache(activations=activations, n_layers=n_layers, squeeze=squeeze)
+    cache = ForwardCache(activations=activations, start=start, squeeze=squeeze)
     return (y[0] if squeeze else y), cache
-
-
-def _check_cache(params: NetworkParams, cache: ForwardCache) -> None:
-    if len(cache.activations) != cache.n_layers + 1:
-        raise CacheMismatchError("cache layer count inconsistent")
-    if cache.activations[0].shape[1] != params.input_dim:
-        raise CacheMismatchError("cache input dim does not match parameters")
-    for spec, act in zip(params.specs[: cache.n_layers], cache.activations[1:]):
-        if act.shape[1] != spec.out_dim:
-            raise CacheMismatchError("cache activation shape does not match parameters")
 
 
 def zero_grads(params: NetworkParams) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(params.weights, params.biases)]
 
 
-def add_grads(acc, extra):
-    for (gw, gb), (ew, eb) in zip(acc, extra):
-        gw += ew
-        gb += eb
-    return acc
-
-
-def backward(params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray,
-             inject: dict[int, np.ndarray] | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward(params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients for the layers covered by the cache.
 
     output_grad is dLoss/d(post-activation of the last cached layer), shaped
-    like that activation. inject optionally adds extra gradient at other
-    layers' post-activations (key = 0-based layer index), which is how a
-    loss on the latent layer of a full autoencoder pass is wired in.
-    Uncached (decoder) layers get zero gradients so results accumulate.
+    like that activation. A loss on an inner layer is handled by splitting
+    the network there: backward() the outer part, add the inner loss
+    gradient to its input_grad, and pass the sum to backward() of the inner
+    part's cache.
     """
-    _check_cache(params, cache)
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if cache.squeeze and output_grad.ndim == 1:
         output_grad = output_grad[None, :]
-    if output_grad.shape != cache.activations[cache.n_layers].shape:
-        raise CacheMismatchError("output_grad shape does not match cached output")
+    if output_grad.shape != cache.activations[-1].shape:
+        raise ValueError("output_grad shape does not match cached output")
 
-    grads = zero_grads(params)
+    pairs = []
     delta = output_grad
-    for l in range(cache.n_layers - 1, -1, -1):
-        if inject and l in inject:
-            delta = delta + inject[l]
-        y = cache.activations[l + 1]
-        if params.specs[l].activation == "tanh":
-            pre_grad = delta * (1.0 - y * y)
-        else:
-            pre_grad = delta
-        grads[l] = (pre_grad.T @ cache.activations[l], pre_grad.sum(axis=0))
+    for i in range(len(cache.activations) - 2, -1, -1):
+        l = cache.start + i
+        y = cache.activations[i + 1]
+        pre_grad = delta * (1.0 - y * y) if params.specs[l].activation == "tanh" else delta
+        pairs.append((pre_grad.T @ cache.activations[i], pre_grad.sum(axis=0)))
         delta = pre_grad @ params.weights[l]
-    return grads
+    pairs.reverse()
+    return Gradients(pairs, delta[0] if cache.squeeze else delta)
 
 
 def encode(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,6 +337,9 @@ def load_checkpoint(path: str | Path) -> dict:
             minimum=np.array(payload["scaler"]["min"]),
             maximum=np.array(payload["scaler"]["max"]),
         )
+        if out["scaler"].minimum.shape != (params.input_dim,):
+            raise ValueError(f"{path}: scaler width {out['scaler'].minimum.shape[0]} "
+                             f"!= network input dim {params.input_dim}")
     if payload.get("split"):
         from .dataio import DatasetSplit
 

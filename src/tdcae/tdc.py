@@ -6,9 +6,11 @@ The total loss per batch is
 
 where Rec-Loss is the reconstruction MSE at time t and TDC-Loss is the MSE
 between the central difference of the latent state half,
-(z_{t+1} - z_{t-1}) / (2 dt), and the latent derivative half z_dot_t. The
-TDC gradient flows through all three encoder evaluations by default; a
-stop-gradient mode treats the central difference as a constant target.
+(z_{t+1} - z_{t-1}) / (2 dt), and the latent derivative half z_dot_t. A
+training step encodes the stacked (t, t-1, t+1) rows in one pass, decodes
+the rows at t, and runs one backward pass through each half. The TDC
+gradient reaches all three encoder evaluations by default; a stop-gradient
+mode treats the central difference as a constant target.
 
 Inference is single-step: the derivative channels are read off one encoded
 measurement, no temporal context needed.
@@ -122,55 +124,56 @@ class EpochStats:
     val_tdc: float
 
 
-def _batch_losses(params: net.NetworkParams, batch: TripletBatch, dt: float) -> tuple[float, float]:
-    """(rec, tdc) for a batch without touching gradients."""
-    out, _ = net.forward(params, batch.cur)
-    zp, _ = net.encode(params, batch.prev)
-    zn, _ = net.encode(params, batch.nxt)
-    _, zdot = net.encode(params, batch.cur)
-    return rec_loss(out, batch.cur), tdc_loss(zp, zn, zdot, dt)
+def _forward(params: net.NetworkParams, batch: TripletBatch, dt: float):
+    """Encoder over the stacked [cur; prev; nxt] rows, decoder over cur's latents.
+
+    Returns (rec, tdc, e, out, encoder cache, decoder cache), where e is the
+    TDC residual (z_next - z_prev)/(2 dt) - z_dot at the current rows.
+    """
+    b = len(batch)
+    n_enc = net.encoder_layer_count(params)
+    half = net.latent_dim(params) // 2
+    latent, enc_cache = net.forward(params, np.vstack([batch.cur, batch.prev, batch.nxt]),
+                                    n_layers=n_enc)
+    out, dec_cache = net.forward(params, latent[:b], start=n_enc)
+    e = central_difference(latent[b:2 * b, :half], latent[2 * b:, :half], dt) - latent[:b, half:]
+    return rec_loss(out, batch.cur), float(np.mean(e * e)), e, out, enc_cache, dec_cache
+
+
+def loss_and_grads(params: net.NetworkParams, batch: TripletBatch,
+                   config: TrainingConfig) -> tuple[float, float, list]:
+    """(rec, tdc, per-layer gradients of rec + alpha * tdc) on a triplet batch.
+
+    One backward through the decoder gives the reconstruction delta at the
+    bottleneck. With c = 2 alpha / e.size, the combined bottleneck delta is
+    that plus -c e on the derivative half of the current rows, and
+    -/+ c e / (2 dt) on the state half of the prev/next rows; one backward
+    through the encoder carries it over all 3B rows. Stop-gradient mode
+    leaves the neighbour rows at zero, so the central difference acts as a
+    constant target. A non-finite loss raises ValueError before any
+    backward work.
+    """
+    rec, tdc, e, out, enc_cache, dec_cache = _forward(params, batch, config.dt)
+    if not np.isfinite(rec + config.alpha * tdc):
+        raise ValueError("non-finite loss")
+
+    dec_grads = net.backward(params, dec_cache, 2.0 * (out - batch.cur) / out.size)
+    b, half = e.shape
+    c = 2.0 * config.alpha / e.size
+    delta = np.zeros_like(enc_cache.activations[-1])
+    delta[:b] = dec_grads.input_grad
+    delta[:b, half:] -= c * e
+    if not config.stop_gradient:
+        neighbour = c * e / (2.0 * config.dt)
+        delta[b:2 * b, :half] = -neighbour
+        delta[2 * b:, :half] = neighbour
+    return rec, tdc, net.backward(params, enc_cache, delta) + dec_grads
 
 
 def train_step(params: net.NetworkParams, batch: TripletBatch, config: TrainingConfig,
                state: net.AdamaxState) -> tuple[float, float]:
-    """One Adamax update on a triplet batch; returns (rec, tdc) pre-update.
-
-    Gradient wiring: the reconstruction MSE backpropagates through the full
-    pass at t. The TDC residual e = (z_next - z_prev)/(2 dt) - z_dot enters
-    three ways: -2 alpha e / size at the derivative half of the latent layer
-    of the t pass, and +/- 2 alpha e / (2 dt size) at the state half of the
-    encoder-only passes at t+1 / t-1. Stop-gradient mode drops the neighbor
-    terms, leaving the central difference as a constant target.
-    """
-    n_enc = net.encoder_layer_count(params)
-    half = net.latent_dim(params) // 2
-
-    out, cache = net.forward(params, batch.cur)
-    latent_t = cache.activations[n_enc]
-    z_dot = latent_t[:, half:]
-
-    zp, cache_p = net.forward(params, batch.prev, n_layers=n_enc)
-    zn, cache_n = net.forward(params, batch.nxt, n_layers=n_enc)
-    e = central_difference(zp[:, :half], zn[:, :half], config.dt) - z_dot
-
-    rec = rec_loss(out, batch.cur)
-    tdc = float(np.mean(e * e))
-    total = rec + config.alpha * tdc
-    if not np.isfinite(total):
-        raise ValueError("non-finite loss")
-
-    out_grad = 2.0 * (out - batch.cur) / out.size
-    c = 2.0 * config.alpha / e.size
-    latent_inject = np.zeros_like(latent_t)
-    latent_inject[:, half:] = -c * e
-    grads = net.backward(params, cache, out_grad, inject={n_enc - 1: latent_inject})
-
-    if config.alpha > 0 and not config.stop_gradient:
-        neighbor = np.zeros_like(zp)
-        neighbor[:, :half] = c * e / (2.0 * config.dt)
-        net.add_grads(grads, net.backward(params, cache_n, neighbor))
-        net.add_grads(grads, net.backward(params, cache_p, -neighbor))
-
+    """One Adamax update from loss_and_grads; returns (rec, tdc) pre-update."""
+    rec, tdc, grads = loss_and_grads(params, batch, config)
     net.adamax_step(params, grads, state)
     return rec, tdc
 
@@ -209,7 +212,7 @@ def train(runs: list[EngineRun], config: TrainingConfig,
             rec_sum += rec * len(idx)
             tdc_sum += tdc * len(idx)
         if len(val_set) > 0:
-            val_rec, val_tdc = _batch_losses(params, val_set, config.dt)
+            val_rec, val_tdc, *_ = _forward(params, val_set, config.dt)
         else:
             val_rec = val_tdc = float("nan")
         history.append(EpochStats(epoch, rec_sum / len(order), tdc_sum / len(order),

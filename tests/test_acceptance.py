@@ -76,35 +76,19 @@ def test_criterion_01_gradient_correctness():
         worst = max(worst, max_rel_err(analytic, fd_grads(
             params, lambda p: float(np.mean((net.forward(p, x)[0] - target) ** 2)))))
 
-        # full objective with the consistency term and all three encoder passes
-        alpha, dt = 2.5, 0.5
-        prev = rng.uniform(-1, 1, (3, w_in))
-        cur = rng.uniform(-1, 1, (3, w_in))
-        nxt = rng.uniform(-1, 1, (3, w_in))
+        # the production gradient of the full objective, consistency term included
+        cfg = tdc.TrainingConfig(alpha=2.5, dt=0.5, input_dim=w_in, hidden_dim=w_hidden,
+                                 latent_dim=latent)
+        batch = tdc.TripletBatch(*(rng.uniform(-1, 1, (3, w_in)) for _ in range(3)))
 
         def objective(p):
-            o, _ = net.forward(p, cur)
-            zp, _ = net.encode(p, prev)
-            zn, _ = net.encode(p, nxt)
-            _, zdot = net.encode(p, cur)
-            return tdc.rec_loss(o, cur) + alpha * tdc.tdc_loss(zp, zn, zdot, dt)
+            o, _ = net.forward(p, batch.cur)
+            zp, _ = net.encode(p, batch.prev)
+            zn, _ = net.encode(p, batch.nxt)
+            _, zdot = net.encode(p, batch.cur)
+            return tdc.rec_loss(o, batch.cur) + cfg.alpha * tdc.tdc_loss(zp, zn, zdot, cfg.dt)
 
-        n_enc = net.encoder_layer_count(params)
-        half = latent // 2
-        out, cache = net.forward(params, cur)
-        latent_t = cache.activations[n_enc]
-        zp, cache_p = net.forward(params, prev, n_layers=n_enc)
-        zn, cache_n = net.forward(params, nxt, n_layers=n_enc)
-        e = tdc.central_difference(zp[:, :half], zn[:, :half], dt) - latent_t[:, half:]
-        c = 2.0 * alpha / e.size
-        inject = np.zeros_like(latent_t)
-        inject[:, half:] = -c * e
-        analytic = net.backward(params, cache, 2.0 * (out - cur) / out.size,
-                                inject={n_enc - 1: inject})
-        neighbor = np.zeros_like(zp)
-        neighbor[:, :half] = c * e / (2.0 * dt)
-        net.add_grads(analytic, net.backward(params, cache_n, neighbor))
-        net.add_grads(analytic, net.backward(params, cache_p, -neighbor))
+        _, _, analytic = tdc.loss_and_grads(params, batch, cfg)
         worst = max(worst, max_rel_err(analytic, fd_grads(params, objective)))
     elapsed = time.monotonic() - started
     criterion(1, worst < 1e-5 and elapsed < 30.0,

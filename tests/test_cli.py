@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +219,13 @@ def test_report_aggregates_metrics(tmp_path, capsys):
     assert table["metrics"]["accuracy"]["mean"] == pytest.approx(0.85)
     assert table["metrics"]["f1"]["values"] == [0.75, 0.65]
     assert "accuracy" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # importing the package must not import tdcae.cli ahead of runpy
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tdcae.cli", "--help"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert "usage" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

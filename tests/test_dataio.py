@@ -64,6 +64,16 @@ def test_parse_non_numeric_reports_line(tmp_path):
         dataio.parse_cmapss(path)
 
 
+@pytest.mark.parametrize("column, value", [(7, "nan"), (7, "inf"), (0, "inf")])
+def test_parse_non_finite_reports_line(tmp_path, column, value):
+    path = tmp_path / "train.txt"
+    rows = raw_rows(1, range(1, 7))
+    rows[3][column] = value
+    write_raw(path, rows)
+    with pytest.raises(dataio.ParseError, match="train.txt:4: non-"):
+        dataio.parse_cmapss(path)
+
+
 def test_parse_cycle_gap_is_integrity_error(tmp_path):
     path = tmp_path / "train.txt"
     write_raw(path, raw_rows(1, [1, 2, 3, 5, 6, 7]))
@@ -222,34 +232,6 @@ def test_normal_row_split_partitions_normal_range(life, fraction):
 
 
 # --- serialization -------------------------------------------------------------
-
-def test_runs_csv_round_trip(tmp_path):
-    runs = dataio.synthetic_runs(n_engines=3, mean_life=20, seed=4)
-    path = tmp_path / "runs.csv"
-    dataio.write_runs_csv(runs, path)
-    back = dataio.read_runs_csv(path)
-    assert len(back) == len(runs)
-    for a, b in zip(runs, back):
-        assert a.equals(b)
-
-
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
-                min_size=24, max_size=24))
-@settings(max_examples=25)
-def test_csv_floats_round_trip_exactly(tmp_path_factory, values):
-    features = np.tile(np.array(values), (5, 1))
-    run = dataio.EngineRun(unit_id=1, features=features)
-    path = tmp_path_factory.mktemp("csv") / "runs.csv"
-    dataio.write_runs_csv([run], path)
-    assert np.array_equal(dataio.read_runs_csv(path)[0].features, features)
-
-
-def test_read_runs_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "runs.csv"
-    path.write_text("a,b,c\n")
-    with pytest.raises(dataio.ParseError, match="header"):
-        dataio.read_runs_csv(path)
-
 
 def test_write_cmapss_parse_round_trip(tmp_path):
     runs = dataio.synthetic_runs(n_engines=2, mean_life=20, seed=8)

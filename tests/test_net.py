@@ -179,26 +179,28 @@ def test_backward_matches_finite_differences():
     assert worst < 1e-5
 
 
-def test_backward_inject_adds_latent_gradient():
+def test_backward_split_at_bottleneck_matches_full_pass():
     params = micro_params(seed=6, specs=net.autoencoder_specs(4, 5, 2, n_hidden=1))
     n_enc = net.encoder_layer_count(params)
     x = np.random.default_rng(7).uniform(-1, 1, (3, 4))
-
-    def loss(p):
-        out, cache = net.forward(p, x)
-        latent = cache.activations[n_enc]
-        return float(np.mean((out - x) ** 2) + np.sum(latent))
-
     out, cache = net.forward(params, x)
-    inject = {n_enc - 1: np.ones_like(cache.activations[n_enc])}
-    analytic = net.backward(params, cache, 2 * (out - x) / out.size, inject=inject)
-    assert max_rel_err(analytic, finite_difference_grads(params, loss)) < 1e-5
+    full = net.backward(params, cache, 2 * (out - x) / out.size)
+
+    latent, enc_cache = net.forward(params, x, n_layers=n_enc)
+    dec_out, dec_cache = net.forward(params, latent, start=n_enc)
+    assert np.array_equal(dec_out, out)
+    dec = net.backward(params, dec_cache, 2 * (dec_out - x) / out.size)
+    enc = net.backward(params, enc_cache, dec.input_grad)
+    assert len(enc) == n_enc and len(dec) == params.n_layers - n_enc
+    for (fw, fb), (sw, sb) in zip(full, enc + dec):
+        assert np.array_equal(fw, sw) and np.array_equal(fb, sb)
+    assert np.array_equal(enc.input_grad, full.input_grad)
 
 
 def test_backward_rejects_mismatched_cache():
     params = micro_params()
     _, cache = net.forward(params, np.zeros(3))
-    with pytest.raises(net.CacheMismatchError):
+    with pytest.raises(ValueError, match="output_grad shape"):
         net.backward(params, cache, np.zeros(5))
 
 
@@ -352,4 +354,18 @@ def test_checkpoint_rejects_foreign_payloads(tmp_path):
         net.load_checkpoint(path)
     path.write_text(json.dumps({"format": net.CHECKPOINT_FORMAT, "version": 99}))
     with pytest.raises(ValueError, match="version"):
+        net.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_scaler_width_mismatch(tmp_path):
+    from tdcae.dataio import ScalerParams
+
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(path, micro_params(seed=18, specs=net.autoencoder_specs()),
+                        scaler=ScalerParams(minimum=np.zeros(24), maximum=np.ones(24)))
+    payload = json.loads(path.read_text())
+    payload["scaler"]["min"] = payload["scaler"]["min"][:23]
+    payload["scaler"]["max"] = payload["scaler"]["max"][:23]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="ckpt.json: scaler width 23"):
         net.load_checkpoint(path)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,38 +213,33 @@ def test_non_finite_loss_reports_epoch_and_batch():
             tdc.train(runs, tdc.TrainingConfig(epochs=1), params=params)
 
 
-def test_train_step_gradient_matches_finite_differences():
-    # the full objective, all three encoder passes coupled
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(stop_gradient=True), dict(alpha=0.0),
+], ids=["default", "stop_gradient", "alpha_zero"])
+def test_train_step_gradient_matches_finite_differences(overrides):
+    # the production gradient against the objective it claims to differentiate
     rng = np.random.default_rng(3)
     specs = net.autoencoder_specs(6, 7, 4, n_hidden=1)
     params = net.init_params(specs, rng)
     batch = tdc.TripletBatch(*(rng.uniform(0, 1, (5, 6)) for _ in range(3)))
-    cfg = tdc.TrainingConfig(epochs=1, alpha=3.0, dt=0.7, input_dim=6, hidden_dim=7,
-                             latent_dim=4)
+    cfg = replace(tdc.TrainingConfig(epochs=1, alpha=3.0, dt=0.7, input_dim=6, hidden_dim=7,
+                                     latent_dim=4), **overrides)
+    # stop-gradient: the neighbour latents are constants of the unperturbed net
+    zp0, _ = net.encode(params, batch.prev)
+    zn0, _ = net.encode(params, batch.nxt)
 
     def objective(p):
         out, _ = net.forward(p, batch.cur)
         zp, _ = net.encode(p, batch.prev)
         zn, _ = net.encode(p, batch.nxt)
+        if cfg.stop_gradient:
+            zp, zn = zp0, zn0
         _, zdot = net.encode(p, batch.cur)
         return tdc.rec_loss(out, batch.cur) + cfg.alpha * tdc.tdc_loss(zp, zn, zdot, cfg.dt)
 
-    n_enc = net.encoder_layer_count(params)
-    half = net.latent_dim(params) // 2
-    out, cache = net.forward(params, batch.cur)
-    latent = cache.activations[n_enc]
-    zp, cache_p = net.forward(params, batch.prev, n_layers=n_enc)
-    zn, cache_n = net.forward(params, batch.nxt, n_layers=n_enc)
-    e = tdc.central_difference(zp[:, :half], zn[:, :half], cfg.dt) - latent[:, half:]
-    c = 2.0 * cfg.alpha / e.size
-    inject = np.zeros_like(latent)
-    inject[:, half:] = -c * e
-    grads = net.backward(params, cache, 2.0 * (out - batch.cur) / out.size,
-                         inject={n_enc - 1: inject})
-    neighbor = np.zeros_like(zp)
-    neighbor[:, :half] = c * e / (2.0 * cfg.dt)
-    net.add_grads(grads, net.backward(params, cache_n, neighbor))
-    net.add_grads(grads, net.backward(params, cache_p, -neighbor))
+    rec, tdc_value, grads = tdc.loss_and_grads(params, batch, cfg)
+    assert rec + cfg.alpha * tdc_value == pytest.approx(objective(params), rel=1e-12)
+    assert len(grads) == params.n_layers
 
     h = 1e-5
     worst = 0.0
