@@ -18,8 +18,9 @@ import configparser
 import json
 import sys
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -38,104 +39,105 @@ def write_json(path: Path, payload: dict) -> None:
 
 # --- config assembly -----------------------------------------------------------
 
+# INI section -> (config dataclass, fields a file may not set). A training
+# run's seed is derived from each --seeds entry, input_dim is fixed by the
+# data, and the detector's latent width comes from the checkpoint.
+CONFIG_SECTIONS = {
+    "training": (tdc.TrainingConfig, {"seed", "input_dim"}),
+    "detector": (detector.DetectorConfig, {"latent_dim"}),
+    "pendulum": (pendulum.PendulumConfig, set()),
+}
+RUN_KEYS = {"seed", "seeds", "out", "subset", "dataset", "test_fraction"}
+_GETTERS = {int: configparser.ConfigParser.getint, float: configparser.ConfigParser.getfloat,
+            bool: configparser.ConfigParser.getboolean, str: configparser.ConfigParser.get}
+
+
+def section_fields(section: str) -> dict[str, type]:
+    """The keys an INI section accepts, each with the type it is cast to."""
+    cls, excluded = CONFIG_SECTIONS[section]
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in excluded}
+
+
 def load_config(path: str | None) -> configparser.ConfigParser:
+    """Read an INI file, rejecting malformed files and unknown sections or keys."""
     cp = configparser.ConfigParser()
-    if path is not None:
-        if not Path(path).is_file():
-            raise FileNotFoundError(f"config file not found: {path}")
+    if path is None:
+        return cp
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"config file not found: {path}")
+    try:
         cp.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: malformed config: {exc}") from exc
+    if cp.defaults():
+        raise ValueError(f"{path}: unknown section [{cp.default_section}]")
+    for section in cp.sections():
+        if section != "run" and section not in CONFIG_SECTIONS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        known = RUN_KEYS if section == "run" else section_fields(section)
+        for key in cp.options(section):
+            if key not in known:
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
     return cp
 
 
-def _get(cp, section, key, cast, fallback):
-    if cp.has_option(section, key):
-        getter = {int: cp.getint, float: cp.getfloat, bool: cp.getboolean,
-                  str: cp.get}[cast]
-        return getter(section, key)
-    return fallback
+def _section_config(cp: configparser.ConfigParser, section: str, **overrides):
+    """Build a section's dataclass: its defaults, then file values, then overrides."""
+    values = {key: _GETTERS[kind](cp, section, key)
+              for key, kind in section_fields(section).items() if cp.has_option(section, key)}
+    return CONFIG_SECTIONS[section][0](**{**values, **overrides})
 
 
 def training_config(cp: configparser.ConfigParser, args) -> tdc.TrainingConfig:
-    cfg = tdc.TrainingConfig(
-        epochs=_get(cp, "training", "epochs", int, 50),
-        batch_size=_get(cp, "training", "batch_size", int, 32),
-        learning_rate=_get(cp, "training", "learning_rate", float, 0.003),
-        alpha=_get(cp, "training", "alpha", float, 100.0),
-        latent_dim=_get(cp, "training", "latent_dim", int, 8),
-        dt=_get(cp, "training", "dt", float, 1.0),
-        stop_gradient=_get(cp, "training", "stop_gradient", bool, False),
-        hidden_dim=_get(cp, "training", "hidden_dim", int, 24),
-    )
-    if getattr(args, "epochs", None) is not None:
-        cfg = replace(cfg, epochs=args.epochs)
-    if getattr(args, "alpha", None) is not None:
-        cfg = replace(cfg, alpha=args.alpha)
-    if getattr(args, "latent_dim", None) is not None:
-        cfg = replace(cfg, latent_dim=args.latent_dim)
+    flags = {name: getattr(args, name, None) for name in ("epochs", "alpha", "latent_dim")}
     if getattr(args, "stop_gradient", False):
-        cfg = replace(cfg, stop_gradient=True)
-    return cfg
+        flags["stop_gradient"] = True
+    return _section_config(cp, "training", **{k: v for k, v in flags.items() if v is not None})
 
 
-def detector_config(cp: configparser.ConfigParser, args) -> detector.DetectorConfig:
-    cfg = detector.DetectorConfig(
-        upper_percentile=_get(cp, "detector", "upper_percentile", float, 86.0),
-        lower_percentile=_get(cp, "detector", "lower_percentile", float, 9.0),
-        moving_average_window=_get(cp, "detector", "moving_average_window", int, 12),
-        baseline_window=_get(cp, "detector", "baseline_window", int, 10),
-        vote_threshold=_get(cp, "detector", "vote_threshold", int, 2),
-        latent_dim=_get(cp, "detector", "latent_dim", int, 8),
-        use_baseline=_get(cp, "detector", "use_baseline", bool, True),
-    )
-    if getattr(args, "latent_dim", None) is not None:
-        cfg = replace(cfg, latent_dim=args.latent_dim)
-    return cfg
+def detector_config(cp: configparser.ConfigParser, args,
+                    latent_dim: int | None = None) -> detector.DetectorConfig:
+    """[detector] for a latent space of latent_dim nodes (the dataclass default if None).
+
+    No flag sets a detector field; args is taken so the three builders share
+    one signature.
+    """
+    width = {} if latent_dim is None else {"latent_dim": latent_dim}
+    return _section_config(cp, "detector", **width)
 
 
 def pendulum_config(cp: configparser.ConfigParser, args) -> pendulum.PendulumConfig:
-    cfg = pendulum.PendulumConfig(
-        gamma=_get(cp, "pendulum", "gamma", float, 0.2),
-        omega0=_get(cp, "pendulum", "omega0", float, 1.0),
-        amplitude=_get(cp, "pendulum", "amplitude", float, 0.8),
-        omega_drive=_get(cp, "pendulum", "omega_drive", float, 1.2),
-        drift_alpha=_get(cp, "pendulum", "drift_alpha", float, 0.005),
-        drift_beta=_get(cp, "pendulum", "drift_beta", float, 0.002),
-        dt=_get(cp, "pendulum", "dt", float, 0.01),
-        t_end=_get(cp, "pendulum", "t_end", float, 100.0),
-        theta0=_get(cp, "pendulum", "theta0", float, 0.5),
-        theta_dot0=_get(cp, "pendulum", "theta_dot0", float, 0.0),
-    )
-    if getattr(args, "no_drift", False):
-        cfg = replace(cfg, drift_alpha=0.0, drift_beta=0.0)
-    return cfg
+    no_drift = {"drift_alpha": 0.0, "drift_beta": 0.0} if getattr(args, "no_drift", False) else {}
+    return _section_config(cp, "pendulum", **no_drift)
 
 
 def root_seed(cp, args) -> int:
     if args.seed is not None:
         return args.seed
-    return _get(cp, "run", "seed", int, 0)
+    return cp.getint("run", "seed", fallback=0)
 
 
 def seed_list(cp, args) -> list[int]:
     if getattr(args, "seeds", None):
         return [int(s) for s in args.seeds.replace(",", " ").split()]
-    raw = _get(cp, "run", "seeds", str, None)
+    raw = cp.get("run", "seeds", fallback=None)
     if raw:
         return [int(s) for s in raw.replace(",", " ").split()]
     return [root_seed(cp, args)]
 
 
 def output_dir(cp, args) -> Path:
-    out = Path(args.out if args.out is not None else _get(cp, "run", "out", str, "out"))
+    out = Path(args.out if args.out is not None else cp.get("run", "out", fallback="out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def load_runs(cp, args, root: int) -> list[dataio.EngineRun]:
-    subset = args.subset if getattr(args, "subset", None) else _get(cp, "run", "subset", str, "synthetic")
+    subset = getattr(args, "subset", None) or cp.get("run", "subset", fallback="synthetic")
     if subset == "synthetic":
         return dataio.synthetic_runs(seed=component_seed(root, "synthetic-data"))
-    data = getattr(args, "data", None) or _get(cp, "run", "dataset", str, None)
+    data = getattr(args, "data", None) or cp.get("run", "dataset", fallback=None)
     if data is None:
         raise FileNotFoundError(f"subset {subset} needs a dataset path (--data or [run] dataset)")
     path = Path(data)
@@ -182,9 +184,9 @@ def cmd_simulate(cp, args) -> int:
 
 
 def _prepared_data(cp, args, root):
-    """Runs, split, scaler and scaled train runs shared by train/detect/diagnose."""
+    """Runs, split, scaler and scaled train runs for train."""
     runs = load_runs(cp, args, root)
-    test_fraction = _get(cp, "run", "test_fraction", float, 0.2)
+    test_fraction = cp.getfloat("run", "test_fraction", fallback=0.2)
     split = dataio.split_engines(runs, test_fraction, component_seed(root, "engine-split"))
     train_runs = select_runs(runs, split.train_engines)
     scaler = dataio.fit_scaler(train_runs)
@@ -224,25 +226,20 @@ def cmd_train(cp, args) -> int:
     return 0
 
 
-def _load_compatible_checkpoint(args, det_cfg):
+def _checkpoint_and_runs(cp, args):
+    """Params, scaler and split of --checkpoint, plus the runs it was trained on."""
     ckpt = net.load_checkpoint(args.checkpoint)
-    params = ckpt["params"]
-    n = net.latent_dim(params)
-    if n != det_cfg.latent_dim:
-        raise ValueError(f"checkpoint latent dim {n} != configured {det_cfg.latent_dim}")
     if ckpt.get("scaler") is None or ckpt.get("split") is None:
         raise ValueError("checkpoint lacks scaler/split metadata; retrain with cmd_train")
-    return ckpt, params
+    runs = load_runs(cp, args, root_seed(cp, args))
+    return ckpt["params"], ckpt["scaler"], ckpt["split"], runs
 
 
 def cmd_detect(cp, args) -> int:
     out = output_dir(cp, args)
-    root = root_seed(cp, args)
-    det_cfg = detector_config(cp, args)
-    ckpt, params = _load_compatible_checkpoint(args, det_cfg)
-    scaler, split = ckpt["scaler"], ckpt["split"]
+    params, scaler, split, runs = _checkpoint_and_runs(cp, args)
+    det_cfg = detector_config(cp, args, latent_dim=net.latent_dim(params))
 
-    runs = load_runs(cp, args, root)
     train_runs = select_runs(runs, split.train_engines)
     latents_train = [tdc.infer_latent(params, dataio.apply_scaler(r, scaler))
                      for r in train_runs]
@@ -269,14 +266,7 @@ def cmd_detect(cp, args) -> int:
 
 def cmd_diagnose(cp, args) -> int:
     out = output_dir(cp, args)
-    root = root_seed(cp, args)
-    det_cfg = detector_config(cp, args)
-    ckpt, params = _load_compatible_checkpoint(args, det_cfg)
-    scaler, split = ckpt["scaler"], ckpt["split"]
-
-    runs = load_runs(cp, args, root)
-    if not runs:
-        raise ValueError("empty dataset")
+    params, scaler, split, runs = _checkpoint_and_runs(cp, args)
     train_runs = [dataio.apply_scaler(r, scaler) for r in select_runs(runs, split.train_engines)]
     test_runs = [dataio.apply_scaler(r, scaler) for r in select_runs(runs, split.test_engines)]
 
@@ -284,7 +274,7 @@ def cmd_diagnose(cp, args) -> int:
     test_rows = np.vstack([r.features for r in test_runs])
     rank = diagnostics.jacobian_rank_survey(params, test_rows)
     min_ratio, violations = diagnostics.injectivity_ratio_survey(
-        params, test_rows, seed=component_seed(root, "injectivity"))
+        params, test_rows, seed=component_seed(root_seed(cp, args), "injectivity"))
 
     latents_train = [tdc.infer_latent(params, r) for r in train_runs]
     windows = [(0, r.normal_count) for r in train_runs]
@@ -307,20 +297,29 @@ def cmd_diagnose(cp, args) -> int:
     return 0
 
 
+REPORT_KEYS = ("accuracy", "precision", "recall", "specificity", "f1", "cdr")
+
+
+def read_metrics(path: str) -> dict:
+    """The "metrics" object of a detect metrics.json, checked for every report key."""
+    payload = json.loads(Path(path).read_text())
+    metrics = payload.get("metrics") if isinstance(payload, dict) else None
+    if not isinstance(metrics, dict):
+        raise ValueError(f'{path}: no "metrics" object; expected a metrics.json from detect')
+    missing = [k for k in REPORT_KEYS if k not in metrics]
+    if missing:
+        raise ValueError(f"{path}: metrics lack {', '.join(missing)}")
+    return metrics
+
+
 def cmd_report(cp, args) -> int:
     out = output_dir(cp, args)
-    rows = []
-    for path in args.metrics:
-        payload = json.loads(Path(path).read_text())
-        rows.append(payload["metrics"])
-    if not rows:
-        raise ValueError("no metrics files given")
-    keys = ("accuracy", "precision", "recall", "specificity", "f1", "cdr")
+    rows = [read_metrics(path) for path in args.metrics]
     table = {k: {"mean": float(np.mean([r[k] for r in rows])),
                  "std": float(np.std([r[k] for r in rows])),
-                 "values": [r[k] for r in rows]} for k in keys}
+                 "values": [r[k] for r in rows]} for k in REPORT_KEYS}
     write_json(out / "report.json", {"n_runs": len(rows), "metrics": table})
-    for k in keys:
+    for k in REPORT_KEYS:
         print(f"{k}: {table[k]['mean']:.4f} +/- {table[k]['std']:.4f}")
     return 0
 
@@ -361,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset directory or file")
     p.add_argument("--subset", choices=("FD001", "FD003", "synthetic"))
     p.add_argument("--engines", choices=("train", "test"), default="test")
-    p.add_argument("--latent-dim", type=int, dest="latent_dim")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("diagnose", help="dimension, rank, injectivity and consistency report")
@@ -369,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory or file")
     p.add_argument("--subset", choices=("FD001", "FD003", "synthetic"))
-    p.add_argument("--latent-dim", type=int, dest="latent_dim")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("report", help="aggregate per-seed metrics into mean +/- std")

@@ -1,13 +1,15 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from tdcae import cli
+from tdcae import cli, detector, pendulum, tdc
 
 
 def run_cli(*argv):
@@ -46,6 +48,68 @@ def test_detector_config_from_ini(tmp_path):
     cfg = cli.detector_config(cli.load_config(str(ini)), namespace(latent_dim=None))
     assert cfg.upper_percentile == 90.0 and cfg.vote_threshold == 3
     assert cfg.lower_percentile == 9.0
+
+
+# section: (dataclass, builder, flags, the fields the flags set, a valid
+# non-default value for every key the section accepts)
+CONFIG_CASES = {
+    "training": (tdc.TrainingConfig, cli.training_config,
+                 dict(epochs=3, alpha=None, latent_dim=6, stop_gradient=True),
+                 dict(epochs=3, latent_dim=6, stop_gradient=True),
+                 dict(epochs=7, batch_size=16, learning_rate=0.01, alpha=5.0, latent_dim=4,
+                      dt=0.5, stop_gradient=True, hidden_dim=12)),
+    # detect passes the checkpoint's latent width; no flag sets a detector field
+    "detector": (detector.DetectorConfig,
+                 lambda cp, args: cli.detector_config(cp, args, getattr(args, "latent_dim", None)),
+                 dict(latent_dim=4), dict(latent_dim=4),
+                 dict(upper_percentile=90.0, lower_percentile=5.0, moving_average_window=8,
+                      baseline_window=6, vote_threshold=3, use_baseline=False)),
+    "pendulum": (pendulum.PendulumConfig, cli.pendulum_config,
+                 dict(no_drift=True), dict(drift_alpha=0.0, drift_beta=0.0),
+                 dict(gamma=0.3, omega0=1.1, amplitude=0.7, omega_drive=1.3, drift_alpha=0.004,
+                      drift_beta=0.001, dt=0.02, t_end=40.0, theta0=0.4, theta_dot0=0.1)),
+}
+
+
+@pytest.mark.parametrize("section", CONFIG_CASES)
+def test_empty_config_is_dataclass_defaults_plus_flags(section):
+    cls, build, flags, overrides, _ = CONFIG_CASES[section]
+    empty = cli.load_config(None)
+    assert build(empty, namespace()) == cls()
+    assert build(empty, namespace(**flags)) == cls(**overrides)
+
+
+@pytest.mark.parametrize("section", CONFIG_CASES)
+def test_every_accepted_field_round_trips(section, tmp_path):
+    cls, build, _, _, values = CONFIG_CASES[section]
+    assert set(values) == set(cli.section_fields(section))
+    assert all(values[k] != v for k, v in asdict(cls()).items() if k in values)
+    ini = tmp_path / "all.ini"
+    ini.write_text(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert build(cli.load_config(str(ini)), namespace()) == cls(**values)
+
+
+@pytest.mark.parametrize("section,key", [
+    ("training", "epoch"), ("training", "seed"), ("training", "input_dim"),
+    ("detector", "latent_dim"), ("detector", "min_votes"), ("pendulum", "theta"),
+    ("run", "seed_list"), ("model", "epochs"), ("DEFAULT", "seed")])
+def test_unknown_section_or_key_names_the_file(section, key, tmp_path, capsys):
+    ini = tmp_path / "typo.ini"
+    ini.write_text(f"[{section}]\n{key} = 5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{ini}: unknown ") + f"(section|key).*{section}"):
+        cli.load_config(str(ini))
+    assert run_cli("simulate", "--config", str(ini), "--out", str(tmp_path / "o")) == 1
+    assert str(ini) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["epochs = 5\n", "[training]\nepochs = 5\nepochs = 6\n"],
+                         ids=["no_section_header", "duplicate_key"])
+def test_malformed_config_fails_cleanly(text, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert run_cli("simulate", "--config", str(ini), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ini) in err
 
 
 def test_seed_list_sources(tmp_path):
@@ -168,12 +232,27 @@ def test_detect_on_training_engines(pipeline_dir, tmp_path):
     assert payload["metrics"]["n_engines"] == 10
 
 
-def test_detect_latent_dim_mismatch_fails(pipeline_dir, tmp_path, capsys):
-    code = run_cli("detect", "--out", str(tmp_path / "o"), "--seed", "0",
-                   "--checkpoint", str(pipeline_dir / "checkpoint_seed0.json"),
-                   "--latent-dim", "4")
-    assert code == 1
-    assert "latent dim" in capsys.readouterr().err
+def test_detect_and_diagnose_take_latent_width_from_checkpoint(tmp_path):
+    out = tmp_path / "w6"
+    assert run_cli("train", "--out", str(out), "--seeds", "0", "--epochs", "1",
+                   "--latent-dim", "6") == 0
+    ckpt = str(out / "checkpoint_seed0.json")
+    assert run_cli("detect", "--out", str(out / "det"), "--checkpoint", ckpt) == 0
+    assert run_cli("diagnose", "--out", str(out / "diag"), "--checkpoint", ckpt) == 0
+    thresholds = json.loads((out / "det" / "metrics.json").read_text())["thresholds"]
+    assert len(thresholds["upper"]) == len(thresholds["lower"]) == 6
+
+
+def test_vote_threshold_is_checked_against_checkpoint_width(tmp_path):
+    # vote_threshold 10 exceeds the default width 8 but fits the trained 12
+    ini = tmp_path / "wide.ini"
+    ini.write_text("[training]\nlatent_dim = 12\nepochs = 1\n[detector]\nvote_threshold = 10\n")
+    out = tmp_path / "w12"
+    assert run_cli("train", "--config", str(ini), "--out", str(out), "--seeds", "0") == 0
+    assert run_cli("detect", "--config", str(ini), "--out", str(out / "det"),
+                   "--checkpoint", str(out / "checkpoint_seed0.json")) == 0
+    thresholds = json.loads((out / "det" / "metrics.json").read_text())["thresholds"]
+    assert len(thresholds["upper"]) == 12
 
 
 def test_detect_missing_checkpoint_fails(tmp_path, capsys):
@@ -219,6 +298,18 @@ def test_report_aggregates_metrics(tmp_path, capsys):
     assert table["metrics"]["accuracy"]["mean"] == pytest.approx(0.85)
     assert table["metrics"]["f1"]["values"] == [0.75, 0.65]
     assert "accuracy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("payload,missing", [
+    ({"engines": "test"}, '"metrics"'), ([1, 2], '"metrics"'),
+    ({"metrics": {"accuracy": 0.9, "precision": 0.8, "recall": 0.7, "f1": 0.75}},
+     "specificity, cdr")], ids=["no_metrics", "not_an_object", "missing_keys"])
+def test_report_rejects_foreign_json_by_name(payload, missing, tmp_path, capsys):
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli("report", "--out", str(tmp_path / "rep"), str(path)) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and missing in err
 
 
 def test_module_entry_point_runs_without_runtime_warning():
