@@ -47,7 +47,8 @@ CONFIG_SECTIONS = {
     "detector": (detector.DetectorConfig, {"latent_dim"}),
     "pendulum": (pendulum.PendulumConfig, set()),
 }
-RUN_KEYS = {"seed", "seeds", "out", "subset", "dataset", "test_fraction"}
+RUN_KEYS = {"seed": int, "seeds": str, "out": str, "subset": str, "dataset": str,
+            "test_fraction": float}
 _GETTERS = {int: configparser.ConfigParser.getint, float: configparser.ConfigParser.getfloat,
             bool: configparser.ConfigParser.getboolean, str: configparser.ConfigParser.get}
 
@@ -60,8 +61,10 @@ def section_fields(section: str) -> dict[str, type]:
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
-    """Read an INI file, rejecting malformed files and unknown sections or keys."""
-    cp = configparser.ConfigParser()
+    """Read an INI file, rejecting malformed files, unknown sections or keys and
+    values that do not cast to their key's type. Values are literal: no % interpolation.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
     if path is None:
         return cp
     if not Path(path).is_file():
@@ -79,6 +82,10 @@ def load_config(path: str | None) -> configparser.ConfigParser:
         for key in cp.options(section):
             if key not in known:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+            try:
+                _GETTERS[known[key]](cp, section, key)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
     return cp
 
 

@@ -333,14 +333,11 @@ def eta_per_engine(latent: LatentSeries, window: tuple[int, int] | None = None) 
 
 def eta_table(latents: list[LatentSeries], windows: list[tuple[int, int]]) -> list[dict]:
     """Per-pair eta mean +/- std across engines, each on its own window."""
-    n_pairs = latents[0].n_pairs
+    reports = [consistency_reports(latent, window=window)
+               for latent, window in zip(latents, windows)]
     rows = []
-    for k in range(n_pairs):
-        values = []
-        for latent, window in zip(latents, windows):
-            eta = consistency_reports(latent, window=window)[k].eta
-            if math.isfinite(eta):
-                values.append(eta)
+    for k in range(latents[0].n_pairs):
+        values = [r[k].eta for r in reports if math.isfinite(r[k].eta)]
         rows.append({"pair": k, "mean": float(np.mean(values)), "std": float(np.std(values)),
                      "n_engines": len(values)})
     return rows

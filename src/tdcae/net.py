@@ -8,6 +8,10 @@ The latent layer of an hourglass network is located structurally: it is the
 unique narrowest layer output. Its vector is interpreted as state/derivative
 channel pairs: entry i is a state z_i, entry i + n/2 its derivative.
 
+All weights and biases are views into one flat float64 vector, theta (per
+layer: the weight matrix row-major, then the bias), so an Adamax step on its
+two theta-shaped accumulators is four vector operations.
+
 forward() and backward() work on any contiguous range of layers, so a loss
 on the latent layer is added between a decoder backward and an encoder
 backward rather than hooked into one pass.
@@ -39,23 +43,34 @@ class LayerSpec:
 
 @dataclass
 class NetworkParams:
-    """Ordered dense layers: weight matrices [out x in] and bias vectors [out]."""
+    """Ordered dense layers: weight matrices [out x in] and bias vectors [out].
+
+    The constructor copies them into the flat vector theta and rebinds them as
+    tuples of views into it, so no layer can be replaced apart from theta.
+    """
 
     specs: list[LayerSpec]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+    theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (len(self.specs) == len(self.weights) == len(self.biases)):
             raise ValueError("specs/weights/biases length mismatch")
         for spec, w, b in zip(self.specs, self.weights, self.biases):
-            if w.shape != (spec.out_dim, spec.in_dim) or b.shape != (spec.out_dim,):
+            if np.shape(w) != (spec.out_dim, spec.in_dim) or np.shape(b) != (spec.out_dim,):
                 raise ValueError(f"parameter shape mismatch for spec {spec}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("non-finite parameter entries")
         for prev, cur in zip(self.specs, self.specs[1:]):
             if prev.out_dim != cur.in_dim:
                 raise ValueError("consecutive layers are dimension-incompatible")
+        self.theta = np.concatenate([np.asarray(a, dtype=np.float64).ravel()
+                                     for pair in zip(self.weights, self.biases) for a in pair])
+        if not np.all(np.isfinite(self.theta)):
+            raise ValueError("non-finite parameter entries")
+        ends = np.cumsum([n for s in self.specs for n in (s.out_dim * s.in_dim, s.out_dim)])
+        parts = np.split(self.theta, ends[:-1])
+        self.weights = tuple(w.reshape(s.out_dim, s.in_dim) for s, w in zip(self.specs, parts[::2]))
+        self.biases = tuple(parts[1::2])
 
     @property
     def n_layers(self) -> int:
@@ -66,11 +81,7 @@ class NetworkParams:
         return self.specs[0].in_dim
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            specs=list(self.specs),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return NetworkParams(specs=self.specs, weights=self.weights, biases=self.biases)
 
 
 def autoencoder_specs(input_dim: int = 24, hidden_dim: int = 24, latent_dim: int = 8,
@@ -158,10 +169,6 @@ def forward(params: NetworkParams, x: np.ndarray, n_layers: int | None = None,
     return (y[0] if squeeze else y), cache
 
 
-def zero_grads(params: NetworkParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(params.weights, params.biases)]
-
-
 def backward(params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients for the layers covered by the cache.
 
@@ -204,13 +211,6 @@ def encode(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return latent[..., :half], latent[..., half:]
 
 
-def encoder_jacobian(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Exact Jacobian [n x k] of the encoder at x, by forward-mode propagation."""
-    n_enc = encoder_layer_count(params)
-    J = encoder_jacobian_batch(params, np.asarray(x, dtype=np.float64)[None, :], n_enc)
-    return J[0]
-
-
 def encoder_jacobian_batch(params: NetworkParams, x: np.ndarray,
                            n_layers: int | None = None) -> np.ndarray:
     """Jacobians for a batch of inputs, [B x n x k]."""
@@ -229,52 +229,48 @@ def encoder_jacobian_batch(params: NetworkParams, x: np.ndarray,
 
 # --- Adamax ------------------------------------------------------------------
 
+def flat_grads(grads) -> np.ndarray:
+    """Per-layer (dW, db) pairs as one vector in the layout of NetworkParams.theta."""
+    return np.concatenate([np.ravel(a) for pair in grads for a in pair])
+
+
 @dataclass
 class AdamaxState:
-    """First-moment and infinity-norm accumulators per parameter tensor."""
+    """First-moment and infinity-norm accumulators, each shaped like theta."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    u: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    u: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_adamax(params: NetworkParams, learning_rate: float = 0.003,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamaxState:
-    state = AdamaxState(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
-    state.m = zero_grads(params)
-    state.u = zero_grads(params)
-    return state
+    return AdamaxState(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps,
+                       m=np.zeros_like(params.theta), u=np.zeros_like(params.theta))
 
 
 def adamax_step(params: NetworkParams, grads, state: AdamaxState) -> tuple[NetworkParams, AdamaxState]:
-    """One Adamax update, in place:
+    """One Adamax update of theta from per-layer (dW, db) pairs, in place:
 
         m <- b1*m + (1-b1)*g;  u <- max(b2*u, |g|)
         theta <- theta - lr/(1 - b1^t) * m / (u + eps)
 
-    Non-finite gradients reject the step before any state is touched.
+    A non-finite or mis-sized gradient rejects the step before any state is
+    touched.
     """
-    for gw, gb in grads:
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise ValueError("non-finite gradient; step rejected")
+    g = flat_grads(grads)
+    if g.shape != params.theta.shape or not np.all(np.isfinite(g)):
+        raise ValueError("non-finite or mis-sized gradient; step rejected")
     state.step_count += 1
-    correction = 1.0 - state.beta1**state.step_count
-    scale = state.learning_rate / correction
-    for i, (gw, gb) in enumerate(grads):
-        mw, mb = state.m[i]
-        uw, ub = state.u[i]
-        mw *= state.beta1
-        mw += (1.0 - state.beta1) * gw
-        mb *= state.beta1
-        mb += (1.0 - state.beta1) * gb
-        np.maximum(state.beta2 * uw, np.abs(gw), out=uw)
-        np.maximum(state.beta2 * ub, np.abs(gb), out=ub)
-        params.weights[i] -= scale * mw / (uw + state.eps)
-        params.biases[i] -= scale * mb / (ub + state.eps)
+    scale = state.learning_rate / (1.0 - state.beta1**state.step_count)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    np.maximum(state.beta2 * state.u, np.abs(g), out=state.u)
+    params.theta -= scale * state.m / (state.u + state.eps)
     return params, state
 
 
@@ -323,11 +319,7 @@ def load_checkpoint(path: str | Path) -> dict:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     specs = [LayerSpec(a, b, act) for a, b, act in payload["specs"]]
-    params = NetworkParams(
-        specs=specs,
-        weights=[np.array(w, dtype=np.float64) for w in payload["weights"]],
-        biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
-    )
+    params = NetworkParams(specs=specs, weights=payload["weights"], biases=payload["biases"])
     out = dict(payload)
     out["params"] = params
     if payload.get("scaler"):

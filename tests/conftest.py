@@ -1,4 +1,5 @@
-"""Shared fixtures: surrogate data, a small trained model, optional real data.
+"""Shared fixtures: surrogate data, a small trained model, optional real data,
+and the finite-difference gradient every gradient test compares against.
 
 The real turbofan files are looked up via the CMAPSS_DATA environment
 variable or a data/ directory next to the package; data-dependent tests
@@ -8,6 +9,7 @@ skip with a notice when the files are absent.
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tdcae import dataio, tdc
@@ -32,6 +34,31 @@ def require_cmapss(subset: str) -> Path:
         pytest.skip(f"train_{subset}.txt not found (set CMAPSS_DATA or add data/); "
                     "skipping data-dependent check")
     return path
+
+
+def fd_grads(params, loss_fn, h=1e-5) -> np.ndarray:
+    """Central differences of loss_fn(params) in each entry of params.theta.
+
+    Returns a flat vector in theta's layout; compare it with
+    net.flat_grads of an analytic per-layer gradient.
+    """
+    theta = params.theta
+    grads = np.empty_like(theta)
+    for i in range(theta.size):
+        old = theta[i]
+        theta[i] = old + h
+        up = loss_fn(params)
+        theta[i] = old - h
+        down = loss_fn(params)
+        theta[i] = old
+        grads[i] = (up - down) / (2 * h)
+    return grads
+
+
+def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Largest entrywise |a - n| / max(1e-4, |a|, |n|) of two flat gradients."""
+    denom = np.maximum(1e-4, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import pytest
 
 from tdcae import dataio, detector, diagnostics, net, pendulum, tdc
 
-from conftest import cmapss_file
+from conftest import cmapss_file, fd_grads, max_rel_err
 
 
 def criterion(num, ok, detail):
@@ -25,33 +25,6 @@ def skip_criterion(num, missing):
            "(set CMAPSS_DATA or add data/); skipping data-dependent check")
     print(f"[SKIP] {msg}")
     pytest.skip(msg)
-
-
-def fd_grads(params, loss_fn, h=1e-5):
-    grads = net.zero_grads(params)
-    for li in range(params.n_layers):
-        for arr, g in ((params.weights[li], grads[li][0]),
-                       (params.biases[li], grads[li][1])):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                old = arr[ix]
-                arr[ix] = old + h
-                up = loss_fn(params)
-                arr[ix] = old - h
-                down = loss_fn(params)
-                arr[ix] = old
-                g[ix] = (up - down) / (2 * h)
-    return grads
-
-
-def max_rel_err(analytic, numeric):
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, n in ((aw, nw), (ab, nb)):
-            denom = np.maximum(1e-4, np.maximum(np.abs(a), np.abs(n)))
-            worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
 
 
 # --- 1: gradient correctness ------------------------------------------------------
@@ -73,7 +46,7 @@ def test_criterion_01_gradient_correctness():
         # plain backprop on reconstruction MSE
         out, cache = net.forward(params, x)
         analytic = net.backward(params, cache, 2.0 * (out - target) / out.size)
-        worst = max(worst, max_rel_err(analytic, fd_grads(
+        worst = max(worst, max_rel_err(net.flat_grads(analytic), fd_grads(
             params, lambda p: float(np.mean((net.forward(p, x)[0] - target) ** 2)))))
 
         # the production gradient of the full objective, consistency term included
@@ -89,7 +62,7 @@ def test_criterion_01_gradient_correctness():
             return tdc.rec_loss(o, batch.cur) + cfg.alpha * tdc.tdc_loss(zp, zn, zdot, cfg.dt)
 
         _, _, analytic = tdc.loss_and_grads(params, batch, cfg)
-        worst = max(worst, max_rel_err(analytic, fd_grads(params, objective)))
+        worst = max(worst, max_rel_err(net.flat_grads(analytic), fd_grads(params, objective)))
     elapsed = time.monotonic() - started
     criterion(1, worst < 1e-5 and elapsed < 30.0,
               f"100 micro-nets, max rel err {worst:.2e} (< 1e-5), {elapsed:.1f} s (< 30 s)")

@@ -112,6 +112,29 @@ def test_malformed_config_fails_cleanly(text, tmp_path, capsys):
     assert err.startswith("error: ") and str(ini) in err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "seed", "seven"), ("run", "test_fraction", "0.2x"), ("training", "epochs", "1.5"),
+    ("training", "stop_gradient", "maybe"), ("detector", "upper_percentile", "high"),
+    ("pendulum", "t_end", "abc")])
+def test_value_that_does_not_cast_names_file_section_and_key(section, key, value, tmp_path,
+                                                             capsys):
+    ini = tmp_path / "cast.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{ini}: [{section}] {key}: ") + ".*" + value):
+        cli.load_config(str(ini))
+    assert run_cli("simulate", "--config", str(ini), "--out", str(tmp_path / "o")) == 1
+    assert f"error: {ini}: [{section}] {key}:" in capsys.readouterr().err
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    out = tmp_path / "p50%"
+    ini = tmp_path / "pct.ini"
+    ini.write_text(f"[run]\nout = {out}\n[pendulum]\nt_end = 30.0\n")
+    assert cli.load_config(str(ini)).get("run", "out") == str(out)
+    assert run_cli("simulate", "--config", str(ini)) == 0
+    assert (out / "trajectory.csv").is_file()
+
+
 def test_seed_list_sources(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nseeds = 4, 5 6\n")

@@ -372,6 +372,28 @@ def test_eta_table_counts_finite_engines_only():
     assert math.isfinite(rows[0]["mean"])
 
 
+def test_eta_table_matches_per_pair_loop():
+    # oracle: one consistency_reports call per (pair, engine), as the table once did
+    rng = np.random.default_rng(31)
+    latents, windows = [], []
+    for unit in range(4):
+        n = int(rng.integers(12, 30))
+        t = np.arange(n, dtype=float)
+        z = [np.sin(rng.uniform(0.1, 0.5) * t + k) for k in range(3)]
+        zd = [np.cos(rng.uniform(0.1, 0.5) * t + k) for k in range(3)]
+        if unit == 2:
+            zd[1] = np.zeros(n)  # one nan eta in pair 1
+        latents.append(make_latent(z, zd, unit_id=unit))
+        windows.append((int(rng.integers(0, 4)), n))
+    rows = dg.eta_table(latents, windows)
+    for k, row in enumerate(rows):
+        etas = [dg.consistency_reports(lat, window=w)[k].eta for lat, w in zip(latents, windows)]
+        values = [e for e in etas if math.isfinite(e)]
+        assert row == {"pair": k, "mean": float(np.mean(values)), "std": float(np.std(values)),
+                       "n_engines": len(values)}
+    assert [row["n_engines"] for row in rows] == [4, 3, 4]
+
+
 def test_rho_table_splits_segments_at_first_anomaly():
     # state follows its derivative exactly in the normal half only
     n = 30

@@ -6,6 +6,8 @@ import pytest
 
 from tdcae import net
 
+from conftest import fd_grads, max_rel_err
+
 
 def micro_params(seed=0, specs=None):
     rng = np.random.default_rng(seed)
@@ -13,33 +15,6 @@ def micro_params(seed=0, specs=None):
         specs = [net.LayerSpec(3, 4, "tanh"), net.LayerSpec(4, 2, "tanh"),
                  net.LayerSpec(2, 3, "identity")]
     return net.init_params(specs, rng)
-
-
-def finite_difference_grads(params, loss_fn, h=1e-5):
-    grads = net.zero_grads(params)
-    for li in range(params.n_layers):
-        for arr, g in ((params.weights[li], grads[li][0]),
-                       (params.biases[li], grads[li][1])):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                old = arr[ix]
-                arr[ix] = old + h
-                up = loss_fn(params)
-                arr[ix] = old - h
-                down = loss_fn(params)
-                arr[ix] = old
-                g[ix] = (up - down) / (2 * h)
-    return grads
-
-
-def max_rel_err(analytic, numeric):
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, n in ((aw, nw), (ab, nb)):
-            denom = np.maximum(1e-4, np.maximum(np.abs(a), np.abs(n)))
-            worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
 
 
 # --- specs and construction -----------------------------------------------------
@@ -71,6 +46,54 @@ def test_network_params_rejects_non_finite():
     weights = [np.array([[1.0, np.nan], [0.0, 1.0]])]
     with pytest.raises(ValueError, match="non-finite"):
         net.NetworkParams(specs=specs, weights=weights, biases=[np.zeros(2)])
+
+
+def test_theta_layout_is_weight_row_major_then_bias_per_layer():
+    params = micro_params(seed=2)
+    expected = np.concatenate([a.ravel() for w, b in zip(params.weights, params.biases)
+                               for a in (w, b)])
+    assert params.theta.shape == (sum(s.out_dim * (s.in_dim + 1) for s in params.specs),)
+    assert np.array_equal(params.theta, expected)
+    params.theta[:] = np.arange(params.theta.size)
+    assert params.weights[0][1, 0] == 3.0 and params.biases[0][0] == 12.0
+    assert params.weights[1][0, 0] == 16.0
+
+
+def test_layers_are_views_into_theta():
+    params = micro_params(seed=3)
+    for w, b in zip(params.weights, params.biases):
+        assert np.shares_memory(w, params.theta) and np.shares_memory(b, params.theta)
+    params.weights[1][0, 1] += 1.0
+    params.biases[2][:] = 5.0
+    assert np.array_equal(params.theta, net.flat_grads(zip(params.weights, params.biases)))
+
+
+def test_construction_copies_its_inputs():
+    weights, biases = [np.eye(2)], [np.zeros(2)]
+    params = net.NetworkParams(specs=[net.LayerSpec(2, 2)], weights=weights, biases=biases)
+    weights[0][0, 0] = 9.0
+    biases[0][:] = 9.0
+    assert np.array_equal(params.theta, [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+
+
+def test_replacing_a_layer_raises():
+    params = micro_params()
+    with pytest.raises(TypeError):
+        params.weights[0] = np.zeros((4, 3))
+    with pytest.raises(TypeError):
+        params.biases[0] = np.zeros(4)
+
+
+def test_copy_is_independent():
+    params = micro_params(seed=4)
+    original = params.theta.copy()
+    dup = params.copy()
+    assert np.array_equal(dup.theta, original) and dup.specs == params.specs
+    assert not np.shares_memory(dup.theta, params.theta)
+    dup.theta[:] = 1.0
+    assert np.array_equal(params.theta, original)
+    params.weights[0][0, 0] = 7.0
+    assert np.all(dup.theta == 1.0)
 
 
 def test_encoder_layer_count_finds_bottleneck():
@@ -175,7 +198,7 @@ def test_backward_matches_finite_differences():
 
         out, cache = net.forward(params, x)
         analytic = net.backward(params, cache, 2 * (out - target) / out.size)
-        worst = max(worst, max_rel_err(analytic, finite_difference_grads(params, loss)))
+        worst = max(worst, max_rel_err(net.flat_grads(analytic), fd_grads(params, loss)))
     assert worst < 1e-5
 
 
@@ -209,7 +232,8 @@ def test_backward_rejects_mismatched_cache():
 def test_jacobian_identity_layer():
     specs = [net.LayerSpec(3, 3, "identity")]
     params = net.NetworkParams(specs=specs, weights=[np.eye(3)], biases=[np.zeros(3)])
-    assert np.array_equal(net.encoder_jacobian(params, np.array([1.0, 2.0, 3.0])), np.eye(3))
+    x = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(net.encoder_jacobian_batch(params, x[None])[0], np.eye(3))
 
 
 def test_jacobian_zero_network():
@@ -217,13 +241,13 @@ def test_jacobian_zero_network():
     params = net.NetworkParams(specs=specs,
                                weights=[np.zeros((s.out_dim, s.in_dim)) for s in specs],
                                biases=[np.zeros(s.out_dim) for s in specs])
-    assert np.all(net.encoder_jacobian(params, np.ones(4)) == 0)
+    assert np.all(net.encoder_jacobian_batch(params, np.ones((1, 4)))[0] == 0)
 
 
 def test_jacobian_matches_finite_differences():
     params = micro_params(seed=8, specs=net.autoencoder_specs(5, 6, 4, n_hidden=1))
     x = np.random.default_rng(9).uniform(-1, 1, 5)
-    jac = net.encoder_jacobian(params, x)
+    jac = net.encoder_jacobian_batch(params, x[None])[0]
     n_enc = net.encoder_layer_count(params)
     h = 1e-6
     for j in range(5):
@@ -240,7 +264,8 @@ def test_jacobian_batch_matches_single():
     x = np.random.default_rng(13).uniform(-1, 1, (5, 4))
     batch = net.encoder_jacobian_batch(params, x)
     for i in range(5):
-        assert np.allclose(batch[i], net.encoder_jacobian(params, x[i]), atol=1e-14)
+        assert np.allclose(batch[i], net.encoder_jacobian_batch(params, x[i:i + 1])[0],
+                           atol=1e-14)
 
 
 # --- adamax ----------------------------------------------------------------------------
@@ -254,7 +279,7 @@ def scalar_params(value=0.0):
 def test_adamax_zero_gradient_leaves_params():
     params = scalar_params(0.7)
     state = net.init_adamax(params)
-    net.adamax_step(params, net.zero_grads(params), state)
+    net.adamax_step(params, [(np.zeros((1, 1)), np.zeros(1))], state)
     assert params.weights[0][0, 0] == 0.7
 
 
@@ -266,8 +291,9 @@ def test_adamax_first_step_is_exactly_lr():
     # m=0.1, u=1, correction 1-0.9 -> step = 0.003 * 0.1 / 0.1 / (1 + eps);
     # eps=1e-8 in the denominator shifts the step by 3e-11
     assert params.weights[0][0, 0] == pytest.approx(-0.003, abs=1e-10)
-    assert state.m[0][0][0, 0] == pytest.approx(0.1)
-    assert state.u[0][0][0, 0] == 1.0
+    assert state.m.shape == state.u.shape == params.theta.shape == (2,)
+    assert state.m[0] == pytest.approx(0.1) and state.m[1] == 0.0
+    assert state.u[0] == 1.0 and state.u[1] == 0.0
 
 
 def test_adamax_constant_gradient_decreases_monotonically():
@@ -306,6 +332,57 @@ def test_adamax_rejects_non_finite_and_preserves_state():
         net.adamax_step(params, [(np.array([[np.nan]]), np.zeros(1))], state)
     assert params.weights[0][0, 0] == 0.5
     assert state.step_count == 0
+
+
+def test_adamax_rejects_mis_sized_gradient_and_preserves_state():
+    params = micro_params()
+    state = net.init_adamax(params)
+    before = params.theta.copy()
+    with pytest.raises(ValueError, match="mis-sized"):
+        net.adamax_step(params, [(np.ones((4, 3)), np.ones(4))], state)
+    assert np.array_equal(params.theta, before) and not state.m.any() and state.step_count == 0
+
+
+def loop_adamax(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Oracle: the per-tensor Adamax loop on separate arrays, one (W, b) state pair per layer."""
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
+    u = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
+    for t, grads in enumerate(grad_steps, start=1):
+        scale = lr / (1.0 - b1**t)
+        for i, (gw, gb) in enumerate(grads):
+            mw, mb = m[i]
+            uw, ub = u[i]
+            mw *= b1
+            mw += (1.0 - b1) * gw
+            mb *= b1
+            mb += (1.0 - b1) * gb
+            np.maximum(b2 * uw, np.abs(gw), out=uw)
+            np.maximum(b2 * ub, np.abs(gb), out=ub)
+            weights[i] -= scale * mw / (uw + eps)
+            biases[i] -= scale * mb / (ub + eps)
+    return weights, biases, m, u
+
+
+def test_flat_adamax_is_bitwise_the_per_tensor_loop():
+    params = micro_params(seed=21, specs=net.autoencoder_specs())
+    rng = np.random.default_rng(22)
+    grad_steps = []
+    for _ in range(50):
+        # per-tensor scales over four decades, and some all-zero tensors
+        grad_steps.append([tuple(rng.normal(size=a.shape) * 10.0 ** rng.uniform(-3, 1)
+                                 * (rng.uniform() > 0.1) for a in (w, b))
+                           for w, b in zip(params.weights, params.biases)])
+    weights, biases, m, u = loop_adamax(params, grad_steps, lr=0.003)
+
+    state = net.init_adamax(params, learning_rate=0.003)
+    for grads in grad_steps:
+        net.adamax_step(params, grads, state)
+    assert state.step_count == 50
+    assert np.array_equal(params.theta, net.flat_grads(zip(weights, biases)))
+    assert np.array_equal(state.m, net.flat_grads(m))
+    assert np.array_equal(state.u, net.flat_grads(u))
 
 
 # --- encode / checkpoint ------------------------------------------------------------------
@@ -354,6 +431,17 @@ def test_checkpoint_rejects_foreign_payloads(tmp_path):
         net.load_checkpoint(path)
     path.write_text(json.dumps({"format": net.CHECKPOINT_FORMAT, "version": 99}))
     with pytest.raises(ValueError, match="version"):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [None, "abc"], ids=["null", "string"])
+def test_checkpoint_rejects_non_numeric_weight(bad, tmp_path):
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(path, micro_params(seed=19))
+    payload = json.loads(path.read_text())
+    payload["weights"][1][0][0] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
         net.load_checkpoint(path)
 
 

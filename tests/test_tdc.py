@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from tdcae import net, tdc
 from tdcae.dataio import EngineRun
 
+from conftest import fd_grads, max_rel_err
+
 
 def constant_runs(n_engines=3, life=60):
     return [EngineRun(unit_id=u, features=np.full((life, 24), 0.2 + 0.1 * u))
@@ -241,23 +243,7 @@ def test_train_step_gradient_matches_finite_differences(overrides):
     assert rec + cfg.alpha * tdc_value == pytest.approx(objective(params), rel=1e-12)
     assert len(grads) == params.n_layers
 
-    h = 1e-5
-    worst = 0.0
-    for li in range(params.n_layers):
-        for arr, g in ((params.weights[li], grads[li][0]), (params.biases[li], grads[li][1])):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                old = arr[ix]
-                arr[ix] = old + h
-                up = objective(params)
-                arr[ix] = old - h
-                down = objective(params)
-                arr[ix] = old
-                fd = (up - down) / (2 * h)
-                denom = max(1e-4, abs(fd), abs(g[ix]))
-                worst = max(worst, abs(fd - g[ix]) / denom)
-    assert worst < 1e-5
+    assert max_rel_err(net.flat_grads(grads), fd_grads(params, objective)) < 1e-5
 
 
 # --- loss history / inference ---------------------------------------------------------
