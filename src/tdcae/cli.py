@@ -47,10 +47,21 @@ CONFIG_SECTIONS = {
     "detector": (detector.DetectorConfig, {"latent_dim"}),
     "pendulum": (pendulum.PendulumConfig, set()),
 }
-RUN_KEYS = {"seed": int, "seeds": str, "out": str, "subset": str, "dataset": str,
+RUN_KEYS = {"seed": int, "seeds": list, "out": str, "subset": str, "dataset": str,
             "test_fraction": float}
+
+
+def parse_seeds(text: str) -> list[int]:
+    """A seed list separated by commas and/or spaces: at least one integer."""
+    seeds = [int(s) for s in text.replace(",", " ").split()]
+    if not seeds:
+        raise ValueError("empty seed list")
+    return seeds
+
+
 _GETTERS = {int: configparser.ConfigParser.getint, float: configparser.ConfigParser.getfloat,
-            bool: configparser.ConfigParser.getboolean, str: configparser.ConfigParser.get}
+            bool: configparser.ConfigParser.getboolean, str: configparser.ConfigParser.get,
+            list: lambda cp, section, key: parse_seeds(cp.get(section, key))}
 
 
 def section_fields(section: str) -> dict[str, type]:
@@ -89,34 +100,39 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
-def _section_config(cp: configparser.ConfigParser, section: str, **overrides):
-    """Build a section's dataclass: its defaults, then file values, then overrides."""
+def _section_config(cp: configparser.ConfigParser, section: str, args, **overrides):
+    """Build a section's dataclass: its defaults, then file values, then overrides.
+
+    A value the dataclass rejects fails naming the section, and the --config
+    file if one was given.
+    """
     values = {key: _GETTERS[kind](cp, section, key)
               for key, kind in section_fields(section).items() if cp.has_option(section, key)}
-    return CONFIG_SECTIONS[section][0](**{**values, **overrides})
+    try:
+        return CONFIG_SECTIONS[section][0](**{**values, **overrides})
+    except ValueError as exc:
+        source = getattr(args, "config", None)
+        raise ValueError(f"{source + ': ' if source else ''}[{section}] {exc}") from None
 
 
 def training_config(cp: configparser.ConfigParser, args) -> tdc.TrainingConfig:
     flags = {name: getattr(args, name, None) for name in ("epochs", "alpha", "latent_dim")}
     if getattr(args, "stop_gradient", False):
         flags["stop_gradient"] = True
-    return _section_config(cp, "training", **{k: v for k, v in flags.items() if v is not None})
+    return _section_config(cp, "training", args,
+                           **{k: v for k, v in flags.items() if v is not None})
 
 
 def detector_config(cp: configparser.ConfigParser, args,
                     latent_dim: int | None = None) -> detector.DetectorConfig:
-    """[detector] for a latent space of latent_dim nodes (the dataclass default if None).
-
-    No flag sets a detector field; args is taken so the three builders share
-    one signature.
-    """
+    """[detector] for a latent space of latent_dim nodes (the dataclass default if None)."""
     width = {} if latent_dim is None else {"latent_dim": latent_dim}
-    return _section_config(cp, "detector", **width)
+    return _section_config(cp, "detector", args, **width)
 
 
 def pendulum_config(cp: configparser.ConfigParser, args) -> pendulum.PendulumConfig:
     no_drift = {"drift_alpha": 0.0, "drift_beta": 0.0} if getattr(args, "no_drift", False) else {}
-    return _section_config(cp, "pendulum", **no_drift)
+    return _section_config(cp, "pendulum", args, **no_drift)
 
 
 def root_seed(cp, args) -> int:
@@ -126,11 +142,14 @@ def root_seed(cp, args) -> int:
 
 
 def seed_list(cp, args) -> list[int]:
-    if getattr(args, "seeds", None):
-        return [int(s) for s in args.seeds.replace(",", " ").split()]
-    raw = cp.get("run", "seeds", fallback=None)
-    if raw:
-        return [int(s) for s in raw.replace(",", " ").split()]
+    """--seeds, else [run] seeds (checked by load_config), else the root seed."""
+    if getattr(args, "seeds", None) is not None:
+        try:
+            return parse_seeds(args.seeds)
+        except ValueError as exc:
+            raise ValueError(f"--seeds: {exc}") from None
+    if cp.has_option("run", "seeds"):
+        return parse_seeds(cp.get("run", "seeds"))
     return [root_seed(cp, args)]
 
 
@@ -234,17 +253,19 @@ def cmd_train(cp, args) -> int:
 
 
 def _checkpoint_and_runs(cp, args):
-    """Params, scaler and split of --checkpoint, plus the runs it was trained on."""
+    """Params, scaler, split and training dt of --checkpoint, plus its runs."""
     ckpt = net.load_checkpoint(args.checkpoint)
-    if ckpt.get("scaler") is None or ckpt.get("split") is None:
-        raise ValueError("checkpoint lacks scaler/split metadata; retrain with cmd_train")
+    trained = ckpt.get("training_config") or {}
+    if ckpt.get("scaler") is None or ckpt.get("split") is None or "dt" not in trained:
+        raise ValueError("checkpoint lacks scaler/split/training_config metadata; "
+                         "retrain with cmd_train")
     runs = load_runs(cp, args, root_seed(cp, args))
-    return ckpt["params"], ckpt["scaler"], ckpt["split"], runs
+    return ckpt["params"], ckpt["scaler"], ckpt["split"], trained["dt"], runs
 
 
 def cmd_detect(cp, args) -> int:
     out = output_dir(cp, args)
-    params, scaler, split, runs = _checkpoint_and_runs(cp, args)
+    params, scaler, split, _, runs = _checkpoint_and_runs(cp, args)
     det_cfg = detector_config(cp, args, latent_dim=net.latent_dim(params))
 
     train_runs = select_runs(runs, split.train_engines)
@@ -273,7 +294,7 @@ def cmd_detect(cp, args) -> int:
 
 def cmd_diagnose(cp, args) -> int:
     out = output_dir(cp, args)
-    params, scaler, split, runs = _checkpoint_and_runs(cp, args)
+    params, scaler, split, dt, runs = _checkpoint_and_runs(cp, args)
     train_runs = [dataio.apply_scaler(r, scaler) for r in select_runs(runs, split.train_engines)]
     test_runs = [dataio.apply_scaler(r, scaler) for r in select_runs(runs, split.test_engines)]
 
@@ -296,7 +317,7 @@ def cmd_diagnose(cp, args) -> int:
                         "floor": diagnostics.INJECTIVITY_FLOOR,
                         "n_samples": int(len(test_rows))},
         "eta_train": diagnostics.eta_table(latents_train, windows),
-        "rho_test": diagnostics.rho_table(latents_test, labels_test),
+        "rho_test": diagnostics.rho_table(latents_test, labels_test, dt=dt),
     })
     print(f"two-NN {two_nn.value:.2f} +/- {two_nn.std:.2f}; "
           f"full-rank fraction {rank.full_rank_fraction:.4f}; "

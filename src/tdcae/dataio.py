@@ -76,13 +76,6 @@ class EngineRun:
     def normal_features(self) -> np.ndarray:
         return self.features[~self.labels]
 
-    def equals(self, other: "EngineRun") -> bool:
-        return (
-            self.unit_id == other.unit_id
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.labels, other.labels)
-        )
-
 
 @dataclass(frozen=True)
 class DatasetSplit:
@@ -242,8 +235,6 @@ def synthetic_runs(
     n_engines: int = 12,
     mean_life: int = 160,
     seed: int = 0,
-    noise: float = 0.015,
-    drift_gain: float = 3.0,
     constant: bool = False,
 ) -> list[EngineRun]:
     """Generate surrogate engine runs: bounded oscillatory channels plus a
@@ -253,6 +244,7 @@ def synthetic_runs(
     check). Degradation onset is at 55% of life so the labeled-anomalous
     region overlaps real drift, mimicking turbofan degradation data.
     """
+    noise, drift_gain = 0.015, 3.0
     rng = np.random.default_rng(seed)
     runs = []
     for unit in range(1, n_engines + 1):

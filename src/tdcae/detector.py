@@ -12,7 +12,7 @@ the critical detection rate over each engine's final 10% of life.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -70,15 +70,13 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
 def baseline(smoothed: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean of the previous `window` smoothed values.
 
-    b[0] is the first smoothed value itself (nothing precedes it); early
-    steps average whatever history exists. Subtracting this re-anchors
-    every engine at its own operating point.
+    b[0] is the first smoothed value itself (nothing precedes it); for t >= 1,
+    b[t] is moving_average(smoothed, window)[t - 1], the mean of the up to
+    `window` values before t, so early steps average whatever history
+    exists. Subtracting this re-anchors every engine at its own operating
+    point.
     """
-    out = np.empty_like(smoothed, dtype=np.float64)
-    out[0] = smoothed[0]
-    for t in range(1, smoothed.shape[0]):
-        out[t] = smoothed[max(0, t - window):t].mean(axis=0)
-    return out
+    return np.concatenate([smoothed[:1], moving_average(smoothed, window)[:-1]])
 
 
 def normalize_stream(latent: LatentSeries, config: DetectorConfig) -> np.ndarray:
@@ -150,9 +148,7 @@ class MetricsSummary:
     n_engines: int
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("tp", "fp", "tn", "fn", "accuracy", "precision", "recall",
-                 "specificity", "f1", "cdr", "n_engines")}
+        return asdict(self)
 
 
 def _safe_div(num: float, den: float) -> float:

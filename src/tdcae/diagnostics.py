@@ -56,11 +56,11 @@ class DimensionEstimate:
 
 # --- Two-NN intrinsic dimension ------------------------------------------------
 
-def two_nn_dimension(points: np.ndarray, trim: float = TWO_NN_TRIM) -> DimensionEstimate:
+def two_nn_dimension(points: np.ndarray) -> DimensionEstimate:
     """Two-nearest-neighbor maximum-likelihood intrinsic dimension.
 
     For each point, mu = r2/r1 (second vs first neighbor distance). The top
-    `trim` fraction of mu is not simply discarded: the likelihood is
+    TWO_NN_TRIM fraction of mu is not simply discarded: the likelihood is
     censored at the trim point,
 
         d = r / (sum_{i<=r} ln mu_(i) + (N-r) * ln mu_(r)),
@@ -80,7 +80,7 @@ def two_nn_dimension(points: np.ndarray, trim: float = TWO_NN_TRIM) -> Dimension
 
     dist, _ = cKDTree(deduped).query(deduped, k=3)
     log_mu = np.sort(np.log(dist[:, 2] / dist[:, 1]))
-    r = n - int(math.floor(trim * n))
+    r = n - int(math.floor(TWO_NN_TRIM * n))
     kept = log_mu[:r]
     denom = kept.sum() + (n - r) * kept[-1]
     if denom <= 0:
@@ -88,12 +88,12 @@ def two_nn_dimension(points: np.ndarray, trim: float = TWO_NN_TRIM) -> Dimension
     return DimensionEstimate(value=r / denom, std=0.0, method="two_nn", n_samples=n)
 
 
-def two_nn_by_engine(runs: list[EngineRun], trim: float = TWO_NN_TRIM) -> DimensionEstimate:
+def two_nn_by_engine(runs: list[EngineRun]) -> DimensionEstimate:
     """Per-engine Two-NN on normal rows, aggregated mean +/- std across engines."""
     values, total = [], 0
     for run in runs:
         try:
-            est = two_nn_dimension(run.normal_features(), trim=trim)
+            est = two_nn_dimension(run.normal_features())
         except ValueError as exc:
             warnings.warn(f"unit {run.unit_id}: {exc}; skipped")
             continue
@@ -119,12 +119,11 @@ def recommend_embedding_dim(dimension: float) -> int:
 
 # --- box-counting dimension ----------------------------------------------------
 
-def box_counts(points: np.ndarray, epsilons, normalize: bool = True) -> np.ndarray:
+def box_counts(points: np.ndarray, epsilons) -> np.ndarray:
     """Occupied-cell counts N(eps) on a grid anchored at the bounding-box corner.
 
-    With normalize=True coordinates are first mapped to the unit bounding
-    square, so eps is a fraction of the set's extent; with normalize=False
-    eps is in data units.
+    Coordinates are first mapped to the unit bounding square, so eps is a
+    fraction of the set's extent in each axis.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -133,8 +132,7 @@ def box_counts(points: np.ndarray, epsilons, normalize: bool = True) -> np.ndarr
     span = shifted.max(axis=0)
     if not np.any(span > 0):
         raise ValueError("degenerate point set (all points identical)")
-    if normalize:
-        shifted = shifted / np.where(span > 0, span, 1.0)
+    shifted = shifted / np.where(span > 0, span, 1.0)
     counts = []
     for eps in epsilons:
         if eps <= 0:
@@ -144,8 +142,7 @@ def box_counts(points: np.ndarray, epsilons, normalize: bool = True) -> np.ndarr
     return np.array(counts)
 
 
-def box_counting_dimension(points: np.ndarray, epsilons=None,
-                           normalize: bool = True) -> DimensionEstimate:
+def box_counting_dimension(points: np.ndarray, epsilons=None) -> DimensionEstimate:
     """Least-squares slope of ln N(eps) against ln(1/eps).
 
     The returned std is the RMS residual of the log-log fit, a goodness
@@ -157,7 +154,7 @@ def box_counting_dimension(points: np.ndarray, epsilons=None,
     eps = DEFAULT_EPSILONS if epsilons is None else np.asarray(epsilons, dtype=np.float64)
     if len(eps) < 4 or eps.max() / eps.min() < 10.0:
         raise ValueError("need at least 4 epsilon values spanning a decade")
-    counts = box_counts(pts, eps, normalize=normalize)
+    counts = box_counts(pts, eps)
     x = -np.log(eps)
     y = np.log(counts)
     slope, intercept = np.polyfit(x, y, 1)
@@ -295,49 +292,35 @@ def rho_metric(z_series: np.ndarray, zdot_series: np.ndarray, dt: float = 1.0) -
     return float(np.mean((x - accumulated) ** 2))
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    pair_index: int
-    eta: float
-    rho: float
-    window: tuple[int, int]
-
-
-def consistency_reports(latent: LatentSeries, dt: float = 1.0,
-                        window: tuple[int, int] | None = None) -> list[ConsistencyReport]:
-    """Per-pair eta/rho over one index window of a latent series.
+def _pair_etas(latent: LatentSeries, window: tuple[int, int] | None) -> list[float]:
+    """Each pair's eta over one index window of a latent series.
 
     A pair whose state or derivative channel is constant over the window
-    gets eta = nan instead of aborting the whole report.
+    gets eta = nan instead of aborting the whole engine.
     """
     start, stop = window if window is not None else (0, len(latent))
     if not (0 <= start < stop <= len(latent)) or stop - start < 2:
         raise ValueError(f"bad window ({start}, {stop}) for series of length {len(latent)}")
-    reports = []
+    etas = []
     for k in range(latent.n_pairs):
-        z = latent.z[start:stop, k]
-        zd = latent.z_dot[start:stop, k]
         try:
-            eta = eta_metric(z, zd)
+            etas.append(eta_metric(latent.z[start:stop, k], latent.z_dot[start:stop, k]))
         except ValueError:
-            eta = float("nan")
-        reports.append(ConsistencyReport(pair_index=k, eta=eta,
-                                         rho=rho_metric(z, zd, dt), window=(start, stop)))
-    return reports
+            etas.append(float("nan"))
+    return etas
 
 
 def eta_per_engine(latent: LatentSeries, window: tuple[int, int] | None = None) -> float:
     """Mean eta across the latent pairs of one engine."""
-    return float(np.mean([r.eta for r in consistency_reports(latent, window=window)]))
+    return float(np.mean(_pair_etas(latent, window)))
 
 
 def eta_table(latents: list[LatentSeries], windows: list[tuple[int, int]]) -> list[dict]:
     """Per-pair eta mean +/- std across engines, each on its own window."""
-    reports = [consistency_reports(latent, window=window)
-               for latent, window in zip(latents, windows)]
+    per_engine = [_pair_etas(latent, window) for latent, window in zip(latents, windows)]
     rows = []
     for k in range(latents[0].n_pairs):
-        values = [r[k].eta for r in reports if math.isfinite(r[k].eta)]
+        values = [etas[k] for etas in per_engine if math.isfinite(etas[k])]
         rows.append({"pair": k, "mean": float(np.mean(values)), "std": float(np.std(values)),
                      "n_engines": len(values)})
     return rows
@@ -349,19 +332,23 @@ def rho_table(latents: list[LatentSeries], labels: list[np.ndarray],
 
     Each segment is re-based to its own first sample, so the anomalous rho
     measures consistency decay inside the degraded regime, not the jump
-    from the start of life.
+    from the start of life. dt is the step the model was trained with.
     """
     n_pairs = latents[0].n_pairs
     per_pair_normal = [[] for _ in range(n_pairs)]
     per_pair_anom = [[] for _ in range(n_pairs)]
     for latent, lab in zip(latents, labels):
+        if len(lab) != len(latent):
+            raise ValueError(f"unit {latent.unit_id}: {len(lab)} labels "
+                             f"for {len(latent)} latent rows")
         boundary = int(np.argmax(lab)) if lab.any() else len(lab)
-        for segment, sink in (((0, boundary), per_pair_normal),
-                              ((boundary, len(lab)), per_pair_anom)):
-            if segment[1] - segment[0] < 2:
+        for (start, stop), sink in (((0, boundary), per_pair_normal),
+                                    ((boundary, len(lab)), per_pair_anom)):
+            if stop - start < 2:
                 continue
-            for r in consistency_reports(latent, dt=dt, window=segment):
-                sink[r.pair_index].append(r.rho)
+            for k in range(n_pairs):
+                sink[k].append(rho_metric(latent.z[start:stop, k],
+                                          latent.z_dot[start:stop, k], dt))
     rows = []
     for k in range(n_pairs):
         rows.append({

@@ -211,11 +211,10 @@ def encode(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return latent[..., :half], latent[..., half:]
 
 
-def encoder_jacobian_batch(params: NetworkParams, x: np.ndarray,
-                           n_layers: int | None = None) -> np.ndarray:
-    """Jacobians for a batch of inputs, [B x n x k]."""
+def encoder_jacobian_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """Encoder Jacobians dz/dx for a batch of inputs, [B x n x k]."""
     x = np.asarray(x, dtype=np.float64)
-    n_layers = encoder_layer_count(params) if n_layers is None else n_layers
+    n_layers = encoder_layer_count(params)
     _, cache = forward(params, x, n_layers=n_layers)
     B, k = x.shape
     J = np.broadcast_to(np.eye(k), (B, k, k)).copy()
@@ -247,10 +246,9 @@ class AdamaxState:
     u: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def init_adamax(params: NetworkParams, learning_rate: float = 0.003,
-                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamaxState:
-    return AdamaxState(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps,
-                       m=np.zeros_like(params.theta), u=np.zeros_like(params.theta))
+def init_adamax(params: NetworkParams, learning_rate: float = 0.003) -> AdamaxState:
+    return AdamaxState(learning_rate=learning_rate, m=np.zeros_like(params.theta),
+                       u=np.zeros_like(params.theta))
 
 
 def adamax_step(params: NetworkParams, grads, state: AdamaxState) -> tuple[NetworkParams, AdamaxState]:
@@ -314,10 +312,13 @@ def save_checkpoint(path: str | Path, params: NetworkParams, **kwargs) -> None:
 def load_checkpoint(path: str | Path) -> dict:
     """Load a checkpoint; returns a dict with 'params' plus stored metadata."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    missing = [key for key in ("specs", "weights", "biases") if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
     specs = [LayerSpec(a, b, act) for a, b, act in payload["specs"]]
     params = NetworkParams(specs=specs, weights=payload["weights"], biases=payload["biases"])
     out = dict(payload)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from .dataio import EngineRun, VAL_FRACTION, atomic_write_text, normal_row_split
+from .dataio import EngineRun, atomic_write_text, normal_row_split
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ class TripletBatch:
         return TripletBatch(self.prev[idx], self.cur[idx], self.nxt[idx])
 
 
-def make_triplets(runs: list[EngineRun], subset: str = "train",
-                  val_fraction: float = VAL_FRACTION) -> TripletBatch:
+def make_triplets(runs: list[EngineRun], subset: str = "train") -> TripletBatch:
     """Triplets over each engine's normal rows, restricted to one row subset.
 
     subset "train" uses each engine's leading 90% of normal rows, "val" the
@@ -84,7 +83,7 @@ def make_triplets(runs: list[EngineRun], subset: str = "train",
         raise ValueError(f"unknown subset {subset!r}")
     prevs, curs, nxts = [], [], []
     for run in runs:
-        train_rows, val_rows = normal_row_split(run, val_fraction)
+        train_rows, val_rows = normal_row_split(run)
         rows = {"train": train_rows, "val": val_rows,
                 "all": range(0, run.normal_count)}[subset]
         if len(rows) < 3:

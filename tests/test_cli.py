@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tdcae import cli, detector, pendulum, tdc
+from tdcae import cli, dataio, detector, diagnostics, net, pendulum, tdc
 
 
 def run_cli(*argv):
@@ -124,6 +124,35 @@ def test_value_that_does_not_cast_names_file_section_and_key(section, key, value
         cli.load_config(str(ini))
     assert run_cli("simulate", "--config", str(ini), "--out", str(tmp_path / "o")) == 1
     assert f"error: {ini}: [{section}] {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,key,value,message", [
+    ("simulate", "pendulum", "dt", "-0.5", "dt must be positive"),
+    ("train", "training", "epochs", "0", "epochs, batch_size and dimensions must be positive")])
+def test_value_that_fails_its_check_names_file_and_section(command, section, key, value,
+                                                           message, tmp_path, capsys):
+    ini = tmp_path / "check.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    assert run_cli(command, "--config", str(ini), "--out", str(tmp_path / "o")) == 1
+    assert f"error: {ini}: [{section}] {message}" in capsys.readouterr().err
+
+
+def test_flag_value_that_fails_its_check_names_the_section():
+    with pytest.raises(ValueError, match=r"^\[training\] epochs, batch_size"):
+        cli.training_config(cli.load_config(None), namespace(epochs=0))
+
+
+@pytest.mark.parametrize("value", ["1, x", ",", ""], ids=["non_integer", "comma_only", "empty"])
+def test_bad_seed_list_names_its_source(value, tmp_path, capsys):
+    ini = tmp_path / "seeds.ini"
+    ini.write_text(f"[run]\nseeds = {value}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{ini}: [run] seeds: ")):
+        cli.load_config(str(ini))
+    assert run_cli("train", "--config", str(ini), "--out", str(tmp_path / "a")) == 1
+    assert f"error: {ini}: [run] seeds: " in capsys.readouterr().err
+    assert run_cli("train", "--seeds", value, "--out", str(tmp_path / "b"), "--epochs", "1") == 1
+    assert "error: --seeds: " in capsys.readouterr().err
+    assert not (tmp_path / "b" / "train_summary.json").exists()
 
 
 def test_percent_in_a_value_is_literal(tmp_path):
@@ -276,6 +305,39 @@ def test_vote_threshold_is_checked_against_checkpoint_width(tmp_path):
                    "--checkpoint", str(out / "checkpoint_seed0.json")) == 0
     thresholds = json.loads((out / "det" / "metrics.json").read_text())["thresholds"]
     assert len(thresholds["upper"]) == 12
+
+
+@pytest.mark.parametrize("command", ["detect", "diagnose"])
+@pytest.mark.parametrize("key", ["scaler", "split", "training_config", "dt"])
+def test_checkpoint_without_metadata_fails_cleanly(key, command, pipeline_dir, tmp_path, capsys):
+    payload = json.loads((pipeline_dir / "checkpoint_seed0.json").read_text())
+    if key == "dt":
+        del payload["training_config"]["dt"]
+    else:
+        payload[key] = None
+    ckpt = tmp_path / "bare.json"
+    ckpt.write_text(json.dumps(payload))
+    assert run_cli(command, "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)) == 1
+    assert "error: checkpoint lacks scaler/split/training_config" in capsys.readouterr().err
+
+
+def test_diagnose_rho_uses_the_trained_dt(tmp_path):
+    ini = tmp_path / "dt.ini"
+    ini.write_text("[training]\ndt = 0.5\nepochs = 1\n")
+    out = tmp_path / "dt"
+    assert run_cli("train", "--config", str(ini), "--out", str(out), "--seeds", "0") == 0
+    ckpt_path = out / "checkpoint_seed0.json"
+    assert run_cli("diagnose", "--out", str(out / "diag"), "--checkpoint", str(ckpt_path)) == 0
+    rho_test = json.loads((out / "diag" / "diagnostics.json").read_text())["rho_test"]
+
+    ckpt = net.load_checkpoint(ckpt_path)
+    runs = cli.load_runs(cli.load_config(None), namespace(subset=None, data=None), 0)
+    test_runs = [dataio.apply_scaler(r, ckpt["scaler"])
+                 for r in cli.select_runs(runs, ckpt["split"].test_engines)]
+    latents = [tdc.infer_latent(ckpt["params"], r) for r in test_runs]
+    labels = [r.labels for r in test_runs]
+    assert rho_test == diagnostics.rho_table(latents, labels, dt=0.5)
+    assert rho_test != diagnostics.rho_table(latents, labels, dt=1.0)
 
 
 def test_detect_missing_checkpoint_fails(tmp_path, capsys):

@@ -238,8 +238,11 @@ def test_write_cmapss_parse_round_trip(tmp_path):
     path = tmp_path / "train_FD00X.txt"
     dataio.write_cmapss(runs, path)
     back = dataio.parse_cmapss(path)
+    assert len(back) == len(runs)
     for a, b in zip(runs, back):
-        assert a.equals(b)
+        assert a.unit_id == b.unit_id
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
 
 
 # --- synthetic surrogate ---------------------------------------------------------
@@ -247,7 +250,10 @@ def test_write_cmapss_parse_round_trip(tmp_path):
 def test_synthetic_runs_deterministic():
     a = dataio.synthetic_runs(n_engines=3, seed=2)
     b = dataio.synthetic_runs(n_engines=3, seed=2)
-    assert all(x.equals(y) for x, y in zip(a, b))
+    assert [x.unit_id for x in a] == [y.unit_id for y in b]
+    for x, y in zip(a, b):
+        assert np.array_equal(x.features, y.features)
+        assert np.array_equal(x.labels, y.labels)
 
 
 def test_synthetic_runs_labels_and_shape():

@@ -91,6 +91,27 @@ def test_baseline_starts_at_first_value():
     assert b[:, 0].tolist() == [1.0, 1.0, 1.5, 2.5]
 
 
+def loop_baseline(smoothed, window):
+    """The per-timestep baseline loop that moving_average replaced, kept as its oracle."""
+    out = np.empty_like(smoothed, dtype=np.float64)
+    out[0] = smoothed[0]
+    for t in range(1, smoothed.shape[0]):
+        out[t] = smoothed[max(0, t - window):t].mean(axis=0)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(1, 30), n=st.integers(1, 4), window=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_baseline_is_bitwise_the_loop(T, n, window, seed):
+    # windows up to 40 on streams of 1..30 rows cover window > T and T = 1
+    smoothed = np.random.default_rng(seed).normal(scale=100.0, size=(T, n))
+    expected = loop_baseline(smoothed, window)
+    actual = det.baseline(smoothed, window)
+    assert actual.dtype == np.float64
+    assert np.array_equal(actual, expected)
+
+
 def test_ramp_normalizes_to_constant_offset():
     # steady drift of slope 1: v settles at (window+1)/2
     t = np.arange(60, dtype=float)

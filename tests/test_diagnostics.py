@@ -124,10 +124,10 @@ def test_box_counts_monotone_in_epsilon():
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-def test_box_counts_data_units_without_normalize():
+def test_box_counts_eps_is_a_fraction_of_the_extent():
+    # in data units eps 5.0 would split these points; as a fraction of the extent it does not
     pts = np.array([[0.0, 0.0], [9.99, 9.99]])
-    assert dg.box_counts(pts, [5.0], normalize=False)[0] == 2
-    assert dg.box_counts(pts, [0.5], normalize=True)[0] == 2
+    assert dg.box_counts(pts, [5.0, 0.5]).tolist() == [1, 2]
 
 
 def test_box_counts_rejects_bad_input():
@@ -337,23 +337,32 @@ def make_latent(z_cols, zd_cols, unit_id=1):
                             z_dot=np.column_stack(zd_cols))
 
 
-def test_consistency_reports_per_pair():
+def test_constant_channel_gives_nan_eta_and_finite_rho():
     t = np.arange(20, dtype=float)
     latent = make_latent([np.sin(0.3 * t), t], [np.cos(0.3 * t), np.ones(20)])
-    reports = dg.consistency_reports(latent)
-    assert [r.pair_index for r in reports] == [0, 1]
-    assert all(r.window == (0, 20) for r in reports)
-    assert math.isnan(reports[1].eta)  # constant derivative channel
-    assert reports[1].rho >= 0.0
+    wavy = make_latent([np.sin(0.2 * t), np.cos(t)], [np.cos(0.2 * t), np.sin(t)])
+    assert math.isnan(dg.eta_per_engine(latent))  # constant derivative channel in pair 1
+    rows = dg.eta_table([latent, wavy], [(0, 20), (0, 20)])
+    assert [row["n_engines"] for row in rows] == [2, 1]
+    rho = dg.rho_table([latent], [np.zeros(20, bool)])
+    assert [row["pair"] for row in rho] == [0, 1]
+    assert rho[1]["normal_mean"] >= 0.0 and math.isfinite(rho[1]["normal_mean"])
 
 
-def test_consistency_reports_window_bounds():
-    latent = make_latent([np.arange(10.0)], [np.ones(10)])
-    sub = dg.consistency_reports(latent, window=(2, 8))[0]
-    assert sub.window == (2, 8)
+def test_eta_table_rejects_bad_window():
+    latent = make_latent([np.sin(np.arange(10.0))], [np.cos(np.arange(10.0))])
+    assert math.isfinite(dg.eta_table([latent], [(2, 8)])[0]["mean"])
     for bad in ((-1, 5), (0, 11), (4, 5)):
         with pytest.raises(ValueError, match="window"):
-            dg.consistency_reports(latent, window=bad)
+            dg.eta_table([latent], [bad])
+        with pytest.raises(ValueError, match="window"):
+            dg.eta_per_engine(latent, window=bad)
+
+
+def test_rho_table_rejects_misaligned_labels():
+    latent = make_latent([np.arange(10.0)], [np.ones(10)])
+    with pytest.raises(ValueError, match="labels"):
+        dg.rho_table([latent], [np.zeros(11, bool)])
 
 
 def test_eta_per_engine_averages_pairs():
@@ -372,8 +381,18 @@ def test_eta_table_counts_finite_engines_only():
     assert math.isfinite(rows[0]["mean"])
 
 
+def consistency_eta(latent, window, k):
+    """Pair k's eta over one window, nan for a constant channel, computed for one
+    (pair, engine) at a time: the oracle for eta_table."""
+    start, stop = window
+    try:
+        return dg.eta_metric(latent.z[start:stop, k], latent.z_dot[start:stop, k])
+    except ValueError:
+        return float("nan")
+
+
 def test_eta_table_matches_per_pair_loop():
-    # oracle: one consistency_reports call per (pair, engine), as the table once did
+    # oracle: one eta per (pair, engine), as the table once computed it
     rng = np.random.default_rng(31)
     latents, windows = [], []
     for unit in range(4):
@@ -387,7 +406,7 @@ def test_eta_table_matches_per_pair_loop():
         windows.append((int(rng.integers(0, 4)), n))
     rows = dg.eta_table(latents, windows)
     for k, row in enumerate(rows):
-        etas = [dg.consistency_reports(lat, window=w)[k].eta for lat, w in zip(latents, windows)]
+        etas = [consistency_eta(lat, w, k) for lat, w in zip(latents, windows)]
         values = [e for e in etas if math.isfinite(e)]
         assert row == {"pair": k, "mean": float(np.mean(values)), "std": float(np.std(values)),
                        "n_engines": len(values)}

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -431,6 +432,23 @@ def test_checkpoint_rejects_foreign_payloads(tmp_path):
         net.load_checkpoint(path)
     path.write_text(json.dumps({"format": net.CHECKPOINT_FORMAT, "version": 99}))
     with pytest.raises(ValueError, match="version"):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("drop,match", [
+    (None, "not a tdcae-checkpoint"), ("specs", "checkpoint lacks specs"),
+    ("weights", "checkpoint lacks weights"), ("biases", "checkpoint lacks biases")],
+    ids=["not_an_object", "no_specs", "no_weights", "no_biases"])
+def test_checkpoint_rejects_malformed_payload_by_name(drop, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(path, micro_params(seed=20))
+    payload = json.loads(path.read_text())
+    if drop is None:
+        payload = list(payload)
+    else:
+        del payload[drop]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
         net.load_checkpoint(path)
 
 
