@@ -79,17 +79,14 @@ class EngineRun:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Engine-level train/test partition plus the per-engine row split fraction."""
+    """Engine-level train/test partition."""
 
     train_engines: frozenset[int]
     test_engines: frozenset[int]
-    val_fraction: float = 0.1
 
     def __post_init__(self):
         if self.train_engines & self.test_engines:
             raise ValueError("train and test engine sets overlap")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -235,14 +232,12 @@ def synthetic_runs(
     n_engines: int = 12,
     mean_life: int = 160,
     seed: int = 0,
-    constant: bool = False,
 ) -> list[EngineRun]:
     """Generate surrogate engine runs: bounded oscillatory channels plus a
     late-life monotone drift ramping in shortly before the 60/40 boundary.
 
-    With constant=True every row of an engine repeats (fixed-point training
-    check). Degradation onset is at 55% of life so the labeled-anomalous
-    region overlaps real drift, mimicking turbofan degradation data.
+    Degradation onset is at 55% of life so the labeled-anomalous region
+    overlaps real drift, mimicking turbofan degradation data.
     """
     noise, drift_gain = 0.015, 3.0
     rng = np.random.default_rng(seed)
@@ -251,10 +246,6 @@ def synthetic_runs(
         T = int(rng.integers(int(0.8 * mean_life), int(1.2 * mean_life) + 1))
         t = np.arange(T, dtype=np.float64)
         base = rng.uniform(-1.0, 1.0, N_FEATURES)
-        if constant:
-            features = np.tile(base, (T, 1))
-            runs.append(EngineRun(unit_id=unit, features=features))
-            continue
         # period 5-12 cycles: inside the detector's smoothing window, so the
         # oscillation is averaged out at detection time yet gives central
         # differences real dynamics to learn at training time

@@ -18,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from . import net
 from .dataio import EngineRun
@@ -29,6 +27,12 @@ TWO_NN_TRIM = 0.1
 RANK_THRESHOLD = 1e-9
 INJECTIVITY_DELTA = 1e-6
 INJECTIVITY_FLOOR = 1e-5
+
+# Two-NN shortlists this many neighbours per row from Gram-matrix distances
+NN_CANDIDATES = 8
+# rows per Gram block in _two_nearest, pairs per block in injectivity_ratio_survey
+NN_BLOCK_ROWS = 256
+PAIR_BLOCK = 65_536
 
 # log-spaced cell sizes 10^-2 .. 10^-0.4, 17 values, spanning 1.6 decades
 DEFAULT_EPSILONS = 10.0 ** np.linspace(-2.0, -0.4, 17)
@@ -78,14 +82,49 @@ def two_nn_dimension(points: np.ndarray) -> DimensionEstimate:
     if n < 20:
         raise ValueError(f"need at least 20 distinct points, got {n}")
 
-    dist, _ = cKDTree(deduped).query(deduped, k=3)
-    log_mu = np.sort(np.log(dist[:, 2] / dist[:, 1]))
+    nearest = _two_nearest(deduped)
+    log_mu = np.sort(np.log(nearest[:, 1] / nearest[:, 0]))
     r = n - int(math.floor(TWO_NN_TRIM * n))
     kept = log_mu[:r]
     denom = kept.sum() + (n - r) * kept[-1]
     if denom <= 0:
         raise ValueError("degenerate neighbor ratios; cannot estimate dimension")
     return DimensionEstimate(value=r / denom, std=0.0, method="two_nn", n_samples=n)
+
+
+def _two_nearest(pts: np.ndarray) -> np.ndarray:
+    """Distances from each row to its two nearest other rows, ascending [N x 2].
+
+    Squared distances from the Gram matrix of the centred points shortlist
+    NN_CANDIDATES neighbours per row; exact np.linalg.norm distances between
+    the original rows rank the shortlist. Gram distances carry a rounding
+    error of order eps * |c|^2, so a row whose second distance is not clear
+    of the nearest unlisted Gram distance by that bound is ranked against
+    every row instead. The result equals a brute-force exact search.
+    """
+    n, dim = pts.shape
+    k = min(NN_CANDIDATES, n - 1)
+    centred = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centred, centred)
+    slack = 4 * (dim + 4) * np.finfo(np.float64).eps
+    reach = np.sqrt(sq) + np.sqrt(sq.max())
+    out = np.empty((n, 2))
+    for start in range(0, n, NN_BLOCK_ROWS):
+        rows = np.arange(start, min(start + NN_BLOCK_ROWS, n))
+        local = np.arange(len(rows))
+        d2 = sq[rows, None] + sq[None, :] - 2.0 * (centred[rows] @ centred.T)
+        d2[local, rows] = np.inf
+        order = np.argpartition(d2, k, axis=1)
+        exact = np.linalg.norm(pts[order[:, :k]] - pts[rows, None, :], axis=2)
+        exact.sort(axis=1)
+        out[rows] = exact[:, :2]
+        unlisted = d2[local, order[:, k]]
+        unsure = exact[:, 1] ** 2 * (1 + slack) + slack * reach[rows] ** 2 >= unlisted
+        for i in rows[unsure]:
+            dist = np.linalg.norm(pts - pts[i], axis=1)
+            dist[i] = np.inf
+            out[i] = np.partition(dist, 1)[:2]
+    return out
 
 
 def two_nn_by_engine(runs: list[EngineRun]) -> DimensionEstimate:
@@ -223,7 +262,8 @@ def injectivity_ratio_survey(params: net.NetworkParams, inputs: np.ndarray,
 
     Ratios ||E(x1)-E(x2)|| / ||x1-x2|| over all pairs separated by more than
     delta; beyond max_pairs total pairs, a uniform random subsample of
-    max_pairs pairs is used instead.
+    max_pairs pairs is used instead. Distances are computed PAIR_BLOCK pairs
+    at a time, which bounds the memory of the difference arrays.
     """
     x = np.asarray(inputs, dtype=np.float64)
     n = len(x)
@@ -233,8 +273,7 @@ def injectivity_ratio_survey(params: net.NetworkParams, inputs: np.ndarray,
     latent, _ = net.forward(params, x, n_layers=n_enc)
 
     if n * (n - 1) // 2 <= max_pairs:
-        dx = pdist(x)
-        dz = pdist(latent)
+        i, j = np.triu_indices(n, 1)
     else:
         rng = np.random.default_rng(seed)
         need = max_pairs
@@ -242,8 +281,12 @@ def injectivity_ratio_survey(params: net.NetworkParams, inputs: np.ndarray,
         j = rng.integers(0, n, size=i.size)
         keep = i != j
         i, j = i[keep][:need], j[keep][:need]
-        dx = np.linalg.norm(x[i] - x[j], axis=1)
-        dz = np.linalg.norm(latent[i] - latent[j], axis=1)
+    dx = np.empty(len(i))
+    dz = np.empty(len(i))
+    for start in range(0, len(i), PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        dx[block] = np.linalg.norm(x[i[block]] - x[j[block]], axis=1)
+        dz[block] = np.linalg.norm(latent[i[block]] - latent[j[block]], axis=1)
 
     mask = dx > delta
     if not np.any(mask):

@@ -298,7 +298,6 @@ def checkpoint_payload(params: NetworkParams, seed: int | None = None,
         payload["split"] = {
             "train_engines": sorted(split.train_engines),
             "test_engines": sorted(split.test_engines),
-            "val_fraction": split.val_fraction,
         }
     return payload
 
@@ -319,7 +318,9 @@ def load_checkpoint(path: str | Path) -> dict:
     missing = [key for key in ("specs", "weights", "biases") if key not in payload]
     if missing:
         raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    specs = [LayerSpec(a, b, act) for a, b, act in payload["specs"]]
+    if not isinstance(payload["specs"], list):
+        raise ValueError(f"{path}: specs: expected a list, got {payload['specs']!r}")
+    specs = [_checkpoint_layer_spec(path, k, entry) for k, entry in enumerate(payload["specs"])]
     params = NetworkParams(specs=specs, weights=payload["weights"], biases=payload["biases"])
     out = dict(payload)
     out["params"] = params
@@ -339,6 +340,17 @@ def load_checkpoint(path: str | Path) -> dict:
         out["split"] = DatasetSplit(
             train_engines=frozenset(payload["split"]["train_engines"]),
             test_engines=frozenset(payload["split"]["test_engines"]),
-            val_fraction=payload["split"]["val_fraction"],
         )
     return out
+
+
+def _checkpoint_layer_spec(path: str | Path, k: int, entry) -> LayerSpec:
+    """specs[k] of a checkpoint as a LayerSpec; errors name the file and the entry."""
+    if not (isinstance(entry, list) and len(entry) == 3
+            and all(type(v) is int for v in entry[:2]) and isinstance(entry[2], str)):
+        raise ValueError(f"{path}: specs[{k}]: expected [in_dim, out_dim, activation], "
+                         f"got {entry!r}")
+    try:
+        return LayerSpec(*entry)
+    except ValueError as exc:
+        raise ValueError(f"{path}: specs[{k}]: {exc}") from None

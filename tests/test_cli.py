@@ -397,11 +397,24 @@ def test_report_rejects_foreign_json_by_name(payload, missing, tmp_path, capsys)
     assert str(path) in err and missing in err
 
 
-def test_module_entry_point_runs_without_runtime_warning():
-    # importing the package must not import tdcae.cli ahead of runpy
+def run_python(*argv):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "tdcae.cli", "--help"], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # importing the package must not import tdcae.cli ahead of runpy
+    proc = run_python("-m", "tdcae.cli", "--help")
     assert "usage" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_import_is_numpy_only():
+    # every command pays for what tdcae.cli imports; outside the standard
+    # library, the package loads numpy and nothing else
+    proc = run_python("-c", "import sys; before = set(sys.modules); import tdcae.cli; "
+                            "print(*{m.split('.')[0] for m in set(sys.modules) - before}"
+                            " - set(sys.stdlib_module_names))")
+    assert set(proc.stdout.split()) <= {"numpy", "tdcae"}

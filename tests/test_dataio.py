@@ -262,9 +262,3 @@ def test_synthetic_runs_labels_and_shape():
     for run in runs:
         assert run.features.shape == (run.life_length, 24)
         assert run.normal_count == math.ceil(0.6 * run.life_length)
-
-
-def test_synthetic_constant_mode_repeats_rows():
-    runs = dataio.synthetic_runs(n_engines=2, mean_life=30, seed=1, constant=True)
-    for run in runs:
-        assert np.all(run.features == run.features[0])

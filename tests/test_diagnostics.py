@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcae import diagnostics as dg
 from tdcae import net, tdc
@@ -21,7 +23,51 @@ def linear_encoder(weight):
                              biases=[np.zeros(weight.shape[0])])
 
 
+def tanh_encoder(seed=0):
+    return net.init_params(net.autoencoder_specs(12, 12, 4, n_hidden=1),
+                           np.random.default_rng(seed))
+
+
 # --- two-NN ------------------------------------------------------------------------
+
+def brute_two_nearest(pts):
+    """Exact distances from each row to every other row, two smallest kept:
+    the oracle for _two_nearest."""
+    out = np.empty((len(pts), 2))
+    for i in range(len(pts)):
+        dist = np.linalg.norm(pts - pts[i], axis=1)
+        dist[i] = np.inf
+        out[i] = np.sort(dist)[:2]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 70), dim=st.integers(1, 30),
+       cluster=st.integers(0, 25), offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+       near_duplicates=st.integers(0, 4), block_rows=st.sampled_from([1, 5, 256]),
+       candidates=st.sampled_from([2, 3, 8]))
+def test_two_nearest_equals_brute_force(seed, n, dim, cluster, offset, near_duplicates,
+                                        block_rows, candidates):
+    # a tight cluster far from the rest defeats the Gram shortlist; those rows
+    # must fall back to the exact search rather than return a wrong neighbour
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, dim))
+    cluster = min(cluster, n)
+    pts[:cluster] = offset + 1e-6 * rng.normal(size=(cluster, dim))
+    for k in range(min(near_duplicates, n // 2)):
+        pts[n - 1 - k] = pts[k] + 1e-9 * rng.normal(size=dim) / math.sqrt(dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dg, "NN_BLOCK_ROWS", block_rows)
+        mp.setattr(dg, "NN_CANDIDATES", candidates)
+        assert np.array_equal(dg._two_nearest(pts), brute_two_nearest(pts))
+
+
+def test_two_nearest_default_constants_on_an_embedded_line():
+    rng = np.random.default_rng(1004)
+    frame, _ = np.linalg.qr(rng.normal(size=(24, 1)))
+    pts = rng.uniform(size=(1500, 1)) @ frame.T + rng.normal(size=24)
+    assert np.array_equal(dg._two_nearest(pts), brute_two_nearest(pts))
+
 
 def test_two_nn_recovers_line_dimension():
     pts = np.random.default_rng(100).uniform(size=(2000, 1))
@@ -257,6 +303,55 @@ def test_injectivity_subsample_path_matches_identity():
     min_ratio, violations = dg.injectivity_ratio_survey(identity_encoder(3), x, max_pairs=50)
     assert min_ratio == pytest.approx(1.0, abs=1e-12)
     assert violations == 0
+
+
+def pair_loop_injectivity(params, x, delta=dg.INJECTIVITY_DELTA, floor=dg.INJECTIVITY_FLOOR):
+    """Every pair i < j, one at a time: the oracle for the all-pairs path."""
+    latent, _ = net.forward(params, x, n_layers=net.encoder_layer_count(params))
+    ratios = []
+    for a in range(len(x)):
+        for b in range(a + 1, len(x)):
+            dx = np.sqrt(np.sum((x[a] - x[b]) ** 2))
+            if dx > delta:
+                ratios.append(np.sqrt(np.sum((latent[a] - latent[b]) ** 2)) / dx)
+    return float(min(ratios)), sum(r < floor for r in ratios)
+
+
+def unchunked_sampled_injectivity(params, x, max_pairs, seed, delta=dg.INJECTIVITY_DELTA,
+                                  floor=dg.INJECTIVITY_FLOOR):
+    """The sampled path as one whole-array formula: the oracle for its pair blocks."""
+    latent, _ = net.forward(params, x, n_layers=net.encoder_layer_count(params))
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, len(x), size=int(max_pairs * 1.02) + 16)
+    j = rng.integers(0, len(x), size=i.size)
+    keep = i != j
+    i, j = i[keep][:max_pairs], j[keep][:max_pairs]
+    dx = np.linalg.norm(x[i] - x[j], axis=1)
+    dz = np.linalg.norm(latent[i] - latent[j], axis=1)
+    mask = dx > delta
+    ratios = dz[mask] / dx[mask]
+    return float(ratios.min()), int(np.sum(ratios < floor))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, dg.PAIR_BLOCK])
+def test_injectivity_all_pairs_matches_pair_loop(block, monkeypatch):
+    monkeypatch.setattr(dg, "PAIR_BLOCK", block)
+    params = tanh_encoder(seed=3)
+    x = np.random.default_rng(120).uniform(size=(31, 12))
+    x[7] = x[3] + 1e-8  # one pair inside delta, excluded by both
+    min_ratio, violations = dg.injectivity_ratio_survey(params, x, floor=0.3)
+    assert (min_ratio, violations) == pair_loop_injectivity(params, x, floor=0.3)
+    assert violations > 0
+
+
+@pytest.mark.parametrize("block", [1, 64, 999, dg.PAIR_BLOCK])
+def test_injectivity_sampled_path_is_bitwise_the_unchunked_formula(block, monkeypatch):
+    monkeypatch.setattr(dg, "PAIR_BLOCK", block)
+    params = tanh_encoder(seed=4)
+    x = np.random.default_rng(121).uniform(size=(200, 12))
+    for max_pairs in (1000, 5000):
+        got = dg.injectivity_ratio_survey(params, x, floor=0.3, max_pairs=max_pairs, seed=9)
+        assert got == unchunked_sampled_injectivity(params, x, max_pairs, seed=9, floor=0.3)
 
 
 def test_injectivity_needs_two_inputs():

@@ -452,6 +452,43 @@ def test_checkpoint_rejects_malformed_payload_by_name(drop, match, tmp_path):
         net.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("specs,match", [
+    ([[3, 4]], "specs[0]: expected [in_dim, out_dim, activation]"),
+    ([[3, 4, "tanh", 1]], "specs[0]: expected [in_dim, out_dim, activation]"),
+    ([[3, 4, "tanh"], ["4", 2, "tanh"]], "specs[1]: expected [in_dim, out_dim, activation]"),
+    ([[3, 4, "tanh"], [4, 2, True]], "specs[1]: expected [in_dim, out_dim, activation]"),
+    ([[3, 4, "tanh"], [4, 2, "relu"]], "specs[1]: unknown activation"),
+    ([[3, 4, "tanh"], [4, 0, "tanh"]], "specs[1]: layer dimensions must be positive"),
+    (7, "specs: expected a list, got 7"),
+    ({"0": [3, 4, "tanh"]}, "specs: expected a list"),
+], ids=["pair", "quadruple", "string_dim", "bool_activation", "unknown_activation",
+        "zero_dim", "int", "object"])
+def test_checkpoint_rejects_malformed_specs_by_entry(specs, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(path, micro_params(seed=21))
+    payload = json.loads(path.read_text())
+    payload["specs"] = specs
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+        net.load_checkpoint(path)
+
+
+def test_checkpoint_with_saved_val_fraction_still_loads(tmp_path):
+    # checkpoints once stored the split's row fraction, which nothing read
+    from tdcae.dataio import DatasetSplit
+
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(path, micro_params(seed=22),
+                        split=DatasetSplit(train_engines=frozenset({2, 5}),
+                                           test_engines=frozenset({1})))
+    payload = json.loads(path.read_text())
+    assert "val_fraction" not in payload["split"]
+    payload["split"]["val_fraction"] = 0.1
+    path.write_text(json.dumps(payload))
+    assert net.load_checkpoint(path)["split"] == DatasetSplit(
+        train_engines=frozenset({2, 5}), test_engines=frozenset({1}))
+
+
 @pytest.mark.parametrize("bad", [None, "abc"], ids=["null", "string"])
 def test_checkpoint_rejects_non_numeric_weight(bad, tmp_path):
     path = tmp_path / "ckpt.json"
