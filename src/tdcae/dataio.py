@@ -108,9 +108,9 @@ class ScalerParams:
 def parse_cmapss(path: str | Path) -> list[EngineRun]:
     """Parse a C-MAPSS text file into one labeled EngineRun per unit.
 
-    Raises ParseError (with the 1-based line number) on malformed lines or
-    non-finite values (nan, inf), and DataIntegrityError if any unit's
-    cycles are not consecutive from 1.
+    Raises ParseError (with the 1-based line number) on malformed lines,
+    non-finite values (nan, inf) or non-integer unit and cycle ids, and
+    DataIntegrityError if any unit's cycles are not consecutive from 1.
     """
     path = Path(path)
     by_unit: dict[int, list[tuple[int, int, list[float]]]] = {}  # (cycle, line, values)
@@ -124,11 +124,14 @@ def parse_cmapss(path: str | Path) -> list[EngineRun]:
                     f"{path.name}:{lineno}: expected {2 + N_FEATURES} fields, got {len(fields)}"
                 )
             try:
-                unit = int(float(fields[0]))
-                cycle = int(float(fields[1]))
+                unit_id, cycle_id = float(fields[0]), float(fields[1])
+                unit, cycle = int(unit_id), int(cycle_id)
                 values = [float(v) for v in fields[2:]]
             except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path.name}:{lineno}: non-numeric field ({exc})") from None
+            if unit != unit_id or cycle != cycle_id:
+                raise ParseError(f"{path.name}:{lineno}: unit and cycle must be integers, "
+                                 f"got {fields[0]} and {fields[1]}")
             by_unit.setdefault(unit, []).append((cycle, lineno, values))
 
     runs = []
@@ -195,14 +198,14 @@ def apply_scaler(run: EngineRun, scaler: ScalerParams) -> EngineRun:
     return EngineRun(unit_id=run.unit_id, features=scaled, labels=run.labels.copy())
 
 
-def normal_row_split(run: EngineRun, val_fraction: float = VAL_FRACTION) -> tuple[range, range]:
+def normal_row_split(run: EngineRun) -> tuple[range, range]:
     """Contiguous 90/10 split of a run's normal rows: (train range, val range).
 
     Contiguity preserves the temporal neighbors that central differences
     need; the validation block is the tail of the normal segment.
     """
     n_normal = run.normal_count
-    n_train = n_normal - int(math.floor(val_fraction * n_normal))
+    n_train = n_normal - int(math.floor(VAL_FRACTION * n_normal))
     return range(0, n_train), range(n_train, n_normal)
 
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import EngineRun, atomic_write_text
 from .tdc import LatentSeries
@@ -60,10 +61,20 @@ def _full_latent(latent: LatentSeries) -> np.ndarray:
 
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    """Trailing mean truncated at the start (causal, no padding)."""
+    """Trailing mean truncated at the start (causal, no padding).
+
+    Rows from window - 1 on average full windows, all at once over a strided
+    view. Each mean still sums its window's rows in time order, so every row
+    is bitwise the mean of values[t - window + 1:t + 1]; a running sum would
+    not be.
+    """
     out = np.empty_like(values, dtype=np.float64)
-    for t in range(values.shape[0]):
-        out[t] = values[max(0, t - window + 1):t + 1].mean(axis=0)
+    head = min(window - 1, values.shape[0])
+    for t in range(head):
+        out[t] = values[:t + 1].mean(axis=0)
+    if head < values.shape[0]:
+        windows = sliding_window_view(values, window, axis=0)
+        out[head:] = np.moveaxis(windows, -1, 1).mean(axis=1)
     return out
 
 

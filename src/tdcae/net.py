@@ -9,8 +9,9 @@ unique narrowest layer output. Its vector is interpreted as state/derivative
 channel pairs: entry i is a state z_i, entry i + n/2 its derivative.
 
 All weights and biases are views into one flat float64 vector, theta (per
-layer: the weight matrix row-major, then the bias), so an Adamax step on its
-two theta-shaped accumulators is four vector operations.
+layer: the weight matrix row-major, then the bias). backward() writes its
+gradient into a vector of the same layout, so an Adamax step on theta and
+its two theta-shaped accumulators is four vector operations.
 
 forward() and backward() work on any contiguous range of layers, so a loss
 on the latent layer is added between a decoder backward and an encoder
@@ -53,6 +54,8 @@ class NetworkParams:
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     theta: np.ndarray = field(init=False, repr=False)
+    # per layer: (weight start, bias start, bias end) offsets into theta
+    _offsets: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.specs) == len(self.weights) == len(self.biases)):
@@ -67,10 +70,15 @@ class NetworkParams:
                                      for pair in zip(self.weights, self.biases) for a in pair])
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("non-finite parameter entries")
-        ends = np.cumsum([n for s in self.specs for n in (s.out_dim * s.in_dim, s.out_dim)])
-        parts = np.split(self.theta, ends[:-1])
-        self.weights = tuple(w.reshape(s.out_dim, s.in_dim) for s, w in zip(self.specs, parts[::2]))
-        self.biases = tuple(parts[1::2])
+        offsets, start = [], 0
+        for spec in self.specs:
+            bias = start + spec.out_dim * spec.in_dim
+            offsets.append((start, bias, bias + spec.out_dim))
+            start = bias + spec.out_dim
+        self._offsets = tuple(offsets)
+        views = [self.layer_views(self.theta, l) for l in range(self.n_layers)]
+        self.weights = tuple(w for w, _ in views)
+        self.biases = tuple(b for _, b in views)
 
     @property
     def n_layers(self) -> int:
@@ -79,6 +87,12 @@ class NetworkParams:
     @property
     def input_dim(self) -> int:
         return self.specs[0].in_dim
+
+    def layer_views(self, vector: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """Layer l's (weight [out x in], bias [out]) as views into a theta-shaped vector."""
+        w0, b0, b1 = self._offsets[l]
+        spec = self.specs[l]
+        return vector[w0:b0].reshape(spec.out_dim, spec.in_dim), vector[b0:b1]
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(specs=self.specs, weights=self.weights, biases=self.biases)
@@ -129,16 +143,17 @@ class ForwardCache:
     squeeze: bool
 
 
-class Gradients(list):
-    """(dW, db) pairs for the layers a cache covers, in layer order.
+@dataclass
+class Gradients:
+    """dLoss/dtheta in the layout of NetworkParams.theta, plus dLoss/d(cache input).
 
-    input_grad is dLoss/d(cache input), shaped like that input; it is what a
-    preceding stack of layers needs as its output_grad.
+    theta is zero outside the layers the cache covers. input_grad is shaped
+    like the cache input; it is what a preceding stack of layers needs as its
+    output_grad.
     """
 
-    def __init__(self, pairs, input_grad: np.ndarray):
-        super().__init__(pairs)
-        self.input_grad = input_grad
+    theta: np.ndarray
+    input_grad: np.ndarray
 
 
 def forward(params: NetworkParams, x: np.ndarray, n_layers: int | None = None,
@@ -173,10 +188,12 @@ def backward(params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray
     """Exact reverse-mode gradients for the layers covered by the cache.
 
     output_grad is dLoss/d(post-activation of the last cached layer), shaped
-    like that activation. A loss on an inner layer is handled by splitting
-    the network there: backward() the outer part, add the inner loss
-    gradient to its input_grad, and pass the sum to backward() of the inner
-    part's cache.
+    like that activation. Each covered layer's dW and db are written into its
+    slices of a zeroed theta-shaped vector. A loss on an inner layer is
+    handled by splitting the network there: backward() the outer part, add
+    the inner loss gradient to its input_grad, and pass the sum to backward()
+    of the inner part's cache. The two theta vectors cover disjoint slices, so
+    their sum is the whole network's gradient.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if cache.squeeze and output_grad.ndim == 1:
@@ -184,16 +201,17 @@ def backward(params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray
     if output_grad.shape != cache.activations[-1].shape:
         raise ValueError("output_grad shape does not match cached output")
 
-    pairs = []
+    grads = np.zeros_like(params.theta)
     delta = output_grad
     for i in range(len(cache.activations) - 2, -1, -1):
         l = cache.start + i
         y = cache.activations[i + 1]
         pre_grad = delta * (1.0 - y * y) if params.specs[l].activation == "tanh" else delta
-        pairs.append((pre_grad.T @ cache.activations[i], pre_grad.sum(axis=0)))
+        dw, db = params.layer_views(grads, l)
+        np.matmul(pre_grad.T, cache.activations[i], out=dw)
+        pre_grad.sum(axis=0, out=db)
         delta = pre_grad @ params.weights[l]
-    pairs.reverse()
-    return Gradients(pairs, delta[0] if cache.squeeze else delta)
+    return Gradients(grads, delta[0] if cache.squeeze else delta)
 
 
 def encode(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,11 +246,6 @@ def encoder_jacobian_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
 
 # --- Adamax ------------------------------------------------------------------
 
-def flat_grads(grads) -> np.ndarray:
-    """Per-layer (dW, db) pairs as one vector in the layout of NetworkParams.theta."""
-    return np.concatenate([np.ravel(a) for pair in grads for a in pair])
-
-
 @dataclass
 class AdamaxState:
     """First-moment and infinity-norm accumulators, each shaped like theta."""
@@ -251,8 +264,9 @@ def init_adamax(params: NetworkParams, learning_rate: float = 0.003) -> AdamaxSt
                        u=np.zeros_like(params.theta))
 
 
-def adamax_step(params: NetworkParams, grads, state: AdamaxState) -> tuple[NetworkParams, AdamaxState]:
-    """One Adamax update of theta from per-layer (dW, db) pairs, in place:
+def adamax_step(params: NetworkParams, grads: Gradients,
+                state: AdamaxState) -> tuple[NetworkParams, AdamaxState]:
+    """One Adamax update of theta from the theta-shaped grads.theta, in place:
 
         m <- b1*m + (1-b1)*g;  u <- max(b2*u, |g|)
         theta <- theta - lr/(1 - b1^t) * m / (u + eps)
@@ -260,7 +274,7 @@ def adamax_step(params: NetworkParams, grads, state: AdamaxState) -> tuple[Netwo
     A non-finite or mis-sized gradient rejects the step before any state is
     touched.
     """
-    g = flat_grads(grads)
+    g = grads.theta
     if g.shape != params.theta.shape or not np.all(np.isfinite(g)):
         raise ValueError("non-finite or mis-sized gradient; step rejected")
     state.step_count += 1
@@ -324,24 +338,44 @@ def load_checkpoint(path: str | Path) -> dict:
     params = NetworkParams(specs=specs, weights=payload["weights"], biases=payload["biases"])
     out = dict(payload)
     out["params"] = params
-    if payload.get("scaler"):
-        from .dataio import ScalerParams
-
-        out["scaler"] = ScalerParams(
-            minimum=np.array(payload["scaler"]["min"]),
-            maximum=np.array(payload["scaler"]["max"]),
-        )
+    if payload.get("scaler") is not None:
+        out["scaler"] = _checkpoint_scaler(path, payload["scaler"])
         if out["scaler"].minimum.shape != (params.input_dim,):
             raise ValueError(f"{path}: scaler width {out['scaler'].minimum.shape[0]} "
                              f"!= network input dim {params.input_dim}")
-    if payload.get("split"):
-        from .dataio import DatasetSplit
-
-        out["split"] = DatasetSplit(
-            train_engines=frozenset(payload["split"]["train_engines"]),
-            test_engines=frozenset(payload["split"]["test_engines"]),
-        )
+    if payload.get("split") is not None:
+        out["split"] = _checkpoint_split(path, payload["split"])
     return out
+
+
+def _checkpoint_scaler(path: str | Path, entry):
+    """The checkpoint's scaler as ScalerParams; errors name the file and the field."""
+    from .dataio import ScalerParams
+
+    if not (isinstance(entry, dict) and isinstance(entry.get("min"), list)
+            and isinstance(entry.get("max"), list)):
+        raise ValueError(f"{path}: scaler: expected lists min and max, got {entry!r}")
+    try:
+        return ScalerParams(minimum=np.array(entry["min"], dtype=np.float64),
+                            maximum=np.array(entry["max"], dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: scaler: {exc}") from None
+
+
+def _checkpoint_split(path: str | Path, entry):
+    """The checkpoint's split as a DatasetSplit; errors name the file and the field."""
+    from .dataio import DatasetSplit
+
+    keys = ("train_engines", "test_engines")
+    if not (isinstance(entry, dict)
+            and all(isinstance(entry.get(k), list) and all(type(u) is int for u in entry[k])
+                    for k in keys)):
+        raise ValueError(f"{path}: split: expected integer lists train_engines and "
+                         f"test_engines, got {entry!r}")
+    try:
+        return DatasetSplit(*(frozenset(entry[k]) for k in keys))
+    except ValueError as exc:
+        raise ValueError(f"{path}: split: {exc}") from None
 
 
 def _checkpoint_layer_spec(path: str | Path, k: int, entry) -> LayerSpec:

@@ -53,21 +53,39 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class TripletBatch:
-    """Aligned consecutive scaled measurements: rows of (t-1, t, t+1)."""
+    """Aligned consecutive scaled measurements as one read-only [3 x N x d] array.
 
-    prev: np.ndarray
-    cur: np.ndarray
-    nxt: np.ndarray
+    rows[0], rows[1] and rows[2] hold the rows at t, t-1 and t+1, so
+    rows.reshape(3 * N, d) is the stacked [cur; prev; nxt] block the encoder
+    reads in one pass.
+    """
+
+    rows: np.ndarray
 
     def __post_init__(self):
-        if not (self.prev.shape == self.cur.shape == self.nxt.shape):
-            raise ValueError("triplet matrices must share a shape")
+        rows = np.asarray(self.rows, dtype=np.float64).view()
+        if rows.ndim != 3 or rows.shape[0] != 3:
+            raise ValueError(f"triplet rows must be [3 x N x d], got {rows.shape}")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return self.cur.shape[0]
+        return self.rows.shape[1]
+
+    @property
+    def cur(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def prev(self) -> np.ndarray:
+        return self.rows[1]
+
+    @property
+    def nxt(self) -> np.ndarray:
+        return self.rows[2]
 
     def take(self, idx: np.ndarray) -> "TripletBatch":
-        return TripletBatch(self.prev[idx], self.cur[idx], self.nxt[idx])
+        return TripletBatch(np.take(self.rows, idx, axis=1))
 
 
 def make_triplets(runs: list[EngineRun], subset: str = "train") -> TripletBatch:
@@ -81,7 +99,7 @@ def make_triplets(runs: list[EngineRun], subset: str = "train") -> TripletBatch:
     """
     if subset not in ("train", "val", "all"):
         raise ValueError(f"unknown subset {subset!r}")
-    prevs, curs, nxts = [], [], []
+    ranges = []
     for run in runs:
         train_rows, val_rows = normal_row_split(run)
         rows = {"train": train_rows, "val": val_rows,
@@ -90,14 +108,17 @@ def make_triplets(runs: list[EngineRun], subset: str = "train") -> TripletBatch:
             warnings.warn(f"unit {run.unit_id}: {subset} range has {len(rows)} rows, "
                           "too short for triplets; skipped")
             continue
-        a, b = rows.start, rows.stop
-        prevs.append(run.features[a:b - 2])
-        curs.append(run.features[a + 1:b - 1])
-        nxts.append(run.features[a + 2:b])
-    if not prevs:
-        empty = np.empty((0, runs[0].features.shape[1] if runs else 0))
-        return TripletBatch(empty, empty.copy(), empty.copy())
-    return TripletBatch(np.vstack(prevs), np.vstack(curs), np.vstack(nxts))
+        ranges.append((run.features, rows.start, rows.stop))
+    out = np.empty((3, sum(b - a - 2 for _, a, b in ranges),
+                    runs[0].features.shape[1] if runs else 0))
+    k = 0
+    for features, a, b in ranges:
+        n = b - a - 2
+        out[0, k:k + n] = features[a + 1:b - 1]
+        out[1, k:k + n] = features[a:b - 2]
+        out[2, k:k + n] = features[a + 2:b]
+        k += n
+    return TripletBatch(out)
 
 
 def central_difference(z_prev: np.ndarray, z_next: np.ndarray, dt: float) -> np.ndarray:
@@ -132,7 +153,7 @@ def _forward(params: net.NetworkParams, batch: TripletBatch, dt: float):
     b = len(batch)
     n_enc = net.encoder_layer_count(params)
     half = net.latent_dim(params) // 2
-    latent, enc_cache = net.forward(params, np.vstack([batch.cur, batch.prev, batch.nxt]),
+    latent, enc_cache = net.forward(params, batch.rows.reshape(3 * b, batch.rows.shape[2]),
                                     n_layers=n_enc)
     out, dec_cache = net.forward(params, latent[:b], start=n_enc)
     e = central_difference(latent[b:2 * b, :half], latent[2 * b:, :half], dt) - latent[:b, half:]
@@ -140,8 +161,8 @@ def _forward(params: net.NetworkParams, batch: TripletBatch, dt: float):
 
 
 def loss_and_grads(params: net.NetworkParams, batch: TripletBatch,
-                   config: TrainingConfig) -> tuple[float, float, list]:
-    """(rec, tdc, per-layer gradients of rec + alpha * tdc) on a triplet batch.
+                   config: TrainingConfig) -> tuple[float, float, net.Gradients]:
+    """(rec, tdc, gradient of rec + alpha * tdc) on a triplet batch.
 
     One backward through the decoder gives the reconstruction delta at the
     bottleneck. With c = 2 alpha / e.size, the combined bottleneck delta is
@@ -166,7 +187,9 @@ def loss_and_grads(params: net.NetworkParams, batch: TripletBatch,
         neighbour = c * e / (2.0 * config.dt)
         delta[b:2 * b, :half] = -neighbour
         delta[2 * b:, :half] = neighbour
-    return rec, tdc, net.backward(params, enc_cache, delta) + dec_grads
+    grads = net.backward(params, enc_cache, delta)
+    grads.theta += dec_grads.theta  # disjoint slices: this adds exact zeros elsewhere
+    return rec, tdc, grads
 
 
 def train_step(params: net.NetworkParams, batch: TripletBatch, config: TrainingConfig,

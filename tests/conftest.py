@@ -39,8 +39,8 @@ def require_cmapss(subset: str) -> Path:
 def fd_grads(params, loss_fn, h=1e-5) -> np.ndarray:
     """Central differences of loss_fn(params) in each entry of params.theta.
 
-    Returns a flat vector in theta's layout; compare it with
-    net.flat_grads of an analytic per-layer gradient.
+    Returns a flat vector in theta's layout; compare it with the theta of
+    an analytic net.Gradients.
     """
     theta = params.theta
     grads = np.empty_like(theta)

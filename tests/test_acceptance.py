@@ -46,13 +46,14 @@ def test_criterion_01_gradient_correctness():
         # plain backprop on reconstruction MSE
         out, cache = net.forward(params, x)
         analytic = net.backward(params, cache, 2.0 * (out - target) / out.size)
-        worst = max(worst, max_rel_err(net.flat_grads(analytic), fd_grads(
+        worst = max(worst, max_rel_err(analytic.theta, fd_grads(
             params, lambda p: float(np.mean((net.forward(p, x)[0] - target) ** 2)))))
 
         # the production gradient of the full objective, consistency term included
         cfg = tdc.TrainingConfig(alpha=2.5, dt=0.5, input_dim=w_in, hidden_dim=w_hidden,
                                  latent_dim=latent)
-        batch = tdc.TripletBatch(*(rng.uniform(-1, 1, (3, w_in)) for _ in range(3)))
+        prev, cur, nxt = rng.uniform(-1, 1, (3, 3, w_in))
+        batch = tdc.TripletBatch(np.stack([cur, prev, nxt]))
 
         def objective(p):
             o, _ = net.forward(p, batch.cur)
@@ -62,7 +63,7 @@ def test_criterion_01_gradient_correctness():
             return tdc.rec_loss(o, batch.cur) + cfg.alpha * tdc.tdc_loss(zp, zn, zdot, cfg.dt)
 
         _, _, analytic = tdc.loss_and_grads(params, batch, cfg)
-        worst = max(worst, max_rel_err(net.flat_grads(analytic), fd_grads(params, objective)))
+        worst = max(worst, max_rel_err(analytic.theta, fd_grads(params, objective)))
     elapsed = time.monotonic() - started
     criterion(1, worst < 1e-5 and elapsed < 30.0,
               f"100 micro-nets, max rel err {worst:.2e} (< 1e-5), {elapsed:.1f} s (< 30 s)")

@@ -74,6 +74,25 @@ def test_parse_non_finite_reports_line(tmp_path, column, value):
         dataio.parse_cmapss(path)
 
 
+@pytest.mark.parametrize("rows, line", [
+    # unit 2's rows relabelled 1.5 with continuing cycles once parsed as one engine
+    (raw_rows(1, range(1, 21)) + raw_rows(1.5, range(21, 46)), 21),
+    (raw_rows(1, range(1, 21)) + raw_rows(2, [1, 2, 3, 4.5, 5, 6]), 24),
+], ids=["unit", "cycle"])
+def test_parse_rejects_non_integer_ids(tmp_path, rows, line):
+    path = tmp_path / "train.txt"
+    write_raw(path, rows)
+    with pytest.raises(dataio.ParseError,
+                       match=f"train.txt:{line}: unit and cycle must be integers"):
+        dataio.parse_cmapss(path)
+
+
+def test_parse_accepts_integral_float_ids(tmp_path):
+    path = tmp_path / "train.txt"
+    write_raw(path, raw_rows(3.0, [1.0, 2.0, 3.0, 4.0, 5.0]))
+    assert [run.unit_id for run in dataio.parse_cmapss(path)] == [3]
+
+
 def test_parse_cycle_gap_is_integrity_error(tmp_path):
     path = tmp_path / "train.txt"
     write_raw(path, raw_rows(1, [1, 2, 3, 5, 6, 7]))
@@ -220,15 +239,15 @@ def test_normal_row_split_90_10():
     assert (val.start, val.stop) == (54, 60)
 
 
-@given(life=st.integers(5, 400), fraction=st.floats(0.05, 0.5))
+@given(life=st.integers(5, 400))
 @settings(max_examples=40)
-def test_normal_row_split_partitions_normal_range(life, fraction):
+def test_normal_row_split_partitions_normal_range(life):
     run = dataio.EngineRun(unit_id=1, features=np.zeros((life, 24)))
-    train, val = dataio.normal_row_split(run, fraction)
+    train, val = dataio.normal_row_split(run)
     assert train.start == 0
     assert train.stop == val.start
     assert val.stop == run.normal_count
-    assert len(val) == int(math.floor(fraction * run.normal_count))
+    assert len(val) == int(math.floor(dataio.VAL_FRACTION * run.normal_count))
 
 
 # --- serialization -------------------------------------------------------------

@@ -57,6 +57,25 @@ def test_moving_average_truncates_at_start():
     assert out3[:, 0].tolist() == [1.0, 1.5, 2.0, 3.0]
 
 
+def loop_moving_average(values, window):
+    """The per-timestep loop that moving_average's windowed form replaced, kept as its oracle."""
+    out = np.empty_like(values, dtype=np.float64)
+    for t in range(values.shape[0]):
+        out[t] = values[max(0, t - window + 1):t + 1].mean(axis=0)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(T=st.integers(1, 60), n=st.integers(1, 16), window=st.integers(1, 70),
+       seed=st.integers(0, 2**32 - 1))
+def test_moving_average_is_bitwise_the_loop(T, n, window, seed):
+    # windows up to 70 on streams of 1..60 rows cover window > T and T = 1
+    values = np.random.default_rng(seed).normal(scale=100.0, size=(T, n))
+    actual = det.moving_average(values, window)
+    assert actual.dtype == np.float64
+    assert np.array_equal(actual, loop_moving_average(values, window))
+
+
 def test_moving_average_window_one_is_identity():
     values = np.random.default_rng(0).normal(size=(10, 3))
     assert np.array_equal(det.moving_average(values, 1), values)
@@ -191,6 +210,27 @@ def test_detect_rejects_node_mismatch():
     th = det.Thresholds(upper=np.zeros(3), lower=np.zeros(3))
     with pytest.raises(ValueError, match="nodes"):
         det.detect(latent, th, RAW)
+
+
+@settings(max_examples=80, deadline=None)
+@given(T=st.integers(1, 80), k=st.integers(1, 80), ma_window=st.integers(1, 20),
+       base_window=st.integers(1, 20), use_baseline=st.booleans(),
+       vote_threshold=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_detect_on_a_prefix_is_the_prefix_of_detect(T, k, ma_window, base_window,
+                                                    use_baseline, vote_threshold, seed):
+    # causality: rows after cycle k never change a decision made at cycle k
+    k = min(k, T)
+    rng = np.random.default_rng(seed)
+    cfg = det.DetectorConfig(moving_average_window=ma_window, baseline_window=base_window,
+                             use_baseline=use_baseline, vote_threshold=vote_threshold)
+    train = rng.normal(size=(40, 8))
+    thresholds = det.fit_thresholds(
+        [det.normalize_stream(LatentSeries(2, train[:, :4], train[:, 4:]), cfg)], cfg)
+    walk = np.cumsum(rng.normal(size=(T, 8)), axis=0)  # drifts out of the bands
+    full = det.detect(LatentSeries(1, walk[:, :4], walk[:, 4:]), thresholds, cfg)
+    prefix = det.detect(LatentSeries(1, walk[:k, :4], walk[:k, 4:]), thresholds, cfg)
+    assert np.array_equal(prefix.votes, full.votes[:k])
+    assert np.array_equal(prefix.positives, full.positives[:k])
 
 
 def test_wider_bands_never_add_votes():

@@ -10,6 +10,16 @@ from tdcae import net
 from conftest import fd_grads, max_rel_err
 
 
+def concat_pairs(pairs) -> np.ndarray:
+    """Per-layer (W, b) pairs as one vector in theta's layout: W row-major, then b."""
+    return np.concatenate([np.ravel(a) for pair in pairs for a in pair])
+
+
+def theta_grads(vector) -> net.Gradients:
+    """A Gradients carrying only a theta-shaped vector, for driving adamax_step."""
+    return net.Gradients(np.asarray(vector, dtype=np.float64), np.zeros(0))
+
+
 def micro_params(seed=0, specs=None):
     rng = np.random.default_rng(seed)
     if specs is None:
@@ -66,7 +76,7 @@ def test_layers_are_views_into_theta():
         assert np.shares_memory(w, params.theta) and np.shares_memory(b, params.theta)
     params.weights[1][0, 1] += 1.0
     params.biases[2][:] = 5.0
-    assert np.array_equal(params.theta, net.flat_grads(zip(params.weights, params.biases)))
+    assert np.array_equal(params.theta, concat_pairs(zip(params.weights, params.biases)))
 
 
 def test_construction_copies_its_inputs():
@@ -173,7 +183,7 @@ def test_backward_zero_grad_gives_zero():
     x = np.array([0.3, -0.2, 0.9])
     out, cache = net.forward(params, x)
     grads = net.backward(params, cache, np.zeros_like(out))
-    assert max(float(np.max(np.abs(g))) for pair in grads for g in pair) == 0.0
+    assert grads.theta.shape == params.theta.shape and not grads.theta.any()
 
 
 def test_backward_single_linear_layer_chain_rule():
@@ -181,8 +191,8 @@ def test_backward_single_linear_layer_chain_rule():
     params = net.NetworkParams(specs=specs, weights=[np.array([[3.0]])],
                                biases=[np.zeros(1)])
     out, cache = net.forward(params, np.array([2.0]))
-    (gw, gb), = net.backward(params, cache, np.array([1.0]))
-    assert gw[0, 0] == 2.0 and gb[0] == 1.0
+    grads = net.backward(params, cache, np.array([1.0]))
+    assert np.array_equal(grads.theta, [2.0, 1.0]) and grads.input_grad[0] == 3.0
 
 
 def test_backward_matches_finite_differences():
@@ -199,7 +209,7 @@ def test_backward_matches_finite_differences():
 
         out, cache = net.forward(params, x)
         analytic = net.backward(params, cache, 2 * (out - target) / out.size)
-        worst = max(worst, max_rel_err(net.flat_grads(analytic), fd_grads(params, loss)))
+        worst = max(worst, max_rel_err(analytic.theta, fd_grads(params, loss)))
     assert worst < 1e-5
 
 
@@ -215,10 +225,53 @@ def test_backward_split_at_bottleneck_matches_full_pass():
     assert np.array_equal(dec_out, out)
     dec = net.backward(params, dec_cache, 2 * (dec_out - x) / out.size)
     enc = net.backward(params, enc_cache, dec.input_grad)
-    assert len(enc) == n_enc and len(dec) == params.n_layers - n_enc
-    for (fw, fb), (sw, sb) in zip(full, enc + dec):
-        assert np.array_equal(fw, sw) and np.array_equal(fb, sb)
+    split = sum(s.out_dim * (s.in_dim + 1) for s in params.specs[:n_enc])
+    assert not enc.theta[split:].any() and not dec.theta[:split].any()
+    assert np.array_equal(enc.theta + dec.theta, full.theta)
     assert np.array_equal(enc.input_grad, full.input_grad)
+
+
+def pair_backward(params, cache, output_grad):
+    """Oracle: backward as a loop returning one (dW, db) pair per covered layer."""
+    output_grad = np.asarray(output_grad, dtype=np.float64)
+    if cache.squeeze and output_grad.ndim == 1:
+        output_grad = output_grad[None, :]
+    pairs = []
+    delta = output_grad
+    for i in range(len(cache.activations) - 2, -1, -1):
+        l = cache.start + i
+        y = cache.activations[i + 1]
+        pre_grad = delta * (1.0 - y * y) if params.specs[l].activation == "tanh" else delta
+        pairs.append((pre_grad.T @ cache.activations[i], pre_grad.sum(axis=0)))
+        delta = pre_grad @ params.weights[l]
+    pairs.reverse()
+    return pairs, (delta[0] if cache.squeeze else delta)
+
+
+@pytest.mark.parametrize("part", ["full", "encoder", "decoder", "single_row"])
+def test_backward_is_bitwise_the_per_layer_pair_loop(part):
+    params = micro_params(seed=23, specs=net.autoencoder_specs())
+    n_enc = net.encoder_layer_count(params)
+    rng = np.random.default_rng(24)
+    x = rng.uniform(-1, 1, 24 if part == "single_row" else (32, 24))
+    start, stop = {"full": (0, params.n_layers), "encoder": (0, n_enc),
+                   "decoder": (n_enc, params.n_layers),
+                   "single_row": (0, params.n_layers)}[part]
+    if start > 0:
+        x, _ = net.forward(params, x, n_layers=start)
+    out, cache = net.forward(params, x, n_layers=stop, start=start)
+    output_grad = rng.normal(size=out.shape)
+
+    grads = net.backward(params, cache, output_grad)
+    pairs, input_grad = pair_backward(params, cache, output_grad)
+    expected = concat_pairs(pairs[l - start] if start <= l < stop
+                            else (np.zeros_like(w), np.zeros_like(b))
+                            for l, (w, b) in enumerate(zip(params.weights, params.biases)))
+    assert np.array_equal(grads.theta, expected)
+    for l in range(params.n_layers):
+        dw, db = params.layer_views(grads.theta, l)
+        assert (start <= l < stop) == bool(dw.any() and db.any())
+    assert grads.input_grad.shape == x.shape and np.array_equal(grads.input_grad, input_grad)
 
 
 def test_backward_rejects_mismatched_cache():
@@ -280,14 +333,14 @@ def scalar_params(value=0.0):
 def test_adamax_zero_gradient_leaves_params():
     params = scalar_params(0.7)
     state = net.init_adamax(params)
-    net.adamax_step(params, [(np.zeros((1, 1)), np.zeros(1))], state)
+    net.adamax_step(params, theta_grads([0.0, 0.0]), state)
     assert params.weights[0][0, 0] == 0.7
 
 
 def test_adamax_first_step_is_exactly_lr():
     params = scalar_params(0.0)
     state = net.init_adamax(params, learning_rate=0.003)
-    grads = [(np.array([[1.0]]), np.zeros(1))]
+    grads = theta_grads([1.0, 0.0])
     net.adamax_step(params, grads, state)
     # m=0.1, u=1, correction 1-0.9 -> step = 0.003 * 0.1 / 0.1 / (1 + eps);
     # eps=1e-8 in the denominator shifts the step by 3e-11
@@ -300,7 +353,7 @@ def test_adamax_first_step_is_exactly_lr():
 def test_adamax_constant_gradient_decreases_monotonically():
     params = scalar_params(0.0)
     state = net.init_adamax(params, learning_rate=0.01)
-    grads = [(np.array([[1.0]]), np.zeros(1))]
+    grads = theta_grads([1.0, 0.0])
     values = []
     for _ in range(1000):
         net.adamax_step(params, grads, state)
@@ -322,7 +375,7 @@ def test_adamax_matches_reference_sequence():
     params = scalar_params(0.0)
     state = net.init_adamax(params, learning_rate=lr)
     for g in gs:
-        net.adamax_step(params, [(np.array([[g]]), np.zeros(1))], state)
+        net.adamax_step(params, theta_grads([g, 0.0]), state)
     assert params.weights[0][0, 0] == pytest.approx(theta, rel=1e-15)
 
 
@@ -330,7 +383,7 @@ def test_adamax_rejects_non_finite_and_preserves_state():
     params = scalar_params(0.5)
     state = net.init_adamax(params)
     with pytest.raises(ValueError, match="non-finite"):
-        net.adamax_step(params, [(np.array([[np.nan]]), np.zeros(1))], state)
+        net.adamax_step(params, theta_grads([np.nan, 0.0]), state)
     assert params.weights[0][0, 0] == 0.5
     assert state.step_count == 0
 
@@ -340,7 +393,7 @@ def test_adamax_rejects_mis_sized_gradient_and_preserves_state():
     state = net.init_adamax(params)
     before = params.theta.copy()
     with pytest.raises(ValueError, match="mis-sized"):
-        net.adamax_step(params, [(np.ones((4, 3)), np.ones(4))], state)
+        net.adamax_step(params, theta_grads(np.ones(4 * 3 + 4)), state)
     assert np.array_equal(params.theta, before) and not state.m.any() and state.step_count == 0
 
 
@@ -379,11 +432,11 @@ def test_flat_adamax_is_bitwise_the_per_tensor_loop():
 
     state = net.init_adamax(params, learning_rate=0.003)
     for grads in grad_steps:
-        net.adamax_step(params, grads, state)
+        net.adamax_step(params, theta_grads(concat_pairs(grads)), state)
     assert state.step_count == 50
-    assert np.array_equal(params.theta, net.flat_grads(zip(weights, biases)))
-    assert np.array_equal(state.m, net.flat_grads(m))
-    assert np.array_equal(state.u, net.flat_grads(u))
+    assert np.array_equal(params.theta, concat_pairs(zip(weights, biases)))
+    assert np.array_equal(state.m, concat_pairs(m))
+    assert np.array_equal(state.u, concat_pairs(u))
 
 
 # --- encode / checkpoint ------------------------------------------------------------------
@@ -487,6 +540,33 @@ def test_checkpoint_with_saved_val_fraction_still_loads(tmp_path):
     path.write_text(json.dumps(payload))
     assert net.load_checkpoint(path)["split"] == DatasetSplit(
         train_engines=frozenset({2, 5}), test_engines=frozenset({1}))
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("split", {"train": [1]}, "split: expected integer lists"),
+    ("split", {"train_engines": [1], "test_engines": 3}, "split: expected integer lists"),
+    ("split", {"train_engines": [1], "test_engines": ["2"]}, "split: expected integer lists"),
+    ("split", [[1], [2]], "split: expected integer lists"),
+    ("split", {"train_engines": [1, 2], "test_engines": [2]}, "split: train and test engine"),
+    ("scaler", {"lo": [0]}, "scaler: expected"),
+    ("scaler", {"min": 0, "max": [1]}, "scaler: expected"),
+    ("scaler", {"min": ["a", 0], "max": [1, 1]}, "scaler: could not convert"),
+    ("scaler", {"min": [0, 2], "max": [1, 1]}, "scaler: max < min"),
+], ids=["split_keys", "split_int", "split_string_id", "split_list", "split_overlap",
+        "scaler_keys", "scaler_int", "scaler_string", "scaler_order"])
+def test_checkpoint_rejects_malformed_split_or_scaler(key, value, match, tmp_path):
+    from tdcae.dataio import DatasetSplit, ScalerParams
+
+    path = tmp_path / "ckpt.json"
+    net.save_checkpoint(path, micro_params(seed=22, specs=[net.LayerSpec(2, 2)]),
+                        scaler=ScalerParams(minimum=np.zeros(2), maximum=np.ones(2)),
+                        split=DatasetSplit(train_engines=frozenset({1}),
+                                           test_engines=frozenset({2})))
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+        net.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("bad", [None, "abc"], ids=["null", "string"])

@@ -64,6 +64,25 @@ def test_triplets_align_neighbors():
         assert np.array_equal(batch.nxt[i], feats[i + 2])
 
 
+def test_triplets_are_read_only_views_of_one_cur_prev_nxt_array():
+    feats = np.arange(9 * 24, dtype=float).reshape(9, 24)
+    run = EngineRun(unit_id=1, features=feats, labels=np.zeros(9, bool))
+    batch = tdc.make_triplets([run], "all")
+    assert batch.rows.shape == (3, 7, 24)
+    for view, offset in ((batch.cur, 1), (batch.prev, 0), (batch.nxt, 2)):
+        assert np.shares_memory(view, batch.rows)
+        assert np.array_equal(view, feats[offset:offset + 7])
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 0.0
+    idx = np.array([4, 0, 4, 2])
+    taken = batch.take(idx)
+    assert np.array_equal(taken.rows, np.stack([batch.cur[idx], batch.prev[idx],
+                                                batch.nxt[idx]]))
+    assert np.shares_memory(taken.rows.reshape(12, 24), taken.rows)  # no copy per step
+    with pytest.raises(ValueError, match=r"\[3 x N x d\]"):
+        tdc.TripletBatch(feats)
+
+
 def test_triplets_never_straddle_engines():
     runs = [EngineRun(unit_id=u, features=np.full((6, 24), float(u)),
                       labels=np.zeros(6, bool)) for u in range(3)]
@@ -223,7 +242,8 @@ def test_train_step_gradient_matches_finite_differences(overrides):
     rng = np.random.default_rng(3)
     specs = net.autoencoder_specs(6, 7, 4, n_hidden=1)
     params = net.init_params(specs, rng)
-    batch = tdc.TripletBatch(*(rng.uniform(0, 1, (5, 6)) for _ in range(3)))
+    prev, cur, nxt = rng.uniform(0, 1, (3, 5, 6))
+    batch = tdc.TripletBatch(np.stack([cur, prev, nxt]))
     cfg = replace(tdc.TrainingConfig(epochs=1, alpha=3.0, dt=0.7, input_dim=6, hidden_dim=7,
                                      latent_dim=4), **overrides)
     # stop-gradient: the neighbour latents are constants of the unperturbed net
@@ -241,9 +261,9 @@ def test_train_step_gradient_matches_finite_differences(overrides):
 
     rec, tdc_value, grads = tdc.loss_and_grads(params, batch, cfg)
     assert rec + cfg.alpha * tdc_value == pytest.approx(objective(params), rel=1e-12)
-    assert len(grads) == params.n_layers
+    assert grads.theta.shape == params.theta.shape
 
-    assert max_rel_err(net.flat_grads(grads), fd_grads(params, objective)) < 1e-5
+    assert max_rel_err(grads.theta, fd_grads(params, objective)) < 1e-5
 
 
 # --- loss history / inference ---------------------------------------------------------
