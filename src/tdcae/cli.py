@@ -255,12 +255,8 @@ def cmd_train(cp, args) -> int:
 def _checkpoint_and_runs(cp, args):
     """Params, scaler, split and training dt of --checkpoint, plus its runs."""
     ckpt = net.load_checkpoint(args.checkpoint)
-    trained = ckpt.get("training_config") or {}
-    if ckpt.get("scaler") is None or ckpt.get("split") is None or "dt" not in trained:
-        raise ValueError("checkpoint lacks scaler/split/training_config metadata; "
-                         "retrain with cmd_train")
     runs = load_runs(cp, args, root_seed(cp, args))
-    return ckpt["params"], ckpt["scaler"], ckpt["split"], trained["dt"], runs
+    return ckpt["params"], ckpt["scaler"], ckpt["split"], ckpt["training_config"]["dt"], runs
 
 
 def cmd_detect(cp, args) -> int:

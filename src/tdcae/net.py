@@ -21,10 +21,12 @@ backward rather than hooked into one pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+
+from .dataio import DatasetSplit, ScalerParams, atomic_write_text
 
 ACTIVATIONS = ("tanh", "identity")
 
@@ -292,66 +294,89 @@ CHECKPOINT_FORMAT = "tdcae-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def checkpoint_payload(params: NetworkParams, seed: int | None = None,
-                       scaler=None, split=None, training_config: dict | None = None) -> dict:
-    """JSON-serializable checkpoint. Floats round-trip exactly via repr."""
-    payload = {
+CHECKPOINT_FIELDS = ("specs", "weights", "biases", "scaler", "split", "training_config")
+
+
+def save_checkpoint(path: str | Path, params: NetworkParams, *, seed: int,
+                    scaler: ScalerParams, split: DatasetSplit, training_config: dict) -> None:
+    """Write params with the scaler, split and training config they were trained with.
+
+    training_config is asdict() of a tdc.TrainingConfig. Floats round-trip
+    exactly via repr.
+    """
+    atomic_write_text(path, json.dumps({
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "specs": [[s.in_dim, s.out_dim, s.activation] for s in params.specs],
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
         "seed": seed,
-        "scaler": None,
-        "split": None,
+        "scaler": {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()},
+        "split": {"train_engines": sorted(split.train_engines),
+                  "test_engines": sorted(split.test_engines)},
         "training_config": training_config,
-    }
-    if scaler is not None:
-        payload["scaler"] = {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()}
-    if split is not None:
-        payload["split"] = {
-            "train_engines": sorted(split.train_engines),
-            "test_engines": sorted(split.test_engines),
-        }
-    return payload
-
-
-def save_checkpoint(path: str | Path, params: NetworkParams, **kwargs) -> None:
-    from .dataio import atomic_write_text
-
-    atomic_write_text(path, json.dumps(checkpoint_payload(params, **kwargs), indent=1))
+    }, indent=1))
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Load a checkpoint; returns a dict with 'params' plus stored metadata."""
-    payload = json.loads(Path(path).read_text())
+    """Load and check a checkpoint; returns its fields with 'params' added.
+
+    Every field in CHECKPOINT_FIELDS must be present and valid: 'scaler' and
+    'split' come back as ScalerParams and DatasetSplit, 'training_config' as
+    the stored dict once it builds a tdc.TrainingConfig. Any error is a
+    ValueError naming the file and the field.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    missing = [key for key in ("specs", "weights", "biases") if key not in payload]
+    missing = [key for key in CHECKPOINT_FIELDS if payload.get(key) is None]
     if missing:
         raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
     if not isinstance(payload["specs"], list):
         raise ValueError(f"{path}: specs: expected a list, got {payload['specs']!r}")
     specs = [_checkpoint_layer_spec(path, k, entry) for k, entry in enumerate(payload["specs"])]
-    params = NetworkParams(specs=specs, weights=payload["weights"], biases=payload["biases"])
-    out = dict(payload)
-    out["params"] = params
-    if payload.get("scaler") is not None:
-        out["scaler"] = _checkpoint_scaler(path, payload["scaler"])
-        if out["scaler"].minimum.shape != (params.input_dim,):
-            raise ValueError(f"{path}: scaler width {out['scaler'].minimum.shape[0]} "
-                             f"!= network input dim {params.input_dim}")
-    if payload.get("split") is not None:
-        out["split"] = _checkpoint_split(path, payload["split"])
-    return out
+    weights = _checkpoint_arrays(path, "weights", payload["weights"],
+                                 [(s.out_dim, s.in_dim) for s in specs])
+    biases = _checkpoint_arrays(path, "biases", payload["biases"], [(s.out_dim,) for s in specs])
+    try:
+        params = NetworkParams(specs=specs, weights=weights, biases=biases)
+    except ValueError as exc:
+        raise ValueError(f"{path}: specs: {exc}") from None
+    scaler = _checkpoint_scaler(path, payload["scaler"])
+    if scaler.minimum.shape != (params.input_dim,):
+        raise ValueError(f"{path}: scaler width {scaler.minimum.shape[0]} "
+                         f"!= network input dim {params.input_dim}")
+    return {**payload, "params": params, "scaler": scaler,
+            "split": _checkpoint_split(path, payload["split"]),
+            "training_config": _checkpoint_training_config(path, payload["training_config"])}
 
 
-def _checkpoint_scaler(path: str | Path, entry):
+def _checkpoint_arrays(path: str | Path, key: str, entry,
+                       shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """A checkpoint's weights or biases as finite arrays of the layers' shapes;
+    errors name the file and the entry."""
+    if not isinstance(entry, list) or len(entry) != len(shapes):
+        got = f"{len(entry)}" if isinstance(entry, list) else f"{entry!r}"
+        raise ValueError(f"{path}: {key}: expected a list of {len(shapes)} arrays, got {got}")
+    arrays = []
+    for k, (value, shape) in enumerate(zip(entry, shapes)):
+        try:
+            array = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {key}[{k}]: {exc}") from None
+        if array.shape != shape or not np.all(np.isfinite(array)):
+            raise ValueError(f"{path}: {key}[{k}]: expected finite numbers of shape {shape}")
+        arrays.append(array)
+    return arrays
+
+
+def _checkpoint_scaler(path: str | Path, entry) -> ScalerParams:
     """The checkpoint's scaler as ScalerParams; errors name the file and the field."""
-    from .dataio import ScalerParams
-
     if not (isinstance(entry, dict) and isinstance(entry.get("min"), list)
             and isinstance(entry.get("max"), list)):
         raise ValueError(f"{path}: scaler: expected lists min and max, got {entry!r}")
@@ -362,10 +387,8 @@ def _checkpoint_scaler(path: str | Path, entry):
         raise ValueError(f"{path}: scaler: {exc}") from None
 
 
-def _checkpoint_split(path: str | Path, entry):
+def _checkpoint_split(path: str | Path, entry) -> DatasetSplit:
     """The checkpoint's split as a DatasetSplit; errors name the file and the field."""
-    from .dataio import DatasetSplit
-
     keys = ("train_engines", "test_engines")
     if not (isinstance(entry, dict)
             and all(isinstance(entry.get(k), list) and all(type(u) is int for u in entry[k])
@@ -376,6 +399,27 @@ def _checkpoint_split(path: str | Path, entry):
         return DatasetSplit(*(frozenset(entry[k]) for k in keys))
     except ValueError as exc:
         raise ValueError(f"{path}: split: {exc}") from None
+
+
+def _checkpoint_training_config(path: str | Path, entry) -> dict:
+    """The checkpoint's training config, unchanged once every tdc.TrainingConfig
+    field is present and the dataclass accepts them; errors name the file and the field.
+
+    A missing field fails rather than taking its default, which would pass
+    off a config the network was not trained with.
+    """
+    from .tdc import TrainingConfig  # tdc imports this module
+
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: training_config: expected an object, got {entry!r}")
+    missing = [f.name for f in fields(TrainingConfig) if f.name not in entry]
+    if missing:
+        raise ValueError(f"{path}: training_config: lacks {', '.join(missing)}")
+    try:
+        TrainingConfig(**entry)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: training_config: {exc}") from None
+    return entry
 
 
 def _checkpoint_layer_spec(path: str | Path, k: int, entry) -> LayerSpec:

@@ -10,7 +10,7 @@ dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,9 @@ class PendulumConfig:
     theta_dot0: float = 0.0
 
     def __post_init__(self):
+        not_finite = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if not_finite:
+            raise ValueError(f"{', '.join(not_finite)} must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end <= self.dt:

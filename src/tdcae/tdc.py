@@ -18,6 +18,7 @@ measurement, no temporal context needed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,10 @@ class TrainingConfig:
     input_dim: int = 24
 
     def __post_init__(self):
+        not_finite = [name for name in ("learning_rate", "alpha", "dt")
+                      if not math.isfinite(getattr(self, name))]
+        if not_finite:
+            raise ValueError(f"{', '.join(not_finite)} must be finite")
         if min(self.epochs, self.batch_size, self.latent_dim, self.hidden_dim, self.input_dim) <= 0:
             raise ValueError("epochs, batch_size and dimensions must be positive")
         if self.learning_rate <= 0 or self.dt <= 0:
@@ -200,8 +205,8 @@ def train_step(params: net.NetworkParams, batch: TripletBatch, config: TrainingC
     return rec, tdc
 
 
-def train(runs: list[EngineRun], config: TrainingConfig,
-          params: net.NetworkParams | None = None) -> tuple[net.NetworkParams, list[EpochStats]]:
+def train(runs: list[EngineRun],
+          config: TrainingConfig) -> tuple[net.NetworkParams, list[EpochStats]]:
     """Train on the normal training ranges of already-scaled engine runs.
 
     Fixed epoch count, no early stopping; the validation losses (trailing
@@ -215,9 +220,8 @@ def train(runs: list[EngineRun], config: TrainingConfig,
         raise ValueError("no training triplets available")
 
     rng = np.random.default_rng(config.seed)
-    if params is None:
-        specs = net.autoencoder_specs(config.input_dim, config.hidden_dim, config.latent_dim)
-        params = net.init_params(specs, rng)
+    specs = net.autoencoder_specs(config.input_dim, config.hidden_dim, config.latent_dim)
+    params = net.init_params(specs, rng)
     state = net.init_adamax(params, learning_rate=config.learning_rate)
 
     history = []

@@ -128,7 +128,13 @@ def test_value_that_does_not_cast_names_file_section_and_key(section, key, value
 
 @pytest.mark.parametrize("command,section,key,value,message", [
     ("simulate", "pendulum", "dt", "-0.5", "dt must be positive"),
-    ("train", "training", "epochs", "0", "epochs, batch_size and dimensions must be positive")])
+    ("train", "training", "epochs", "0", "epochs, batch_size and dimensions must be positive"),
+    ("train", "training", "learning_rate", "inf", "learning_rate must be finite"),
+    ("train", "training", "alpha", "nan", "alpha must be finite"),
+    ("train", "training", "dt", "nan", "dt must be finite"),
+    ("simulate", "pendulum", "t_end", "inf", "t_end must be finite"),
+    ("simulate", "pendulum", "dt", "nan", "dt must be finite"),
+    ("simulate", "pendulum", "theta0", "-inf", "theta0 must be finite")])
 def test_value_that_fails_its_check_names_file_and_section(command, section, key, value,
                                                            message, tmp_path, capsys):
     ini = tmp_path / "check.ini"
@@ -313,12 +319,54 @@ def test_checkpoint_without_metadata_fails_cleanly(key, command, pipeline_dir, t
     payload = json.loads((pipeline_dir / "checkpoint_seed0.json").read_text())
     if key == "dt":
         del payload["training_config"]["dt"]
+        message = "training_config: lacks dt"
     else:
         payload[key] = None
+        message = f"checkpoint lacks {key}"
     ckpt = tmp_path / "bare.json"
     ckpt.write_text(json.dumps(payload))
     assert run_cli(command, "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)) == 1
-    assert "error: checkpoint lacks scaler/split/training_config" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+
+
+def set_fields(**values):
+    return lambda payload: payload.update(values)
+
+
+def set_training(**values):
+    return lambda payload: payload["training_config"].update(values)
+
+
+def set_weight(value):
+    return lambda payload: payload["weights"][2][0].__setitem__(1, value)
+
+
+# id: (an edit of a valid checkpoint payload, the field its error names)
+MALFORMED_CHECKPOINTS = {
+    "training_config_int": (set_fields(training_config=3), "training_config"),
+    "training_config_list": (set_fields(training_config=[1]), "training_config"),
+    "training_config_only_dt": (set_fields(training_config={"dt": "x"}), "training_config"),
+    "dt_string": (set_training(dt="x"), "training_config"),
+    "dt_negative": (set_training(dt=-1), "training_config"),
+    "dt_nan": (set_training(dt=float("nan")), "training_config"),
+    "weights_int": (set_fields(weights=3), "weights"),
+    "weight_string": (set_weight("abc"), "weights[2]"),
+}
+
+
+@pytest.mark.parametrize("command", ["detect", "diagnose"])
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoint_fails_naming_file_and_field(case, command, pipeline_dir, tmp_path,
+                                                          capsys):
+    edit, key = MALFORMED_CHECKPOINTS[case]
+    payload = json.loads((pipeline_dir / "checkpoint_seed0.json").read_text())
+    edit(payload)
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_text(json.dumps(payload))
+    assert run_cli(command, "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: {key}: ")
+    assert not (tmp_path / "o" / "metrics.json").exists()
+    assert not (tmp_path / "o" / "diagnostics.json").exists()
 
 
 def test_diagnose_rho_uses_the_trained_dt(tmp_path):

@@ -5,6 +5,8 @@ number of epochs, fit latent thresholds on the training engines' lifetime
 streams, then score held-out engines and run the geometry diagnostics.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ def test_checkpoint_round_trip_preserves_detections(pipeline, tmp_path, trained_
     _, _, scaler, split, _, config = trained_setup
     path = tmp_path / "ckpt.json"
     net.save_checkpoint(path, pipeline["params"], seed=config.seed, scaler=scaler,
-                        split=split, training_config=None)
+                        split=split, training_config=asdict(config))
     loaded = net.load_checkpoint(path)["params"]
     for run, latent in zip(pipeline["scaled_test"], pipeline["latents_test"]):
         reloaded = tdc.infer_latent(loaded, run)

@@ -1,11 +1,13 @@
 import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from tdcae import net
+from tdcae import net, tdc
+from tdcae.dataio import DatasetSplit, ScalerParams
 
 from conftest import fd_grads, max_rel_err
 
@@ -26,6 +28,25 @@ def micro_params(seed=0, specs=None):
         specs = [net.LayerSpec(3, 4, "tanh"), net.LayerSpec(4, 2, "tanh"),
                  net.LayerSpec(2, 3, "identity")]
     return net.init_params(specs, rng)
+
+
+MICRO_SPLIT = DatasetSplit(train_engines=frozenset({1}), test_engines=frozenset({2}))
+
+
+def save_micro_checkpoint(path, params):
+    """A complete checkpoint for params: a [0, 1] scaler as wide as the input,
+    MICRO_SPLIT and the default training config."""
+    width = params.input_dim
+    net.save_checkpoint(path, params, seed=0,
+                        scaler=ScalerParams(minimum=np.zeros(width), maximum=np.ones(width)),
+                        split=MICRO_SPLIT, training_config=asdict(tdc.TrainingConfig()))
+
+
+def rewrite_checkpoint(path, edit):
+    """Apply edit to the JSON payload at path and write it back."""
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
 
 
 # --- specs and construction -----------------------------------------------------
@@ -459,14 +480,13 @@ def test_encode_rejects_odd_latent():
 
 def test_checkpoint_round_trip_is_exact(tmp_path):
     params = micro_params(seed=17, specs=net.autoencoder_specs())
-    from tdcae.dataio import DatasetSplit, ScalerParams
-
     scaler = ScalerParams(minimum=np.random.default_rng(1).uniform(0, 1, 24),
                           maximum=np.random.default_rng(2).uniform(2, 3, 24))
     split = DatasetSplit(train_engines=frozenset({1, 2, 3}), test_engines=frozenset({4}))
+    config = asdict(tdc.TrainingConfig(alpha=50.0, dt=0.5))
     path = tmp_path / "ckpt.json"
     net.save_checkpoint(path, params, seed=42, scaler=scaler, split=split,
-                        training_config={"alpha": 100.0})
+                        training_config=config)
     loaded = net.load_checkpoint(path)
     back = loaded["params"]
     assert all(np.array_equal(a, b) for a, b in zip(params.weights, back.weights))
@@ -474,8 +494,9 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     assert back.specs == params.specs
     assert loaded["seed"] == 42
     assert np.array_equal(loaded["scaler"].minimum, scaler.minimum)
+    assert np.array_equal(loaded["scaler"].maximum, scaler.maximum)
     assert loaded["split"] == split
-    assert loaded["training_config"]["alpha"] == 100.0
+    assert loaded["training_config"] == config
 
 
 def test_checkpoint_rejects_foreign_payloads(tmp_path):
@@ -486,15 +507,21 @@ def test_checkpoint_rejects_foreign_payloads(tmp_path):
     path.write_text(json.dumps({"format": net.CHECKPOINT_FORMAT, "version": 99}))
     with pytest.raises(ValueError, match="version"):
         net.load_checkpoint(path)
+    path.write_text('{"format": ')
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not JSON")):
+        net.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("drop,match", [
     (None, "not a tdcae-checkpoint"), ("specs", "checkpoint lacks specs"),
-    ("weights", "checkpoint lacks weights"), ("biases", "checkpoint lacks biases")],
-    ids=["not_an_object", "no_specs", "no_weights", "no_biases"])
+    ("weights", "checkpoint lacks weights"), ("biases", "checkpoint lacks biases"),
+    ("scaler", "checkpoint lacks scaler"), ("split", "checkpoint lacks split"),
+    ("training_config", "checkpoint lacks training_config")],
+    ids=["not_an_object", "no_specs", "no_weights", "no_biases", "no_scaler", "no_split",
+         "no_training_config"])
 def test_checkpoint_rejects_malformed_payload_by_name(drop, match, tmp_path):
     path = tmp_path / "ckpt.json"
-    net.save_checkpoint(path, micro_params(seed=20))
+    save_micro_checkpoint(path, micro_params(seed=20))
     payload = json.loads(path.read_text())
     if drop is None:
         payload = list(payload)
@@ -502,6 +529,16 @@ def test_checkpoint_rejects_malformed_payload_by_name(drop, match, tmp_path):
         del payload[drop]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["specs", "weights", "biases", "scaler", "split",
+                                 "training_config"])
+def test_checkpoint_rejects_null_field(key, tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_micro_checkpoint(path, micro_params(seed=20))
+    rewrite_checkpoint(path, lambda p: p.update({key: None}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint lacks {key}") + "$"):
         net.load_checkpoint(path)
 
 
@@ -518,28 +555,21 @@ def test_checkpoint_rejects_malformed_payload_by_name(drop, match, tmp_path):
         "zero_dim", "int", "object"])
 def test_checkpoint_rejects_malformed_specs_by_entry(specs, match, tmp_path):
     path = tmp_path / "ckpt.json"
-    net.save_checkpoint(path, micro_params(seed=21))
-    payload = json.loads(path.read_text())
-    payload["specs"] = specs
-    path.write_text(json.dumps(payload))
+    save_micro_checkpoint(path, micro_params(seed=21))
+    rewrite_checkpoint(path, lambda p: p.update(specs=specs))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
         net.load_checkpoint(path)
 
 
 def test_checkpoint_with_saved_val_fraction_still_loads(tmp_path):
     # checkpoints once stored the split's row fraction, which nothing read
-    from tdcae.dataio import DatasetSplit
-
     path = tmp_path / "ckpt.json"
-    net.save_checkpoint(path, micro_params(seed=22),
-                        split=DatasetSplit(train_engines=frozenset({2, 5}),
-                                           test_engines=frozenset({1})))
+    save_micro_checkpoint(path, micro_params(seed=22))
     payload = json.loads(path.read_text())
     assert "val_fraction" not in payload["split"]
     payload["split"]["val_fraction"] = 0.1
     path.write_text(json.dumps(payload))
-    assert net.load_checkpoint(path)["split"] == DatasetSplit(
-        train_engines=frozenset({2, 5}), test_engines=frozenset({1}))
+    assert net.load_checkpoint(path)["split"] == MICRO_SPLIT
 
 
 @pytest.mark.parametrize("key,value,match", [
@@ -555,37 +585,74 @@ def test_checkpoint_with_saved_val_fraction_still_loads(tmp_path):
 ], ids=["split_keys", "split_int", "split_string_id", "split_list", "split_overlap",
         "scaler_keys", "scaler_int", "scaler_string", "scaler_order"])
 def test_checkpoint_rejects_malformed_split_or_scaler(key, value, match, tmp_path):
-    from tdcae.dataio import DatasetSplit, ScalerParams
-
     path = tmp_path / "ckpt.json"
-    net.save_checkpoint(path, micro_params(seed=22, specs=[net.LayerSpec(2, 2)]),
-                        scaler=ScalerParams(minimum=np.zeros(2), maximum=np.ones(2)),
-                        split=DatasetSplit(train_engines=frozenset({1}),
-                                           test_engines=frozenset({2})))
-    payload = json.loads(path.read_text())
-    payload[key] = value
-    path.write_text(json.dumps(payload))
+    save_micro_checkpoint(path, micro_params(seed=22, specs=[net.LayerSpec(2, 2)]))
+    rewrite_checkpoint(path, lambda p: p.update({key: value}))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda p: p.update(training_config=3), "expected an object, got 3"),
+    (lambda p: p.update(training_config=[1]), "expected an object, got [1]"),
+    (lambda p: p["training_config"].pop("dt"), "lacks dt"),
+    (lambda p: p.update(training_config={"dt": "x"}), "lacks epochs, batch_size"),
+    (lambda p: p["training_config"].update(dt="x"), "must be real number, not str"),
+    (lambda p: p["training_config"].update(dt=-1), "learning_rate and dt must be positive"),
+    (lambda p: p["training_config"].update(dt=float("nan")), "dt must be finite"),
+    (lambda p: p["training_config"].update(momentum=0.9), "unexpected keyword argument"),
+], ids=["int", "list", "no_dt", "only_dt", "string_dt", "negative_dt", "nan_dt", "unknown_key"])
+def test_checkpoint_rejects_malformed_training_config(edit, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_micro_checkpoint(path, micro_params(seed=23))
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: training_config: ") + ".*"
+                       + re.escape(match)):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda p: p.update(weights=3), "weights: expected a list of 3 arrays, got 3"),
+    (lambda p: p["weights"].pop(), "weights: expected a list of 3 arrays, got 2"),
+    (lambda p: p["weights"][1].__setitem__(0, [0.5]), "weights[1]: "),
+    (lambda p: p["weights"][1].pop(), "weights[1]: expected finite numbers of shape (2, 4)"),
+    (lambda p: p["biases"][2].pop(), "biases[2]: expected finite numbers of shape (3,)"),
+], ids=["weights_int", "weights_short", "ragged_row", "missing_row", "short_bias"])
+def test_checkpoint_rejects_malformed_weights_or_biases(edit, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_micro_checkpoint(path, micro_params(seed=24))
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+        net.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_dimension_incompatible_layers(tmp_path):
+    # layer 1's arrays match its spec, but it does not read layer 0's output
+    path = tmp_path / "ckpt.json"
+    save_micro_checkpoint(path, micro_params(seed=25, specs=[net.LayerSpec(3, 4),
+                                                              net.LayerSpec(4, 2)]))
+
+    def edit(payload):
+        payload["specs"][1] = [5, 2, "tanh"]
+        payload["weights"][1] = [[0.0] * 5] * 2
+
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: specs: consecutive layers")):
         net.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("bad", [None, "abc"], ids=["null", "string"])
 def test_checkpoint_rejects_non_numeric_weight(bad, tmp_path):
     path = tmp_path / "ckpt.json"
-    net.save_checkpoint(path, micro_params(seed=19))
-    payload = json.loads(path.read_text())
-    payload["weights"][1][0][0] = bad
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
+    save_micro_checkpoint(path, micro_params(seed=19))
+    rewrite_checkpoint(path, lambda p: p["weights"][1][0].__setitem__(0, bad))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: weights[1]: ")):
         net.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_scaler_width_mismatch(tmp_path):
-    from tdcae.dataio import ScalerParams
-
     path = tmp_path / "ckpt.json"
-    net.save_checkpoint(path, micro_params(seed=18, specs=net.autoencoder_specs()),
-                        scaler=ScalerParams(minimum=np.zeros(24), maximum=np.ones(24)))
+    save_micro_checkpoint(path, micro_params(seed=18, specs=net.autoencoder_specs()))
     payload = json.loads(path.read_text())
     payload["scaler"]["min"] = payload["scaler"]["min"][:23]
     payload["scaler"]["max"] = payload["scaler"]["max"][:23]
