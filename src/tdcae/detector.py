@@ -110,8 +110,8 @@ def fit_thresholds(normalized: list[np.ndarray], config: DetectorConfig) -> Thre
     if not normalized:
         raise ValueError("no training streams to fit thresholds on")
     pooled = np.vstack(normalized)
-    upper = np.percentile(pooled, config.upper_percentile, axis=0)
-    lower = np.percentile(pooled, config.lower_percentile, axis=0)
+    upper, lower = np.percentile(pooled, [config.upper_percentile, config.lower_percentile],
+                                 axis=0)
     return Thresholds(upper=upper, lower=lower)
 
 
@@ -134,13 +134,18 @@ class DetectionResult:
 def detect(latent: LatentSeries, thresholds: Thresholds,
            config: DetectorConfig) -> DetectionResult:
     """Vote-based decisions: positive when >= vote_threshold nodes leave their band."""
-    stream = normalize_stream(latent, config)
+    return _decide(latent.unit_id, normalize_stream(latent, config), thresholds, config)
+
+
+def _decide(unit_id: int, stream: np.ndarray, thresholds: Thresholds,
+            config: DetectorConfig) -> DetectionResult:
+    """detect's decisions on a stream normalize_stream already produced."""
     if stream.shape[1] != thresholds.n_nodes:
         raise ValueError(f"stream has {stream.shape[1]} nodes, "
                          f"thresholds have {thresholds.n_nodes}")
     outside = (stream > thresholds.upper) | (stream < thresholds.lower)
     votes = outside.sum(axis=1)
-    return DetectionResult(unit_id=latent.unit_id, votes=votes,
+    return DetectionResult(unit_id=unit_id, votes=votes,
                            positives=votes >= config.vote_threshold)
 
 
@@ -178,21 +183,21 @@ def score(results: list[DetectionResult], runs: list[EngineRun]) -> MetricsSumma
     their final ceil(0.1 T) cycles.
     """
     by_unit = {run.unit_id: run for run in runs}
-    tp = fp = tn = fn = 0
     critical_hits = 0
     for res in results:
         run = by_unit[res.unit_id]
         if len(res) != run.life_length:
             raise ValueError(f"unit {res.unit_id}: {len(res)} decisions "
                              f"for {run.life_length} cycles")
-        truth = run.labels
-        tp += int(np.sum(res.positives & truth))
-        fp += int(np.sum(res.positives & ~truth))
-        tn += int(np.sum(~res.positives & ~truth))
-        fn += int(np.sum(~res.positives & truth))
-        tail = critical_window(run.life_length)
-        if res.positives[-tail:].any():
+        if res.positives[-critical_window(run.life_length):].any():
             critical_hits += 1
+    positives = np.concatenate([res.positives for res in results] or [np.zeros(0, bool)])
+    truth = np.concatenate([by_unit[res.unit_id].labels for res in results]
+                           or [np.zeros(0, bool)])
+    tp = int(np.count_nonzero(positives & truth))
+    fp = int(np.count_nonzero(positives)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
+    tn = positives.size - tp - fp - fn
     precision = _safe_div(tp, tp + fp)
     recall = _safe_div(tp, tp + fn)
     return MetricsSummary(
@@ -218,21 +223,36 @@ def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
                         grid: list[DetectorConfig]) -> DetectorConfig:
     """Grid search maximizing timestep F1 on the training engines.
 
-    Each candidate re-normalizes the streams with its own windows, refits
-    thresholds on the pooled result, and is scored against the 60/40 labels.
-    Ties break toward higher specificity, then a smaller smoothing window.
+    Configs sharing their windows and baseline switch share one normalization
+    of the streams, made once per group and held one group at a time. Each
+    config refits thresholds on the pooled streams and is scored against the
+    60/40 labels. Ties break toward higher specificity, then a smaller
+    smoothing window, then the earlier config in the grid.
     """
     if not grid:
         raise ValueError("empty configuration grid")
-    best_key, best_config = None, None
-    for config in grid:
-        normalized = [normalize_stream(latent, config) for latent in latents]
-        thresholds = fit_thresholds(normalized, config)
-        _, summary = run_detector(latents, runs, thresholds, config)
-        key = (summary.f1, summary.specificity, -config.moving_average_window)
-        if best_key is None or key > best_key:
-            best_key, best_config = key, config
-    return best_config
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(grid):
+        windows = (config.moving_average_window, config.baseline_window, config.use_baseline)
+        groups.setdefault(windows, []).append(i)
+    keys = {}
+    for indices in groups.values():
+        keys.update(zip(indices, _search_keys(latents, runs, [grid[i] for i in indices])))
+    return grid[max(range(len(grid)), key=keys.__getitem__)]
+
+
+def _search_keys(latents: list[LatentSeries], runs: list[EngineRun],
+                 configs: list[DetectorConfig]) -> list[tuple]:
+    """(f1, specificity, -window) of each config, all sharing configs[0]'s normalization."""
+    streams = [normalize_stream(latent, configs[0]) for latent in latents]
+    keys = []
+    for config in configs:
+        thresholds = fit_thresholds(streams, config)
+        results = [_decide(latent.unit_id, stream, thresholds, config)
+                   for latent, stream in zip(latents, streams)]
+        summary = score(results, runs)
+        keys.append((summary.f1, summary.specificity, -config.moving_average_window))
+    return keys
 
 
 def config_grid(base: DetectorConfig, uppers, lowers, windows) -> list[DetectorConfig]:

@@ -231,26 +231,34 @@ def jacobian_rank_survey(params: net.NetworkParams, inputs: np.ndarray,
                          threshold: float = RANK_THRESHOLD) -> RankReport:
     """SVD-based rank of the encoder Jacobian at every input row.
 
-    Samples where the SVD fails to converge are flagged in `failed` and
-    excluded from the fraction, never silently dropped.
+    One batched SVD covers every sample. If it fails to converge, each
+    sample is decomposed alone, and those that still fail are flagged in
+    `failed` and excluded from the fraction, never silently dropped.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     jac = net.encoder_jacobian_batch(params, np.asarray(inputs, dtype=np.float64))
     full = min(jac.shape[1], jac.shape[2])
-    svs, ranks, failed = [], [], []
+    try:
+        svs, failed = np.linalg.svd(jac, compute_uv=False), []
+    except np.linalg.LinAlgError:
+        svs, failed = _per_sample_singular_values(jac)
+    ranks = np.sum(svs > threshold, axis=-1, dtype=int)
+    fraction = float(np.mean(ranks == full)) if len(ranks) else 0.0
+    return RankReport(singular_values=svs, ranks=ranks, threshold=threshold,
+                      full_rank=full, full_rank_fraction=fraction, failed=failed)
+
+
+def _per_sample_singular_values(jac: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Singular values [n_ok x k] of each matrix that converges, and the indices
+    of those that do not."""
+    svs, failed = [], []
     for i in range(jac.shape[0]):
         try:
-            s = np.linalg.svd(jac[i], compute_uv=False)
+            svs.append(np.linalg.svd(jac[i], compute_uv=False))
         except np.linalg.LinAlgError:
             failed.append(i)
-            continue
-        svs.append(s)
-        ranks.append(int(np.sum(s > threshold)))
-    ranks = np.array(ranks, dtype=int)
-    fraction = float(np.mean(ranks == full)) if len(ranks) else 0.0
-    return RankReport(singular_values=np.array(svs), ranks=ranks, threshold=threshold,
-                      full_rank=full, full_rank_fraction=fraction, failed=failed)
+    return np.array(svs).reshape(len(svs), min(jac.shape[1:])), failed
 
 
 def injectivity_ratio_survey(params: net.NetworkParams, inputs: np.ndarray,

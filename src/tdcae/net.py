@@ -126,6 +126,14 @@ def latent_dim(params: NetworkParams) -> int:
     return params.specs[encoder_layer_count(params) - 1].out_dim
 
 
+def _paired_latent_dim(params: NetworkParams) -> int:
+    """latent_dim, which must be even: latent node i pairs with node i + n/2."""
+    n = latent_dim(params)
+    if n % 2 != 0:
+        raise ValueError(f"latent dimension {n} must be even to form state-derivative pairs")
+    return n
+
+
 def init_params(specs: list[LayerSpec], rng: np.random.Generator) -> NetworkParams:
     """Glorot-uniform weights (scale-balanced for tanh), zero biases."""
     weights, biases = [], []
@@ -223,9 +231,7 @@ def encode(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     configuration error.
     """
     n_enc = encoder_layer_count(params)
-    n = latent_dim(params)
-    if n % 2 != 0:
-        raise ValueError(f"latent dimension {n} must be even to form state-derivative pairs")
+    n = _paired_latent_dim(params)
     latent, _ = forward(params, x, n_layers=n_enc)
     half = n // 2
     return latent[..., :half], latent[..., half:]
@@ -321,10 +327,11 @@ def save_checkpoint(path: str | Path, params: NetworkParams, *, seed: int,
 def load_checkpoint(path: str | Path) -> dict:
     """Load and check a checkpoint; returns its fields with 'params' added.
 
-    Every field in CHECKPOINT_FIELDS must be present and valid: 'scaler' and
-    'split' come back as ScalerParams and DatasetSplit, 'training_config' as
-    the stored dict once it builds a tdc.TrainingConfig. Any error is a
-    ValueError naming the file and the field.
+    Every field in CHECKPOINT_FIELDS must be present and valid: 'specs' must
+    have a unique bottleneck of even width, 'scaler' and 'split' come back as
+    ScalerParams and DatasetSplit, 'training_config' as the stored dict once
+    it builds a tdc.TrainingConfig whose input_dim and latent_dim are the
+    network's. Any error is a ValueError naming the file and the field.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -345,15 +352,21 @@ def load_checkpoint(path: str | Path) -> dict:
     biases = _checkpoint_arrays(path, "biases", payload["biases"], [(s.out_dim,) for s in specs])
     try:
         params = NetworkParams(specs=specs, weights=weights, biases=biases)
+        widths = {"input_dim": params.input_dim, "latent_dim": _paired_latent_dim(params)}
     except ValueError as exc:
         raise ValueError(f"{path}: specs: {exc}") from None
     scaler = _checkpoint_scaler(path, payload["scaler"])
     if scaler.minimum.shape != (params.input_dim,):
         raise ValueError(f"{path}: scaler width {scaler.minimum.shape[0]} "
                          f"!= network input dim {params.input_dim}")
-    return {**payload, "params": params, "scaler": scaler,
-            "split": _checkpoint_split(path, payload["split"]),
-            "training_config": _checkpoint_training_config(path, payload["training_config"])}
+    split = _checkpoint_split(path, payload["split"])
+    training_config = _checkpoint_training_config(path, payload["training_config"])
+    for key, width in widths.items():
+        if training_config[key] != width:
+            raise ValueError(f"{path}: training_config: {key} {training_config[key]} "
+                             f"!= network's {width}")
+    return {**payload, "params": params, "scaler": scaler, "split": split,
+            "training_config": training_config}
 
 
 def _checkpoint_arrays(path: str | Path, key: str, entry,

@@ -341,6 +341,17 @@ def set_weight(value):
     return lambda payload: payload["weights"][2][0].__setitem__(1, value)
 
 
+def set_bottleneck(width):
+    """Resize the default network's 8-wide bottleneck: layer 2's output, layer 3's input."""
+    def edit(payload):
+        hidden = payload["specs"][2][0]
+        payload["specs"][2][1] = payload["specs"][3][0] = width
+        payload["weights"][2] = [[0.0] * hidden] * width
+        payload["biases"][2] = [0.0] * width
+        payload["weights"][3] = [[0.0] * width] * len(payload["weights"][3])
+    return edit
+
+
 # id: (an edit of a valid checkpoint payload, the field its error names)
 MALFORMED_CHECKPOINTS = {
     "training_config_int": (set_fields(training_config=3), "training_config"),
@@ -349,8 +360,12 @@ MALFORMED_CHECKPOINTS = {
     "dt_string": (set_training(dt="x"), "training_config"),
     "dt_negative": (set_training(dt=-1), "training_config"),
     "dt_nan": (set_training(dt=float("nan")), "training_config"),
+    "input_dim_other": (set_training(input_dim=12), "training_config"),
+    "latent_dim_other": (set_training(latent_dim=4), "training_config"),
     "weights_int": (set_fields(weights=3), "weights"),
     "weight_string": (set_weight("abc"), "weights[2]"),
+    "no_unique_bottleneck": (set_bottleneck(24), "specs"),
+    "odd_latent": (set_bottleneck(7), "specs"),
 }
 
 

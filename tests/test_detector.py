@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,28 @@ def test_fit_thresholds_requires_streams():
         det.fit_thresholds([], det.DetectorConfig())
 
 
+def loop_fit_thresholds(normalized, config):
+    """fit_thresholds as two separate percentile calls, one per band."""
+    pooled = np.vstack(normalized)
+    return det.Thresholds(upper=np.percentile(pooled, config.upper_percentile, axis=0),
+                          lower=np.percentile(pooled, config.lower_percentile, axis=0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4), n=st.integers(1, 6),
+       lower=st.floats(0.5, 49.5), upper=st.floats(50.5, 99.5), coarse=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_thresholds_is_bitwise_two_percentile_calls(lengths, n, lower, upper, coarse, seed):
+    rng = np.random.default_rng(seed)
+    streams = [rng.normal(size=(T, n)) for T in lengths]
+    if coarse:
+        streams = [np.round(s) for s in streams]
+    config = det.DetectorConfig(upper_percentile=upper, lower_percentile=lower)
+    got, want = det.fit_thresholds(streams, config), loop_fit_thresholds(streams, config)
+    assert np.array_equal(got.upper, want.upper)
+    assert np.array_equal(got.lower, want.lower)
+
+
 # --- detect ----------------------------------------------------------------------------
 
 def test_detect_votes_and_positives():
@@ -285,6 +308,43 @@ def test_score_pools_counts_across_engines():
     assert summary.n_engines == 2
 
 
+def loop_score(results, runs):
+    """score as a per-engine loop of four confusion counts."""
+    by_unit = {run.unit_id: run for run in runs}
+    tp = fp = tn = fn = hits = 0
+    for res in results:
+        run = by_unit[res.unit_id]
+        truth = run.labels
+        tp += int(np.sum(res.positives & truth))
+        fp += int(np.sum(res.positives & ~truth))
+        tn += int(np.sum(~res.positives & ~truth))
+        fn += int(np.sum(~res.positives & truth))
+        hits += bool(res.positives[-det.critical_window(run.life_length):].any())
+    precision, recall = det._safe_div(tp, tp + fp), det._safe_div(tp, tp + fn)
+    return det.MetricsSummary(
+        tp=tp, fp=fp, tn=tn, fn=fn, accuracy=det._safe_div(tp + tn, tp + fp + tn + fn),
+        precision=precision, recall=recall, specificity=det._safe_div(tn, tn + fp),
+        f1=det._safe_div(2 * precision * recall, precision + recall),
+        cdr=det._safe_div(hits, len(results)), n_engines=len(results))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lengths=st.lists(st.integers(1, 40), max_size=5), rate=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_score_is_the_per_engine_loop(lengths, rate, seed):
+    rng = np.random.default_rng(seed)
+    runs = [run_with_labels(rng.random(T) < 0.4, unit_id=u + 1) for u, T in enumerate(lengths)]
+    results = [result_from_positives(rng.random(T) < rate, unit_id=u + 1)
+               for u, T in enumerate(lengths)]
+    assert det.score(results, runs) == loop_score(results, runs)
+
+
+def test_score_of_no_engines_is_all_zero():
+    summary = det.score([], [])
+    assert summary == loop_score([], [])
+    assert (summary.tp, summary.fp, summary.tn, summary.fn, summary.n_engines) == (0,) * 5
+
+
 def test_score_rejects_length_mismatch():
     with pytest.raises(ValueError, match="decisions"):
         det.score([result_from_positives([False] * 3)], [run_with_labels([False] * 4)])
@@ -333,6 +393,64 @@ def test_optimize_thresholds_tie_breaks_to_smaller_window():
                            uppers=[86.0], lowers=[9.0], windows=[7, 3, 5])
     best = det.optimize_thresholds([latent], [run], grid)
     assert best.moving_average_window == 3
+
+
+def loop_optimize_thresholds(latents, runs, grid):
+    """optimize_thresholds as one normalization, fit and score per config."""
+    best_key, best_config = None, None
+    for config in grid:
+        normalized = [det.normalize_stream(latent, config) for latent in latents]
+        thresholds = loop_fit_thresholds(normalized, config)
+        summary = loop_score([det.detect(latent, thresholds, config) for latent in latents], runs)
+        key = (summary.f1, summary.specificity, -config.moving_average_window)
+        if best_key is None or key > best_key:
+            best_key, best_config = key, config
+    return best_config
+
+
+search_config = st.builds(
+    lambda up, lo, w, bw, ub, v: det.DetectorConfig(
+        upper_percentile=up, lower_percentile=lo, moving_average_window=w, baseline_window=bw,
+        use_baseline=ub, vote_threshold=v, latent_dim=2),
+    up=st.sampled_from([60.0, 80.0, 92.0]), lo=st.sampled_from([5.0, 20.0, 40.0]),
+    w=st.integers(1, 4), bw=st.integers(1, 3), ub=st.booleans(), v=st.integers(1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), base=st.lists(search_config, min_size=1, max_size=8),
+       lengths=st.lists(st.integers(3, 30), min_size=1, max_size=3), coarse=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_optimize_thresholds_is_the_per_config_loop(data, base, lengths, coarse, seed):
+    # twins differ only in a baseline window they do not use: another group, the same
+    # decisions, so the first of the two in grid order must win
+    twins = [replace(c, baseline_window=c.baseline_window + 3) for c in base if not c.use_baseline]
+    grid = data.draw(st.permutations(base + twins))
+    rng = np.random.default_rng(seed)
+    latents, runs = [], []
+    for u, T in enumerate(lengths):
+        values = rng.normal(size=(T, 2)) + np.linspace(0.0, 3.0, T)[:, None]
+        if coarse:
+            values = np.round(values)
+        latents.append(LatentSeries(unit_id=u + 1, z=values[:, :1], z_dot=values[:, 1:]))
+        runs.append(EngineRun(unit_id=u + 1, features=np.zeros((T, 24))))
+    assert (det.optimize_thresholds(latents, runs, grid)
+            is loop_optimize_thresholds(latents, runs, grid))
+
+
+def test_optimize_thresholds_normalizes_once_per_window(monkeypatch):
+    calls = []
+    normalize = det.normalize_stream
+    monkeypatch.setattr(det, "normalize_stream",
+                        lambda latent, config: calls.append(config) or normalize(latent, config))
+    rng = np.random.default_rng(4)
+    latents = [two_node_latent(rng.normal(size=30), unit_id=u) for u in range(1, 6)]
+    runs = [run_with_labels([False] * 18 + [True] * 12, unit_id=u) for u in range(1, 6)]
+    grid = det.config_grid(det.DetectorConfig(latent_dim=2, vote_threshold=1),
+                           uppers=[80.0, 86.0, 92.0], lowers=[5.0, 9.0, 14.0], windows=[6, 12, 18])
+    assert len(grid) == 27
+    det.optimize_thresholds(latents, runs, grid)
+    assert len(calls) == 3 * len(latents)
+    assert sorted({c.moving_average_window for c in calls}) == [6, 12, 18]
 
 
 def test_optimize_thresholds_rejects_empty_grid():

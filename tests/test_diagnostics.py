@@ -233,6 +233,40 @@ def test_rank_survey_threshold_separates_tiny_directions():
         dg.jacobian_rank_survey(enc, x, threshold=0.0)
 
 
+def test_rank_survey_batched_svd_is_the_per_sample_loop():
+    params = tanh_encoder(seed=5)
+    x = np.random.default_rng(6).uniform(size=(40, 12))
+    jac = net.encoder_jacobian_batch(params, x)
+    loop = np.array([np.linalg.svd(j, compute_uv=False) for j in jac])
+    report = dg.jacobian_rank_survey(params, x, threshold=0.05)
+    assert np.array_equal(report.singular_values, loop)
+    assert np.array_equal(report.ranks, [int(np.sum(s > 0.05)) for s in loop])
+    assert report.failed == []
+
+
+def test_rank_survey_falls_back_per_sample_when_batched_svd_fails(monkeypatch):
+    params = tanh_encoder(seed=7)
+    x = np.random.default_rng(8).uniform(size=(6, 12))
+    loop = np.array([np.linalg.svd(j, compute_uv=False)
+                     for j in net.encoder_jacobian_batch(params, x)])
+    svd, calls = np.linalg.svd, []
+
+    def flaky_svd(a, **kwargs):
+        # the batched call fails, and so do the per-sample calls for samples 1 and 4
+        calls.append(a.ndim)
+        if a.ndim == 3 or len(calls) - 2 in (1, 4):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+    report = dg.jacobian_rank_survey(params, x)
+    assert calls == [3] + [2] * 6
+    assert report.failed == [1, 4]
+    assert np.array_equal(report.singular_values, loop[[0, 2, 3, 5]])
+    assert len(report.ranks) == 4 and report.full_rank_fraction == 1.0
+    assert report.as_dict()["n_failed"] == 2
+
+
 def jacobi_singular_values(a, sweeps=60, tol=1e-14):
     """Independent SVD route: cyclic Jacobi diagonalization of A^T A."""
     g = a.T @ a

@@ -35,11 +35,12 @@ MICRO_SPLIT = DatasetSplit(train_engines=frozenset({1}), test_engines=frozenset(
 
 def save_micro_checkpoint(path, params):
     """A complete checkpoint for params: a [0, 1] scaler as wide as the input,
-    MICRO_SPLIT and the default training config."""
+    MICRO_SPLIT and the default training config at the network's widths."""
     width = params.input_dim
+    config = tdc.TrainingConfig(input_dim=width, latent_dim=net.latent_dim(params))
     net.save_checkpoint(path, params, seed=0,
                         scaler=ScalerParams(minimum=np.zeros(width), maximum=np.ones(width)),
-                        split=MICRO_SPLIT, training_config=asdict(tdc.TrainingConfig()))
+                        split=MICRO_SPLIT, training_config=asdict(config))
 
 
 def rewrite_checkpoint(path, edit):
@@ -601,7 +602,10 @@ def test_checkpoint_rejects_malformed_split_or_scaler(key, value, match, tmp_pat
     (lambda p: p["training_config"].update(dt=-1), "learning_rate and dt must be positive"),
     (lambda p: p["training_config"].update(dt=float("nan")), "dt must be finite"),
     (lambda p: p["training_config"].update(momentum=0.9), "unexpected keyword argument"),
-], ids=["int", "list", "no_dt", "only_dt", "string_dt", "negative_dt", "nan_dt", "unknown_key"])
+    (lambda p: p["training_config"].update(input_dim=24), "input_dim 24 != network's 3"),
+    (lambda p: p["training_config"].update(latent_dim=4), "latent_dim 4 != network's 2"),
+], ids=["int", "list", "no_dt", "only_dt", "string_dt", "negative_dt", "nan_dt", "unknown_key",
+        "other_input_dim", "other_latent_dim"])
 def test_checkpoint_rejects_malformed_training_config(edit, match, tmp_path):
     path = tmp_path / "ckpt.json"
     save_micro_checkpoint(path, micro_params(seed=23))
