@@ -16,14 +16,13 @@ from tdcae import cli
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", default="data", help="directory with train_FD00x.txt")
-    parser.add_argument("--subset", default="FD001", choices=("FD001", "FD003", "synthetic"))
+    parser.add_argument("--subset", default="FD001", choices=cli.SUBSETS)
     parser.add_argument("--out", default="out/cmapss")
     parser.add_argument("--seeds", default="0 1 2 3 4")
     parser.add_argument("--epochs", type=int, default=50)
     args = parser.parse_args()
 
     subset = args.subset
-    seeds = args.seeds.replace(",", " ").split()
     if subset != "synthetic" and not (Path(args.data) / f"train_{subset}.txt").is_file():
         print(f"train_{subset}.txt not found under {args.data}; using the synthetic surrogate")
         subset = "synthetic"
@@ -35,6 +34,7 @@ def main() -> int:
     if rc != 0:
         return rc
 
+    seeds = cli.parse_seeds(args.seeds)  # train has checked the list
     metrics_files = []
     for seed in seeds:
         seed_out = out / f"seed{seed}"

@@ -18,7 +18,7 @@ import configparser
 import json
 import sys
 import zlib
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -39,29 +39,57 @@ def write_json(path: Path, payload: dict) -> None:
 
 # --- config assembly -----------------------------------------------------------
 
-# INI section -> (config dataclass, fields a file may not set). A training
-# run's seed is derived from each --seeds entry, input_dim is fixed by the
-# data, and the detector's latent width comes from the checkpoint.
-CONFIG_SECTIONS = {
-    "training": (tdc.TrainingConfig, {"seed", "input_dim"}),
-    "detector": (detector.DetectorConfig, {"latent_dim"}),
-    "pendulum": (pendulum.PendulumConfig, set()),
-}
-RUN_KEYS = {"seed": int, "seeds": list, "out": str, "subset": str, "dataset": str,
-            "test_fraction": float}
+SUBSETS = ("FD001", "FD003", "synthetic")
 
 
-def parse_seeds(text: str) -> list[int]:
+def parse_seeds(text: str) -> tuple[int, ...]:
     """A seed list separated by commas and/or spaces: at least one integer."""
-    seeds = [int(s) for s in text.replace(",", " ").split()]
+    seeds = tuple(int(s) for s in text.replace(",", " ").split())
     if not seeds:
         raise ValueError("empty seed list")
     return seeds
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """[run]: the root seed, the training seeds (empty: train the root seed),
+    the output directory and the data source."""
+
+    seed: int = 0
+    seeds: tuple[int, ...] = ()
+    out: str = "out"
+    subset: str = "synthetic"
+    dataset: str | None = None
+    test_fraction: float = 0.2
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be non-negative, not {min(self.seeds)}")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ValueError(f"seeds repeat {', '.join(map(str, repeated))}")
+        if self.subset not in SUBSETS:
+            raise ValueError(f"subset must be one of {', '.join(SUBSETS)}, not {self.subset!r}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must lie in (0, 1), not {self.test_fraction}")
+
+
+# INI section -> (config dataclass, fields a file may not set). A training
+# run's seed is derived from each --seeds entry, input_dim is fixed by the
+# data, and the detector's latent width comes from the checkpoint.
+CONFIG_SECTIONS = {
+    "run": (RunConfig, set()),
+    "training": (tdc.TrainingConfig, {"seed", "input_dim"}),
+    "detector": (detector.DetectorConfig, {"latent_dim"}),
+    "pendulum": (pendulum.PendulumConfig, set()),
+}
+
 _GETTERS = {int: configparser.ConfigParser.getint, float: configparser.ConfigParser.getfloat,
             bool: configparser.ConfigParser.getboolean, str: configparser.ConfigParser.get,
-            list: lambda cp, section, key: parse_seeds(cp.get(section, key))}
+            str | None: configparser.ConfigParser.get,
+            tuple[int, ...]: lambda cp, section, key: parse_seeds(cp.get(section, key))}
 
 
 def section_fields(section: str) -> dict[str, type]:
@@ -87,9 +115,9 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     if cp.defaults():
         raise ValueError(f"{path}: unknown section [{cp.default_section}]")
     for section in cp.sections():
-        if section != "run" and section not in CONFIG_SECTIONS:
+        if section not in CONFIG_SECTIONS:
             raise ValueError(f"{path}: unknown section [{section}]")
-        known = RUN_KEYS if section == "run" else section_fields(section)
+        known = section_fields(section)
         for key in cp.options(section):
             if key not in known:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
@@ -135,40 +163,44 @@ def pendulum_config(cp: configparser.ConfigParser, args) -> pendulum.PendulumCon
     return _section_config(cp, "pendulum", args, **no_drift)
 
 
+def run_config(cp: configparser.ConfigParser, args) -> RunConfig:
+    """[run] under the --seed, --seeds, --out, --subset and --data (dataset) flags."""
+    flags = {"seed": getattr(args, "seed", None), "out": getattr(args, "out", None),
+             "subset": getattr(args, "subset", None), "dataset": getattr(args, "data", None)}
+    if getattr(args, "seeds", None) is not None:
+        try:
+            flags["seeds"] = parse_seeds(args.seeds)
+        except ValueError as exc:
+            raise ValueError(f"--seeds: {exc}") from None
+    return _section_config(cp, "run", args, **{k: v for k, v in flags.items() if v is not None})
+
+
 def root_seed(cp, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return cp.getint("run", "seed", fallback=0)
+    return run_config(cp, args).seed
 
 
 def seed_list(cp, args) -> list[int]:
-    """--seeds, else [run] seeds (checked by load_config), else the root seed."""
-    if getattr(args, "seeds", None) is not None:
-        try:
-            return parse_seeds(args.seeds)
-        except ValueError as exc:
-            raise ValueError(f"--seeds: {exc}") from None
-    if cp.has_option("run", "seeds"):
-        return parse_seeds(cp.get("run", "seeds"))
-    return [root_seed(cp, args)]
+    """The training seeds: --seeds, else [run] seeds, else the root seed."""
+    cfg = run_config(cp, args)
+    return list(cfg.seeds) or [cfg.seed]
 
 
 def output_dir(cp, args) -> Path:
-    out = Path(args.out if args.out is not None else cp.get("run", "out", fallback="out"))
+    out = Path(run_config(cp, args).out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def load_runs(cp, args, root: int) -> list[dataio.EngineRun]:
-    subset = getattr(args, "subset", None) or cp.get("run", "subset", fallback="synthetic")
-    if subset == "synthetic":
+    cfg = run_config(cp, args)
+    if cfg.subset == "synthetic":
         return dataio.synthetic_runs(seed=component_seed(root, "synthetic-data"))
-    data = getattr(args, "data", None) or cp.get("run", "dataset", fallback=None)
-    if data is None:
-        raise FileNotFoundError(f"subset {subset} needs a dataset path (--data or [run] dataset)")
-    path = Path(data)
+    if cfg.dataset is None:
+        raise FileNotFoundError(
+            f"subset {cfg.subset} needs a dataset path (--data or [run] dataset)")
+    path = Path(cfg.dataset)
     if path.is_dir():
-        path = path / f"train_{subset}.txt"
+        path = path / f"train_{cfg.subset}.txt"
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
     return dataio.parse_cmapss(path)
@@ -212,8 +244,8 @@ def cmd_simulate(cp, args) -> int:
 def _prepared_data(cp, args, root):
     """Runs, split, scaler and scaled train runs for train."""
     runs = load_runs(cp, args, root)
-    test_fraction = cp.getfloat("run", "test_fraction", fallback=0.2)
-    split = dataio.split_engines(runs, test_fraction, component_seed(root, "engine-split"))
+    split = dataio.split_engines(runs, run_config(cp, args).test_fraction,
+                                 component_seed(root, "engine-split"))
     train_runs = select_runs(runs, split.train_engines)
     scaler = dataio.fit_scaler(train_runs)
     scaled_train = [dataio.apply_scaler(r, scaler) for r in train_runs]
@@ -325,14 +357,20 @@ REPORT_KEYS = ("accuracy", "precision", "recall", "specificity", "f1", "cdr")
 
 
 def read_metrics(path: str) -> dict:
-    """The "metrics" object of a detect metrics.json, checked for every report key."""
-    payload = json.loads(Path(path).read_text())
+    """The "metrics" object of a detect metrics.json: every report key, each a number."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     metrics = payload.get("metrics") if isinstance(payload, dict) else None
     if not isinstance(metrics, dict):
         raise ValueError(f'{path}: no "metrics" object; expected a metrics.json from detect')
     missing = [k for k in REPORT_KEYS if k not in metrics]
     if missing:
         raise ValueError(f"{path}: metrics lack {', '.join(missing)}")
+    for key in REPORT_KEYS:
+        if isinstance(metrics[key], bool) or not isinstance(metrics[key], (int, float)):
+            raise ValueError(f"{path}: metrics: {key} must be a number")
     return metrics
 
 
@@ -369,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one autoencoder per seed")
     common(p)
     p.add_argument("--data", help="dataset directory or file")
-    p.add_argument("--subset", choices=("FD001", "FD003", "synthetic"))
+    p.add_argument("--subset", choices=SUBSETS)
     p.add_argument("--seeds", help="training seeds, comma or space separated")
     p.add_argument("--epochs", type=int)
     p.add_argument("--alpha", type=float, help="consistency-loss weight")
@@ -382,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory or file")
-    p.add_argument("--subset", choices=("FD001", "FD003", "synthetic"))
+    p.add_argument("--subset", choices=SUBSETS)
     p.add_argument("--engines", choices=("train", "test"), default="test")
     p.set_defaults(func=cmd_detect)
 
@@ -390,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset directory or file")
-    p.add_argument("--subset", choices=("FD001", "FD003", "synthetic"))
+    p.add_argument("--subset", choices=SUBSETS)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("report", help="aggregate per-seed metrics into mean +/- std")

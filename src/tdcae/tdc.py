@@ -97,18 +97,17 @@ def make_triplets(runs: list[EngineRun], subset: str = "train") -> TripletBatch:
     """Triplets over each engine's normal rows, restricted to one row subset.
 
     subset "train" uses each engine's leading 90% of normal rows, "val" the
-    trailing 10%, "all" the whole normal range. Every index with both
-    neighbors inside the chosen contiguous range yields one triplet, so
-    triplets never straddle engines or the train/val boundary. Engines whose
-    range has fewer than 3 rows are skipped with a warning.
+    trailing 10%. Every index with both neighbors inside the chosen
+    contiguous range yields one triplet, so triplets never straddle engines
+    or the train/val boundary. Engines whose range has fewer than 3 rows are
+    skipped with a warning.
     """
-    if subset not in ("train", "val", "all"):
+    if subset not in ("train", "val"):
         raise ValueError(f"unknown subset {subset!r}")
     ranges = []
     for run in runs:
         train_rows, val_rows = normal_row_split(run)
-        rows = {"train": train_rows, "val": val_rows,
-                "all": range(0, run.normal_count)}[subset]
+        rows = train_rows if subset == "train" else val_rows
         if len(rows) < 3:
             warnings.warn(f"unit {run.unit_id}: {subset} range has {len(rows)} rows, "
                           "too short for triplets; skipped")

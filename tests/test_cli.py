@@ -68,7 +68,17 @@ CONFIG_CASES = {
                  dict(no_drift=True), dict(drift_alpha=0.0, drift_beta=0.0),
                  dict(gamma=0.3, omega0=1.1, amplitude=0.7, omega_drive=1.3, drift_alpha=0.004,
                       drift_beta=0.001, dt=0.02, t_end=40.0, theta0=0.4, theta_dot0=0.1)),
+    # --data sets dataset; --seeds is parsed as a seed list
+    "run": (cli.RunConfig, cli.run_config,
+            dict(seed=3, seeds="1, 2", out="o", subset="FD001", data="d"),
+            dict(seed=3, seeds=(1, 2), out="o", subset="FD001", dataset="d"),
+            dict(seed=5, seeds=(4, 6), out="results", subset="FD003", dataset="cmapss",
+                 test_fraction=0.3)),
 }
+
+
+def ini_value(value):
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else value
 
 
 @pytest.mark.parametrize("section", CONFIG_CASES)
@@ -85,7 +95,7 @@ def test_every_accepted_field_round_trips(section, tmp_path):
     assert set(values) == set(cli.section_fields(section))
     assert all(values[k] != v for k, v in asdict(cls()).items() if k in values)
     ini = tmp_path / "all.ini"
-    ini.write_text(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    ini.write_text(f"[{section}]\n" + "".join(f"{k} = {ini_value(v)}\n" for k, v in values.items()))
     assert build(cli.load_config(str(ini)), namespace()) == cls(**values)
 
 
@@ -159,6 +169,33 @@ def test_bad_seed_list_names_its_source(value, tmp_path, capsys):
     assert run_cli("train", "--seeds", value, "--out", str(tmp_path / "b"), "--epochs", "1") == 1
     assert "error: --seeds: " in capsys.readouterr().err
     assert not (tmp_path / "b" / "train_summary.json").exists()
+
+
+@pytest.mark.parametrize("setting,message", [
+    ("test_fraction = 1.5", "test_fraction must lie in (0, 1)"),
+    ("seed = -1", "seed must be non-negative"),
+    ("seeds = 1, -2", "seeds must be non-negative"),
+    ("seeds = 2, 2", "seeds repeat 2"),
+    ("subset = fd001", "subset must be one of FD001, FD003, synthetic"),
+    ("--seeds 1,-1", "seeds must be non-negative"),
+    ("--seeds 0,0", "seeds repeat 0"),
+    ("--seed -1", "seed must be non-negative")],
+    ids=["file_test_fraction", "file_negative_seed", "file_negative_seeds", "file_repeated_seeds",
+         "file_lowercase_subset", "flag_negative_seeds", "flag_repeated_seeds",
+         "flag_negative_seed"])
+def test_bad_run_setting_fails_before_training(setting, message, tmp_path, capsys):
+    if setting.startswith("--"):
+        argv, source = setting.split(), ""
+    else:
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\n{setting}\n")
+        argv, source = ["--config", str(ini)], f"{ini}: "
+    out = tmp_path / "o"
+    assert run_cli("train", *argv, "--out", str(out), "--epochs", "1") == 1
+    assert capsys.readouterr().err.startswith(f"error: {source}[run] {message}")
+    written = [*out.glob("checkpoint_seed*.json"), *out.glob("loss_seed*.csv"),
+               *out.glob("train_summary.json")]
+    assert written == []
 
 
 def test_percent_in_a_value_is_literal(tmp_path):
@@ -448,16 +485,29 @@ def test_report_aggregates_metrics(tmp_path, capsys):
     assert "accuracy" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("payload,missing", [
-    ({"engines": "test"}, '"metrics"'), ([1, 2], '"metrics"'),
-    ({"metrics": {"accuracy": 0.9, "precision": 0.8, "recall": 0.7, "f1": 0.75}},
-     "specificity, cdr")], ids=["no_metrics", "not_an_object", "missing_keys"])
-def test_report_rejects_foreign_json_by_name(payload, missing, tmp_path, capsys):
+def metrics_json(**values):
+    base = {"accuracy": 0.9, "precision": 0.8, "recall": 0.7,
+            "specificity": 0.95, "f1": 0.75, "cdr": 1.0}
+    return json.dumps({"metrics": {**base, **values}})
+
+
+@pytest.mark.parametrize("text,missing", [
+    (json.dumps({"engines": "test"}), '"metrics"'), (json.dumps([1, 2]), '"metrics"'),
+    (json.dumps({"metrics": {"accuracy": 0.9, "precision": 0.8, "recall": 0.7, "f1": 0.75}}),
+     "specificity, cdr"),
+    ("accuracy,f1\n0.9,0.75\n", "not JSON: "),
+    (metrics_json(accuracy="x"), "metrics: accuracy must be a number"),
+    (metrics_json(accuracy=None), "metrics: accuracy must be a number"),
+    (metrics_json(cdr=True), "metrics: cdr must be a number")],
+    ids=["no_metrics", "not_an_object", "missing_keys", "not_json", "string_metric",
+         "null_metric", "bool_metric"])
+def test_report_rejects_foreign_json_by_name(text, missing, tmp_path, capsys):
     path = tmp_path / "foreign.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(text)
     assert run_cli("report", "--out", str(tmp_path / "rep"), str(path)) == 1
     err = capsys.readouterr().err
-    assert str(path) in err and missing in err
+    assert err.startswith(f"error: {path}: ") and missing in err
+    assert not (tmp_path / "rep" / "report.json").exists()
 
 
 def run_python(*argv):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,8 +18,10 @@ def run_script(name, *argv, cwd):
                           env={**os.environ, "PYTHONPATH": path})
 
 
-def test_run_cmapss_synthetic(tmp_path):
-    proc = run_script("run_cmapss.py", "--subset", "synthetic", "--seeds", "0", "--epochs", "1",
+@pytest.mark.parametrize("seeds", ["0", "00"])
+def test_run_cmapss_synthetic(seeds, tmp_path):
+    # "00" names the checkpoint train writes for seed 0, checkpoint_seed0.json
+    proc = run_script("run_cmapss.py", "--subset", "synthetic", "--seeds", seeds, "--epochs", "1",
                       "--out", str(tmp_path / "out"), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "synthetic" / "report.json").is_file()

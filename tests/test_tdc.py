@@ -50,14 +50,14 @@ def test_triplet_count_is_range_minus_two():
     # 5 usable rows leave 3 interior points with both neighbors present
     run = EngineRun(unit_id=1, features=np.arange(5 * 24, dtype=float).reshape(5, 24),
                     labels=np.zeros(5, bool))
-    batch = tdc.make_triplets([run], "all")
+    batch = tdc.make_triplets([run], "train")
     assert len(batch) == 3
 
 
 def test_triplets_align_neighbors():
     feats = np.arange(8 * 24, dtype=float).reshape(8, 24)
     run = EngineRun(unit_id=1, features=feats, labels=np.zeros(8, bool))
-    batch = tdc.make_triplets([run], "all")
+    batch = tdc.make_triplets([run], "train")
     for i in range(len(batch)):
         assert np.array_equal(batch.prev[i], feats[i])
         assert np.array_equal(batch.cur[i], feats[i + 1])
@@ -67,7 +67,7 @@ def test_triplets_align_neighbors():
 def test_triplets_are_read_only_views_of_one_cur_prev_nxt_array():
     feats = np.arange(9 * 24, dtype=float).reshape(9, 24)
     run = EngineRun(unit_id=1, features=feats, labels=np.zeros(9, bool))
-    batch = tdc.make_triplets([run], "all")
+    batch = tdc.make_triplets([run], "train")
     assert batch.rows.shape == (3, 7, 24)
     for view, offset in ((batch.cur, 1), (batch.prev, 0), (batch.nxt, 2)):
         assert np.shares_memory(view, batch.rows)
@@ -86,7 +86,7 @@ def test_triplets_are_read_only_views_of_one_cur_prev_nxt_array():
 def test_triplets_never_straddle_engines():
     runs = [EngineRun(unit_id=u, features=np.full((6, 24), float(u)),
                       labels=np.zeros(6, bool)) for u in range(3)]
-    batch = tdc.make_triplets(runs, "all")
+    batch = tdc.make_triplets(runs, "train")
     assert len(batch) == 3 * 4
     for i in range(len(batch)):
         assert batch.prev[i, 0] == batch.cur[i, 0] == batch.nxt[i, 0]
@@ -99,9 +99,10 @@ def test_triplet_total_sums_per_engine(lives):
     runs = [EngineRun(unit_id=u, features=rng.uniform(size=(T, 24)))
             for u, T in enumerate(lives)]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # engines below 3 normal rows skip
-        batch = tdc.make_triplets(runs, "all")
-    expected = sum(max(0, math.ceil(0.6 * T) - 2) for T in lives)
+        warnings.simplefilter("ignore")  # engines below 3 train rows skip
+        batch = tdc.make_triplets(runs, "train")
+    normal = [math.ceil(0.6 * T) for T in lives]
+    expected = sum(max(0, n - math.floor(0.1 * n) - 2) for n in normal)
     assert len(batch) == expected
 
 
@@ -109,7 +110,7 @@ def test_triplets_restricted_to_normal_rows():
     feats = np.zeros((10, 24))
     feats[6:] = 99.0  # anomalous tail must never appear
     run = EngineRun(unit_id=1, features=feats)  # normal_count = 6
-    batch = tdc.make_triplets([run], "all")
+    batch = tdc.make_triplets([run], "train")
     assert len(batch) == 4
     assert np.all(batch.nxt < 99.0)
 
@@ -128,7 +129,7 @@ def test_train_subset_excludes_validation_tail():
 def test_short_range_warns_and_skips():
     run = EngineRun(unit_id=7, features=np.zeros((3, 24)))  # normal_count = 2
     with pytest.warns(UserWarning, match="unit 7"):
-        batch = tdc.make_triplets([run], "all")
+        batch = tdc.make_triplets([run], "train")
     assert len(batch) == 0
 
 
