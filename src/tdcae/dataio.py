@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,8 +112,51 @@ def parse_cmapss(path: str | Path) -> list[EngineRun]:
     Raises ParseError (with the 1-based line number) on malformed lines,
     non-finite values (nan, inf) or non-integer unit and cycle ids, and
     DataIntegrityError if any unit's cycles are not consecutive from 1.
+
+    The file is read in one vectorised pass. Anything that pass does not
+    accept as a whole, an empty file included, is read again line by line
+    by _parse_lines, which names the line of the first error. Both give the
+    same runs for every file the vectorised pass accepts.
     """
     path = Path(path)
+    runs = _parse_table(path)
+    return _parse_lines(path) if runs is None else runs
+
+
+def _parse_table(path: Path) -> list[EngineRun] | None:
+    """parse_cmapss in one np.loadtxt pass, or None if _parse_lines must decide.
+
+    Returns runs only for a non-empty table of 26 finite columns whose unit
+    and cycle ids are integers, each unit holding at least 5 rows with
+    cycles 1..T once sorted stably by (unit, cycle): files _parse_lines
+    accepts, read into the same arrays.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns; _parse_lines reads it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, dtype=np.float64, ndmin=2, comments=None)
+    except (OSError, ValueError):  # _parse_lines raises its own error for the file
+        return None
+    if table.shape[0] == 0 or table.shape[1] != 2 + N_FEATURES or not np.isfinite(table).all():
+        return None
+    ids = table[:, :2]
+    if not np.all(ids == np.trunc(ids)):
+        return None
+    order = np.lexsort((ids[:, 1], ids[:, 0]))
+    units, cycles = ids[order, 0], ids[order, 1]
+    starts = np.flatnonzero(np.r_[True, units[1:] != units[:-1]])
+    counts = np.diff(np.r_[starts, len(units)])
+    first_row = np.repeat(starts, counts)
+    if counts.min() < 5 or not np.array_equal(cycles, np.arange(len(units)) - first_row + 1):
+        return None
+    features = np.ascontiguousarray(table[order, 2:])
+    return [EngineRun(unit_id=int(units[a]), features=features[a:a + n])
+            for a, n in zip(starts.tolist(), counts.tolist())]
+
+
+def _parse_lines(path: Path) -> list[EngineRun]:
+    """parse_cmapss line by line: the reference reader and the error path."""
     by_unit: dict[int, list[tuple[int, int, list[float]]]] = {}  # (cycle, line, values)
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -107,12 +107,20 @@ def fit_thresholds(normalized: list[np.ndarray], config: DetectorConfig) -> Thre
     The inputs must already be normalized by the same pipeline used at
     detection time (linear-interpolation percentile convention).
     """
+    return _fit_thresholds_each(normalized, [config])[0]
+
+
+def _fit_thresholds_each(normalized: list[np.ndarray],
+                         configs: list[DetectorConfig]) -> list[Thresholds]:
+    """fit_thresholds of each config on the same streams: they are stacked
+    once and np.percentile runs once over every percentile the configs name.
+    A percentile's bands do not depend on the others asked for with it."""
     if not normalized:
         raise ValueError("no training streams to fit thresholds on")
-    pooled = np.vstack(normalized)
-    upper, lower = np.percentile(pooled, [config.upper_percentile, config.lower_percentile],
-                                 axis=0)
-    return Thresholds(upper=upper, lower=lower)
+    qs = sorted({q for c in configs for q in (c.upper_percentile, c.lower_percentile)})
+    bands = dict(zip(qs, np.percentile(np.vstack(normalized), qs, axis=0)))
+    return [Thresholds(upper=bands[c.upper_percentile], lower=bands[c.lower_percentile])
+            for c in configs]
 
 
 @dataclass(frozen=True)
@@ -224,10 +232,11 @@ def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
     """Grid search maximizing timestep F1 on the training engines.
 
     Configs sharing their windows and baseline switch share one normalization
-    of the streams, made once per group and held one group at a time. Each
-    config refits thresholds on the pooled streams and is scored against the
-    60/40 labels. Ties break toward higher specificity, then a smaller
-    smoothing window, then the earlier config in the grid.
+    of the streams, made once per group and held one group at a time, and
+    one percentile pass over it that gives every config in the group its
+    thresholds. Each config is scored against the 60/40 labels. Ties break
+    toward higher specificity, then a smaller smoothing window, then the
+    earlier config in the grid.
     """
     if not grid:
         raise ValueError("empty configuration grid")
@@ -246,8 +255,7 @@ def _search_keys(latents: list[LatentSeries], runs: list[EngineRun],
     """(f1, specificity, -window) of each config, all sharing configs[0]'s normalization."""
     streams = [normalize_stream(latent, configs[0]) for latent in latents]
     keys = []
-    for config in configs:
-        thresholds = fit_thresholds(streams, config)
+    for config, thresholds in zip(configs, _fit_thresholds_each(streams, configs)):
         results = [_decide(latent.unit_id, stream, thresholds, config)
                    for latent, stream in zip(latents, streams)]
         summary = score(results, runs)

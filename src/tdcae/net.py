@@ -58,6 +58,8 @@ class NetworkParams:
     theta: np.ndarray = field(init=False, repr=False)
     # per layer: (weight start, bias start, bias end) offsets into theta
     _offsets: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    # layers up to and including the unique narrowest output, 0 if there is none
+    _encoder_depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.specs) == len(self.weights) == len(self.biases)):
@@ -81,6 +83,10 @@ class NetworkParams:
         views = [self.layer_views(self.theta, l) for l in range(self.n_layers)]
         self.weights = tuple(w for w, _ in views)
         self.biases = tuple(b for _, b in views)
+        out_dims = [s.out_dim for s in self.specs]
+        narrowest = min(out_dims)
+        unique = out_dims.count(narrowest) == 1
+        self._encoder_depth = out_dims.index(narrowest) + 1 if unique else 0
 
     @property
     def n_layers(self) -> int:
@@ -115,11 +121,9 @@ def autoencoder_specs(input_dim: int = 24, hidden_dim: int = 24, latent_dim: int
 
 def encoder_layer_count(params: NetworkParams) -> int:
     """Number of layers up to and including the (unique) bottleneck."""
-    out_dims = [s.out_dim for s in params.specs]
-    narrowest = min(out_dims)
-    if out_dims.count(narrowest) != 1:
+    if not params._encoder_depth:
         raise ValueError("network has no unique bottleneck layer")
-    return out_dims.index(narrowest) + 1
+    return params._encoder_depth
 
 
 def latent_dim(params: NetworkParams) -> int:
@@ -157,13 +161,23 @@ class ForwardCache:
 class Gradients:
     """dLoss/dtheta in the layout of NetworkParams.theta, plus dLoss/d(cache input).
 
-    theta is zero outside the layers the cache covers. input_grad is shaped
-    like the cache input; it is what a preceding stack of layers needs as its
-    output_grad.
+    backward() writes each covered layer's dW and db through `layers`, the
+    per-layer (dW, db) views into theta that zero_gradients() makes; a
+    Gradients built without them can only feed adamax_step(). input_grad is
+    shaped like the cache input; it is what a preceding stack of layers
+    needs as its output_grad.
     """
 
     theta: np.ndarray
     input_grad: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+
+
+def zero_gradients(params: NetworkParams) -> Gradients:
+    """A zeroed theta-shaped gradient with its per-layer (dW, db) views."""
+    theta = np.zeros_like(params.theta)
+    layers = tuple(params.layer_views(theta, l) for l in range(params.n_layers))
+    return Gradients(theta, np.zeros(0), layers)
 
 
 def forward(params: NetworkParams, x: np.ndarray, n_layers: int | None = None,
@@ -172,6 +186,8 @@ def forward(params: NetworkParams, x: np.ndarray, n_layers: int | None = None,
 
     Returns (output, cache); the cache feeds backward(). tanh derivatives are
     recovered from post-activations, so pre-activations are not stored.
+    Products use ndarray.dot, which makes the BLAS call `@` makes on these
+    2-D operands (bitwise the same result) with less work per call.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -187,23 +203,29 @@ def forward(params: NetworkParams, x: np.ndarray, n_layers: int | None = None,
     activations = [x]
     y = x
     for l in range(start, n_layers):
-        pre = y @ params.weights[l].T + params.biases[l]
-        y = np.tanh(pre) if params.specs[l].activation == "tanh" else pre
+        y = y.dot(params.weights[l].T)
+        y += params.biases[l]
+        if params.specs[l].activation == "tanh":
+            np.tanh(y, out=y)
         activations.append(y)
     cache = ForwardCache(activations=activations, start=start, squeeze=squeeze)
     return (y[0] if squeeze else y), cache
 
 
-def backward(params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:
+def backward(params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray,
+             grads: Gradients | None = None) -> Gradients:
     """Exact reverse-mode gradients for the layers covered by the cache.
 
     output_grad is dLoss/d(post-activation of the last cached layer), shaped
     like that activation. Each covered layer's dW and db are written into its
-    slices of a zeroed theta-shaped vector. A loss on an inner layer is
-    handled by splitting the network there: backward() the outer part, add
-    the inner loss gradient to its input_grad, and pass the sum to backward()
-    of the inner part's cache. The two theta vectors cover disjoint slices, so
-    their sum is the whole network's gradient.
+    slices of grads.theta, and grads.input_grad is replaced; the other slices
+    are left as they are. grads defaults to zero_gradients(params); a
+    training step passes the one its AdamaxState keeps. A loss on an inner
+    layer is handled by splitting the network there: backward() the outer
+    part, add the inner loss gradient to its input_grad, and pass the sum to
+    backward() of the inner part's cache with the same grads. The two parts
+    cover disjoint slices, so grads.theta is then the whole network's
+    gradient.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if cache.squeeze and output_grad.ndim == 1:
@@ -211,17 +233,24 @@ def backward(params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray
     if output_grad.shape != cache.activations[-1].shape:
         raise ValueError("output_grad shape does not match cached output")
 
-    grads = np.zeros_like(params.theta)
+    if grads is None:
+        grads = zero_gradients(params)
     delta = output_grad
     for i in range(len(cache.activations) - 2, -1, -1):
         l = cache.start + i
-        y = cache.activations[i + 1]
-        pre_grad = delta * (1.0 - y * y) if params.specs[l].activation == "tanh" else delta
-        dw, db = params.layer_views(grads, l)
-        np.matmul(pre_grad.T, cache.activations[i], out=dw)
-        pre_grad.sum(axis=0, out=db)
-        delta = pre_grad @ params.weights[l]
-    return Gradients(grads, delta[0] if cache.squeeze else delta)
+        if params.specs[l].activation == "tanh":
+            y = cache.activations[i + 1]
+            pre_grad = y * y
+            np.subtract(1.0, pre_grad, out=pre_grad)
+            pre_grad *= delta
+        else:
+            pre_grad = delta
+        dw, db = grads.layers[l]
+        pre_grad.T.dot(cache.activations[i], out=dw)
+        np.add.reduce(pre_grad, axis=0, out=db)
+        delta = pre_grad.dot(params.weights[l])
+    grads.input_grad = delta[0] if cache.squeeze else delta
+    return grads
 
 
 def encode(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +285,9 @@ def encoder_jacobian_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamaxState:
-    """First-moment and infinity-norm accumulators, each shaped like theta."""
+    """First-moment and infinity-norm accumulators, each shaped like theta,
+    and the buffers every training step reuses: the gradient that backward()
+    writes and adamax_step()'s two temporaries."""
 
     learning_rate: float
     beta1: float = 0.9
@@ -265,11 +296,14 @@ class AdamaxState:
     step_count: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     u: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    grads: Gradients = field(default_factory=lambda: Gradients(np.zeros(0), np.zeros(0)))
+    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))
 
 
 def init_adamax(params: NetworkParams, learning_rate: float = 0.003) -> AdamaxState:
     return AdamaxState(learning_rate=learning_rate, m=np.zeros_like(params.theta),
-                       u=np.zeros_like(params.theta))
+                       u=np.zeros_like(params.theta), grads=zero_gradients(params),
+                       scratch=np.zeros((2, params.theta.size)))
 
 
 def adamax_step(params: NetworkParams, grads: Gradients,
@@ -279,18 +313,23 @@ def adamax_step(params: NetworkParams, grads: Gradients,
         m <- b1*m + (1-b1)*g;  u <- max(b2*u, |g|)
         theta <- theta - lr/(1 - b1^t) * m / (u + eps)
 
-    A non-finite or mis-sized gradient rejects the step before any state is
-    touched.
+    Each product and quotient is the one that formula names, written into
+    state.scratch. A non-finite or mis-sized gradient rejects the step
+    before any state is touched.
     """
     g = grads.theta
-    if g.shape != params.theta.shape or not np.all(np.isfinite(g)):
+    if g.shape != params.theta.shape or not np.isfinite(g).all():
         raise ValueError("non-finite or mis-sized gradient; step rejected")
     state.step_count += 1
     scale = state.learning_rate / (1.0 - state.beta1**state.step_count)
+    step, denom = state.scratch
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    np.maximum(state.beta2 * state.u, np.abs(g), out=state.u)
-    params.theta -= scale * state.m / (state.u + state.eps)
+    state.m += np.multiply(g, 1.0 - state.beta1, out=step)
+    state.u *= state.beta2
+    np.maximum(state.u, np.abs(g, out=step), out=state.u)
+    np.multiply(state.m, scale, out=step)
+    step /= np.add(state.u, state.eps, out=denom)
+    params.theta -= step
     return params, state
 
 

@@ -90,7 +90,13 @@ class TripletBatch:
         return self.rows[2]
 
     def take(self, idx: np.ndarray) -> "TripletBatch":
-        return TripletBatch(np.take(self.rows, idx, axis=1))
+        """The triplets at idx, in that order. A take along axis 1 keeps the
+        [3 x N x d] shape, so the result skips __post_init__'s checks."""
+        rows = self.rows.take(idx, axis=1)
+        rows.flags.writeable = False
+        taken = object.__new__(TripletBatch)
+        object.__setattr__(taken, "rows", rows)
+        return taken
 
 
 def make_triplets(runs: list[EngineRun], subset: str = "train") -> TripletBatch:
@@ -129,14 +135,18 @@ def central_difference(z_prev: np.ndarray, z_next: np.ndarray, dt: float) -> np.
     return (z_next - z_prev) / (2.0 * dt)
 
 
+def _mean_square(x: np.ndarray) -> float:
+    """float(np.mean(x ** 2)) without np.mean's wrapper: the same sum, the same bits."""
+    return float(np.add.reduce(x * x, axis=None) / x.size)
+
+
 def tdc_loss(z_prev: np.ndarray, z_next: np.ndarray, z_dot: np.ndarray, dt: float) -> float:
     """MSE between the central difference of z and the predicted derivative."""
-    delta = central_difference(z_prev, z_next, dt)
-    return float(np.mean((delta - z_dot) ** 2))
+    return _mean_square(central_difference(z_prev, z_next, dt) - z_dot)
 
 
 def rec_loss(reconstruction: np.ndarray, target: np.ndarray) -> float:
-    return float(np.mean((reconstruction - target) ** 2))
+    return _mean_square(reconstruction - target)
 
 
 @dataclass(frozen=True)
@@ -151,8 +161,9 @@ class EpochStats:
 def _forward(params: net.NetworkParams, batch: TripletBatch, dt: float):
     """Encoder over the stacked [cur; prev; nxt] rows, decoder over cur's latents.
 
-    Returns (rec, tdc, e, out, encoder cache, decoder cache), where e is the
-    TDC residual (z_next - z_prev)/(2 dt) - z_dot at the current rows.
+    Returns (rec, tdc, e, diff, enc_cache, dec_cache), where e is the TDC
+    residual (z_next - z_prev)/(2 dt) - z_dot at the current rows and diff
+    the reconstruction error out - cur; rec and tdc are their mean squares.
     """
     b = len(batch)
     n_enc = net.encoder_layer_count(params)
@@ -161,45 +172,50 @@ def _forward(params: net.NetworkParams, batch: TripletBatch, dt: float):
                                     n_layers=n_enc)
     out, dec_cache = net.forward(params, latent[:b], start=n_enc)
     e = central_difference(latent[b:2 * b, :half], latent[2 * b:, :half], dt) - latent[:b, half:]
-    return rec_loss(out, batch.cur), float(np.mean(e * e)), e, out, enc_cache, dec_cache
+    diff = out - batch.cur
+    return _mean_square(diff), _mean_square(e), e, diff, enc_cache, dec_cache
 
 
-def loss_and_grads(params: net.NetworkParams, batch: TripletBatch,
-                   config: TrainingConfig) -> tuple[float, float, net.Gradients]:
+def loss_and_grads(params: net.NetworkParams, batch: TripletBatch, config: TrainingConfig,
+                   grads: net.Gradients | None = None) -> tuple[float, float, net.Gradients]:
     """(rec, tdc, gradient of rec + alpha * tdc) on a triplet batch.
 
     One backward through the decoder gives the reconstruction delta at the
     bottleneck. With c = 2 alpha / e.size, the combined bottleneck delta is
     that plus -c e on the derivative half of the current rows, and
     -/+ c e / (2 dt) on the state half of the prev/next rows; one backward
-    through the encoder carries it over all 3B rows. Stop-gradient mode
-    leaves the neighbour rows at zero, so the central difference acts as a
-    constant target. A non-finite loss raises ValueError before any
-    backward work.
+    through the encoder carries it over all 3B rows. Both backwards write
+    into grads (default net.zero_gradients(params)), on disjoint slices that
+    together cover theta. Stop-gradient mode leaves the neighbour rows at
+    zero, so the central difference acts as a constant target. A non-finite
+    loss raises ValueError before any backward work.
     """
-    rec, tdc, e, out, enc_cache, dec_cache = _forward(params, batch, config.dt)
-    if not np.isfinite(rec + config.alpha * tdc):
+    rec, tdc, e, diff, enc_cache, dec_cache = _forward(params, batch, config.dt)
+    if not math.isfinite(rec + config.alpha * tdc):
         raise ValueError("non-finite loss")
 
-    dec_grads = net.backward(params, dec_cache, 2.0 * (out - batch.cur) / out.size)
+    diff *= 2.0
+    diff /= diff.size
+    grads = net.backward(params, dec_cache, diff, grads)
     b, half = e.shape
     c = 2.0 * config.alpha / e.size
-    delta = np.zeros_like(enc_cache.activations[-1])
-    delta[:b] = dec_grads.input_grad
-    delta[:b, half:] -= c * e
+    ce = c * e
+    delta = np.zeros(enc_cache.activations[-1].shape)
+    delta[:b] = grads.input_grad
+    delta[:b, half:] -= ce
     if not config.stop_gradient:
-        neighbour = c * e / (2.0 * config.dt)
-        delta[b:2 * b, :half] = -neighbour
-        delta[2 * b:, :half] = neighbour
-    grads = net.backward(params, enc_cache, delta)
-    grads.theta += dec_grads.theta  # disjoint slices: this adds exact zeros elsewhere
+        ce /= 2.0 * config.dt
+        np.negative(ce, out=delta[b:2 * b, :half])
+        delta[2 * b:, :half] = ce
+    grads = net.backward(params, enc_cache, delta, grads)
     return rec, tdc, grads
 
 
 def train_step(params: net.NetworkParams, batch: TripletBatch, config: TrainingConfig,
                state: net.AdamaxState) -> tuple[float, float]:
-    """One Adamax update from loss_and_grads; returns (rec, tdc) pre-update."""
-    rec, tdc, grads = loss_and_grads(params, batch, config)
+    """One Adamax update from loss_and_grads, which writes into state.grads;
+    returns (rec, tdc) pre-update."""
+    rec, tdc, grads = loss_and_grads(params, batch, config, state.grads)
     net.adamax_step(params, grads, state)
     return rec, tdc
 

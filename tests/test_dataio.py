@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,129 @@ def test_parse_real_fd001_has_100_engines():
     n_lines = sum(1 for line in path.read_text().splitlines() if line.strip())
     assert sum(r.life_length for r in runs) == n_lines
 
+
+# --- the vectorised pass against the line loop ------------------------------------
+
+def assert_same_runs(got, want):
+    assert [r.unit_id for r in got] == [r.unit_id for r in want]
+    for a, b in zip(got, want):
+        assert type(a.unit_id) is int
+        assert a.features.dtype == b.features.dtype and a.features.flags.c_contiguous
+        assert a.features.tobytes() == b.features.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+
+
+FIELD_FORMATS = [lambda v: repr(float(v)), "{:.6e}".format, "{:.3f}".format, "{:g}".format,
+                 "{:+.4E}".format]
+
+
+@st.composite
+def cmapss_files(draw):
+    """Text of a valid file: shuffled rows, blank lines, CRLF endings, '3.0'-style ids,
+    exponents, negative values and uneven whitespace."""
+    units = draw(st.lists(st.integers(-5, 300), min_size=1, max_size=4, unique=True))
+    lives = [draw(st.integers(5, 12)) for _ in units]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = []
+    for unit, life in zip(units, lives):
+        for cycle in range(1, life + 1):
+            ids = [f"{unit}.0" if draw(st.booleans()) else str(unit),
+                   f"{cycle}.0" if draw(st.booleans()) else str(cycle)]
+            values = rng.normal(size=24) * 10.0 ** rng.integers(-8, 9, size=24)
+            fields = ids + [FIELD_FORMATS[k](v) for k, v in
+                            zip(rng.integers(0, len(FIELD_FORMATS), size=24), values)]
+            sep = draw(st.sampled_from([" ", "  ", "\t"]))
+            lines.append(sep.join(fields) + draw(st.sampled_from(["", "  ", " \t"])))
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=cmapss_files())
+def test_vectorised_pass_reads_every_valid_file_as_the_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("parse") / "train.txt"
+    path.write_bytes(text.encode())
+    fast = dataio._parse_table(path)
+    assert fast is not None  # the vectorised pass took it
+    want = dataio._parse_lines(path)
+    assert_same_runs(fast, want)
+    assert_same_runs(dataio.parse_cmapss(path), want)
+
+
+def loop_error(path):
+    with pytest.raises(ValueError) as loop:
+        dataio._parse_lines(path)
+    return type(loop.value), str(loop.value)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda rows: rows[2].append("#"), "train.txt:3: expected 26 fields, got 27"),
+    (lambda rows: rows[2].extend(["#", "note"]), "train.txt:3: expected 26 fields, got 28"),
+    (lambda rows: rows.insert(0, ["#", "unit", "cycle"]), "train.txt:1: expected 26 fields"),
+    (lambda rows: rows[3].__setitem__(7, "1#2"), "train.txt:4: non-numeric field"),
+    (lambda rows: rows[1].__setitem__(0, "nan"), "train.txt:2: non-numeric field"),
+    (lambda rows: rows[4].__setitem__(1, "nan"), "train.txt:5: non-numeric field"),
+    (lambda rows: rows[5].__setitem__(0, "-inf"), "train.txt:6: non-numeric field"),
+    (lambda rows: rows[0].__setitem__(1, "inf"), "train.txt:1: non-numeric field"),
+], ids=["hash_field", "hash_comment", "hash_header", "hash_in_value", "nan_unit",
+        "nan_cycle", "inf_unit", "inf_cycle"])
+def test_files_the_vectorised_pass_refuses_fail_as_the_line_loop(tmp_path, edit, match):
+    path = tmp_path / "train.txt"
+    rows = raw_rows(1, range(1, 7))
+    edit(rows)
+    write_raw(path, rows)
+    assert dataio._parse_table(path) is None
+    with pytest.raises(dataio.ParseError, match=match) as fast:
+        dataio.parse_cmapss(path)
+    assert (type(fast.value), str(fast.value)) == loop_error(path)
+
+
+def test_unreadable_path_fails_as_the_line_loop(tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(OSError) as fast:
+            dataio.parse_cmapss(path)
+        with pytest.raises(OSError) as loop:
+            dataio._parse_lines(path)
+        assert (type(fast.value), str(fast.value)) == (type(loop.value), str(loop.value))
+
+def test_underscored_ids_are_read_by_the_line_loop(tmp_path):
+    # float() accepts "1_0" as 10.0 and np.loadtxt refuses it: the loop decides
+    path = tmp_path / "train.txt"
+    rows = raw_rows(10, range(1, 7))
+    for row in rows:
+        row[0] = "1_0"
+    rows[2][1] = "0_3"
+    write_raw(path, rows)
+    assert dataio._parse_table(path) is None
+    runs = dataio.parse_cmapss(path)
+    assert [run.unit_id for run in runs] == [10] and runs[0].life_length == 6
+    assert_same_runs(runs, dataio._parse_lines(path))
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "  \r\n\t\n"], ids=["empty", "blank", "space"])
+def test_empty_file_gives_no_runs_and_no_warning(tmp_path, text):
+    path = tmp_path / "train.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dataio.parse_cmapss(path) == []
+
+
+@pytest.mark.parametrize("rows, error", [
+    (raw_rows(1, [1, 2, 3, 5, 6, 7]), "unit 1 cycles are not consecutive"),
+    (raw_rows(1, [1, 2, 2, 3, 4, 5]), "unit 1 cycles are not consecutive"),
+    (raw_rows(1, range(1, 7)) + raw_rows(2, range(1, 5)), "unit 2 has fewer than 5"),
+    (raw_rows(2, range(1, 7)) + raw_rows(1, range(2, 8)), "unit 1 cycles are not consecutive"),
+], ids=["gap", "repeat", "short", "late_start"])
+def test_integrity_errors_come_from_the_line_loop(tmp_path, rows, error):
+    path = tmp_path / "train.txt"
+    write_raw(path, rows)
+    with pytest.raises(dataio.DataIntegrityError, match=error) as fast:
+        dataio.parse_cmapss(path)
+    assert (type(fast.value), str(fast.value)) == loop_error(path)
 
 @given(life=st.integers(min_value=1, max_value=500))
 def test_label_rule_is_ceil(life):

@@ -453,6 +453,62 @@ def test_optimize_thresholds_normalizes_once_per_window(monkeypatch):
     assert sorted({c.moving_average_window for c in calls}) == [6, 12, 18]
 
 
+def per_config_search_keys(latents, runs, configs):
+    """Oracle: _search_keys with one pooling and np.percentile([up, lo]) call per config."""
+    streams = [det.normalize_stream(latent, configs[0]) for latent in latents]
+    keys = []
+    for config in configs:
+        upper, lower = np.percentile(np.vstack(streams),
+                                     [config.upper_percentile, config.lower_percentile], axis=0)
+        thresholds = det.Thresholds(upper=upper, lower=lower)
+        summary = det.score([det.detect(latent, thresholds, config) for latent in latents], runs)
+        keys.append((summary.f1, summary.specificity, -config.moving_average_window))
+    return keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(percentiles=st.lists(st.tuples(st.floats(0.5, 49.5), st.floats(50.5, 99.5)),
+                            min_size=1, max_size=9),
+       votes=st.integers(1, 3), lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       coarse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_one_percentile_pass_per_group_is_the_per_config_fit(percentiles, votes, lengths,
+                                                             coarse, seed):
+    rng = np.random.default_rng(seed)
+    latents, runs = [], []
+    for u, T in enumerate(lengths):
+        values = rng.normal(size=(T, 4)) + np.linspace(0.0, 2.0, T)[:, None]
+        if coarse:
+            values = np.round(values)
+        latents.append(LatentSeries(unit_id=u, z=values[:, :2], z_dot=values[:, 2:]))
+        runs.append(EngineRun(unit_id=u, features=np.zeros((T, 24))))
+    configs = [det.DetectorConfig(upper_percentile=up, lower_percentile=lo, latent_dim=4,
+                                  moving_average_window=3, vote_threshold=votes)
+               for lo, up in percentiles]
+    streams = [det.normalize_stream(latent, configs[0]) for latent in latents]
+    for config, got in zip(configs, det._fit_thresholds_each(streams, configs)):
+        upper, lower = np.percentile(np.vstack(streams),
+                                     [config.upper_percentile, config.lower_percentile], axis=0)
+        assert got.upper.tobytes() == upper.tobytes()
+        assert got.lower.tobytes() == lower.tobytes()
+    keys = per_config_search_keys(latents, runs, configs)
+    assert det._search_keys(latents, runs, configs) == keys
+    best = configs[max(range(len(configs)), key=keys.__getitem__)]
+    assert det.optimize_thresholds(latents, runs, configs) is best
+
+
+def test_grid_search_calls_percentile_once_per_window_group(monkeypatch):
+    calls = []
+    percentile = np.percentile
+    monkeypatch.setattr(np, "percentile",
+                        lambda a, q, **kw: calls.append(list(q)) or percentile(a, q, **kw))
+    rng = np.random.default_rng(4)
+    latents = [two_node_latent(rng.normal(size=30), unit_id=u) for u in range(1, 6)]
+    runs = [run_with_labels([False] * 18 + [True] * 12, unit_id=u) for u in range(1, 6)]
+    grid = det.config_grid(det.DetectorConfig(latent_dim=2, vote_threshold=1),
+                           uppers=[80.0, 86.0, 92.0], lowers=[5.0, 9.0, 14.0], windows=[6, 12, 18])
+    det.optimize_thresholds(latents, runs, grid)
+    assert calls == [[5.0, 9.0, 14.0, 80.0, 86.0, 92.0]] * 3
+
 def test_optimize_thresholds_rejects_empty_grid():
     with pytest.raises(ValueError, match="empty"):
         det.optimize_thresholds([], [], [])

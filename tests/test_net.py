@@ -136,6 +136,25 @@ def test_encoder_layer_count_finds_bottleneck():
     assert net.latent_dim(params) == 8
 
 
+@pytest.mark.parametrize("dims, call, match", [
+    ([4, 2, 4, 2], net.encoder_layer_count, "no unique bottleneck"),
+    ([4, 2, 4, 2], net.latent_dim, "no unique bottleneck"),
+    ([4, 2, 4, 2], lambda p: net.encode(p, np.zeros(4)), "no unique bottleneck"),
+    ([4, 3, 4], lambda p: net._paired_latent_dim(p), "latent dimension 3 must be even"),
+    ([4, 3, 4], lambda p: net.encode(p, np.zeros(4)), "latent dimension 3 must be even"),
+], ids=["depth", "latent_dim", "encode", "paired", "encode_odd"])
+def test_nets_without_an_even_bottleneck_build_and_fail_on_use(dims, call, match):
+    specs = [net.LayerSpec(a, b) for a, b in zip(dims, dims[1:])]
+    params = net.init_params(specs, np.random.default_rng(0))  # builds: micro-nets need it
+    with pytest.raises(ValueError, match=match):
+        call(params)
+
+
+def test_bottleneck_of_a_micro_net_and_its_copy():
+    params = micro_params(specs=net.autoencoder_specs(6, 5, 2, n_hidden=1))
+    for p in (params, params.copy()):
+        assert (net.encoder_layer_count(p), net.latent_dim(p)) == (2, 2)
+
 def test_glorot_init_bounds_and_zero_biases():
     params = micro_params(seed=3)
     for spec, w, b in zip(params.specs, params.weights, params.biases):
@@ -184,6 +203,19 @@ def test_forward_batch_matches_single():
         single, _ = net.forward(params, x[i])
         assert np.allclose(batch_out[i], single, atol=1e-15)
 
+
+@pytest.mark.parametrize("rows", [1, 32, 96])
+def test_forward_is_bitwise_the_allocating_layer_loop(rows):
+    # in-place bias add and tanh against np.tanh(y @ W.T + b) per layer
+    params = micro_params(seed=27, specs=net.autoencoder_specs())
+    x = np.random.default_rng(28).uniform(-1, 1, (rows, 24))
+    out, cache = net.forward(params, x)
+    y = x
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        pre = y @ w.T + b
+        y = np.tanh(pre) if params.specs[l].activation == "tanh" else pre
+        assert cache.activations[l + 1].tobytes() == y.tobytes()
+    assert out.tobytes() == y.tobytes()
 
 def test_forward_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="input dim"):
@@ -270,15 +302,18 @@ def pair_backward(params, cache, output_grad):
     return pairs, (delta[0] if cache.squeeze else delta)
 
 
-@pytest.mark.parametrize("part", ["full", "encoder", "decoder", "single_row"])
+@pytest.mark.parametrize("part", ["full", "encoder", "decoder", "single_row",
+                                  "stacked_encoder"])
 def test_backward_is_bitwise_the_per_layer_pair_loop(part):
     params = micro_params(seed=23, specs=net.autoencoder_specs())
     n_enc = net.encoder_layer_count(params)
     rng = np.random.default_rng(24)
-    x = rng.uniform(-1, 1, 24 if part == "single_row" else (32, 24))
+    rows = {"single_row": 24, "stacked_encoder": (96, 24)}.get(part, (32, 24))
+    x = rng.uniform(-1, 1, rows)
     start, stop = {"full": (0, params.n_layers), "encoder": (0, n_enc),
                    "decoder": (n_enc, params.n_layers),
-                   "single_row": (0, params.n_layers)}[part]
+                   "single_row": (0, params.n_layers),
+                   "stacked_encoder": (0, n_enc)}[part]
     if start > 0:
         x, _ = net.forward(params, x, n_layers=start)
     out, cache = net.forward(params, x, n_layers=stop, start=start)
@@ -295,6 +330,23 @@ def test_backward_is_bitwise_the_per_layer_pair_loop(part):
         assert (start <= l < stop) == bool(dw.any() and db.any())
     assert grads.input_grad.shape == x.shape and np.array_equal(grads.input_grad, input_grad)
 
+
+def test_backward_into_a_kept_gradient_rewrites_only_its_layers():
+    params = micro_params(seed=25, specs=net.autoencoder_specs())
+    n_enc = net.encoder_layer_count(params)
+    rng = np.random.default_rng(26)
+    latent, enc_cache = net.forward(params, rng.uniform(-1, 1, (8, 24)), n_layers=n_enc)
+    out, dec_cache = net.forward(params, latent, start=n_enc)
+    output_grad = rng.normal(size=out.shape)
+    kept = net.zero_gradients(params)
+    kept.theta[:] = 7.0
+    dec = net.backward(params, dec_cache, output_grad, kept)
+    fresh = net.backward(params, dec_cache, output_grad)
+    assert dec is kept and np.array_equal(dec.input_grad, fresh.input_grad)
+    split = params._offsets[n_enc][0]
+    assert np.all(kept.theta[:split] == 7.0)
+    assert np.array_equal(kept.theta[split:], fresh.theta[split:])
+    assert all(np.shares_memory(a, kept.theta) for layer in kept.layers for a in layer)
 
 def test_backward_rejects_mismatched_cache():
     params = micro_params()

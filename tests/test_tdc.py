@@ -79,6 +79,7 @@ def test_triplets_are_read_only_views_of_one_cur_prev_nxt_array():
     assert np.array_equal(taken.rows, np.stack([batch.cur[idx], batch.prev[idx],
                                                 batch.nxt[idx]]))
     assert np.shares_memory(taken.rows.reshape(12, 24), taken.rows)  # no copy per step
+    assert isinstance(taken, tdc.TripletBatch) and not taken.rows.flags.writeable
     with pytest.raises(ValueError, match=r"\[3 x N x d\]"):
         tdc.TripletBatch(feats)
 
@@ -263,6 +264,146 @@ def test_train_step_gradient_matches_finite_differences(overrides):
     assert grads.theta.shape == params.theta.shape
 
     assert max_rel_err(grads.theta, fd_grads(params, objective)) < 1e-5
+
+
+# --- the training step: one engine, buffers reused across steps ---------------------------
+
+STEP_CONFIGS = {
+    # 62 training triplets per epoch in batches of 8: the last batch of each epoch has 6
+    "default": dict(),
+    "stop_gradient": dict(stop_gradient=True, alpha=3.0, dt=0.5),
+    "alpha_zero": dict(alpha=0.0, dt=2.0),
+}
+
+
+def step_config(name, **overrides):
+    return replace(tdc.TrainingConfig(epochs=3, batch_size=8, seed=5),
+                   **STEP_CONFIGS[name], **overrides)
+
+
+def replayed_training(runs, config, step):
+    """tdc.train's parameter and loss trajectory, one step(params, batch, config, state)
+    call per batch taken with TripletBatch.take: the loop bench/replay.py runs."""
+    train_set = tdc.make_triplets(runs, "train")
+    rng = np.random.default_rng(config.seed)
+    params = net.init_params(net.autoencoder_specs(config.input_dim, config.hidden_dim,
+                                                   config.latent_dim), rng)
+    state = net.init_adamax(params, learning_rate=config.learning_rate)
+    sums = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(train_set))
+        rec_sum = tdc_sum = 0.0
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            rec, tdc_value = step(params, train_set.take(idx), config, state)
+            rec_sum += rec * len(idx)
+            tdc_sum += tdc_value * len(idx)
+        sums.append((rec_sum / len(order), tdc_sum / len(order)))
+    return params, sums
+
+
+def pre_buffer_loss_and_grads(params, batch, config):
+    """Oracle: the training gradient as composed before the step kept buffers --
+    np.mean losses, a freshly zeroed gradient per backward, then the merge."""
+    b = len(batch)
+    n_enc = net.encoder_layer_count(params)
+    half = net.latent_dim(params) // 2
+    latent, enc_cache = net.forward(params, batch.rows.reshape(3 * b, batch.rows.shape[2]),
+                                    n_layers=n_enc)
+    out, dec_cache = net.forward(params, latent[:b], start=n_enc)
+    e = (tdc.central_difference(latent[b:2 * b, :half], latent[2 * b:, :half], config.dt)
+         - latent[:b, half:])
+    rec, tdc_value = float(np.mean((out - batch.cur) ** 2)), float(np.mean(e * e))
+    dec_grads = net.backward(params, dec_cache, 2.0 * (out - batch.cur) / out.size)
+    c = 2.0 * config.alpha / e.size
+    delta = np.zeros_like(enc_cache.activations[-1])
+    delta[:b] = dec_grads.input_grad
+    delta[:b, half:] -= c * e
+    if not config.stop_gradient:
+        neighbour = c * e / (2.0 * config.dt)
+        delta[b:2 * b, :half] = -neighbour
+        delta[2 * b:, :half] = neighbour
+    grads = net.backward(params, enc_cache, delta)
+    grads.theta += dec_grads.theta
+    return rec, tdc_value, grads
+
+
+def pre_buffer_train_step(params, batch, config, state):
+    rec, tdc_value, grads = pre_buffer_loss_and_grads(params, batch, config)
+    net.adamax_step(params, grads, state)
+    return rec, tdc_value
+
+
+@pytest.mark.parametrize("name", STEP_CONFIGS)
+def test_train_is_bitwise_the_replayed_step_loop(name):
+    runs, config = wavy_runs(), step_config(name)
+    assert len(tdc.make_triplets(runs, "train")) % config.batch_size == 6
+    params, history = tdc.train(runs, config)
+    replayed, sums = replayed_training(runs, config, tdc.train_step)
+    assert params.theta.tobytes() == replayed.theta.tobytes()
+    assert [(s.rec, s.tdc) for s in history] == sums
+
+
+@pytest.mark.parametrize("name", STEP_CONFIGS)
+def test_train_step_is_bitwise_the_pre_buffer_composition(name):
+    runs, config = wavy_runs(), step_config(name)
+    params, sums = replayed_training(runs, config, tdc.train_step)
+    oracle, oracle_sums = replayed_training(runs, config, pre_buffer_train_step)
+    assert params.theta.tobytes() == oracle.theta.tobytes()
+    assert sums == oracle_sums
+
+
+def test_interleaved_trainings_share_no_buffers():
+    runs = wavy_runs()
+    a, b = step_config("default", seed=1), step_config("stop_gradient", seed=2)
+    first, first_history = tdc.train(runs, a)
+    tdc.train(runs, b)
+    again, again_history = tdc.train(runs, a)
+    assert first.theta.tobytes() == again.theta.tobytes()
+    assert first_history == again_history
+
+
+def test_train_step_writes_the_gradient_its_state_keeps():
+    runs, config = wavy_runs(), step_config("default")
+    batch = tdc.make_triplets(runs, "train").take(np.arange(8))
+    params = net.init_params(net.autoencoder_specs(), np.random.default_rng(0))
+    state = net.init_adamax(params)
+    buffer = state.grads.theta
+    _, _, fresh = tdc.loss_and_grads(params, batch, config)
+    tdc.train_step(params, batch, config, state)
+    assert state.grads.theta is buffer
+    assert np.array_equal(buffer, fresh.theta)
+
+
+def assert_step_rejected(params, batch, config, state, match):
+    before = [params.theta.copy(), state.m.copy(), state.u.copy(), state.step_count]
+    with pytest.raises(ValueError, match=match):
+        tdc.train_step(params, batch, config, state)
+    after = [params.theta, state.m, state.u, state.step_count]
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+def test_rejected_steps_leave_params_and_state_untouched():
+    runs, config = wavy_runs(), step_config("default", alpha=1e6)
+    train_set = tdc.make_triplets(runs, "train")
+    params = net.init_params(net.autoencoder_specs(), np.random.default_rng(0))
+    state = net.init_adamax(params)
+    for k in range(3):  # accumulators and step count away from their initial zeros
+        tdc.train_step(params, train_set.take(np.arange(8 * k, 8 * k + 8)), config, state)
+
+    batch = train_set.take(np.arange(8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = tdc.TripletBatch(np.full(batch.rows.shape, 1e200))
+        assert_step_rejected(params, huge, config, state, "non-finite loss")
+        # feature 0 of the neighbour rows is huge but meets only zero weights: the
+        # loss stays finite while the first layer's weight gradient overflows
+        rows = batch.rows.copy()
+        rows[1:, :, 0] = 1.7e308
+        params.weights[0][:, 0] = 0.0
+        rec, tdc_value, grads = tdc.loss_and_grads(params, tdc.TripletBatch(rows), config)
+        assert math.isfinite(rec + config.alpha * tdc_value)
+        assert not np.isfinite(grads.theta).all()
+        assert_step_rejected(params, tdc.TripletBatch(rows), config, state, "non-finite")
 
 
 # --- loss history / inference ---------------------------------------------------------
