@@ -203,7 +203,7 @@ def load_runs(cp, args, root: int) -> list[dataio.EngineRun]:
         path = path / f"train_{cfg.subset}.txt"
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    return dataio.parse_cmapss(path)
+    return dataio.load_cmapss(path)
 
 
 def select_runs(runs, units) -> list[dataio.EngineRun]:

@@ -4,10 +4,16 @@ The on-disk input format is the C-MAPSS plain-text layout: one record per
 line, 26 whitespace-separated numeric fields (unit, cycle, 3 operational
 settings, 21 sensors), no header. The 3 settings + 21 sensors form the
 24-dimensional feature vector; unit and cycle are identifiers.
+
+load_cmapss keeps what parse_cmapss read of a file in a binary sidecar,
+<file>.tdcae.npz, keyed on the file's bytes, so the commands of one
+pipeline parse each input file once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
 import warnings
@@ -21,6 +27,10 @@ N_SENSORS = 21
 N_FEATURES = N_SETTINGS + N_SENSORS
 NORMAL_FRACTION = 0.6
 VAL_FRACTION = 0.1
+# load_cmapss's cache key starts with this tag; bump it whenever what
+# parse_cmapss returns for some file changes
+CACHE_FORMAT = b"tdcae-cmapss-cache-1\n"
+CACHE_SUFFIX = ".tdcae.npz"
 
 
 class ParseError(ValueError):
@@ -150,9 +160,14 @@ def _parse_table(path: Path) -> list[EngineRun] | None:
     first_row = np.repeat(starts, counts)
     if counts.min() < 5 or not np.array_equal(cycles, np.arange(len(units)) - first_row + 1):
         return None
-    features = np.ascontiguousarray(table[order, 2:])
-    return [EngineRun(unit_id=int(units[a]), features=features[a:a + n])
-            for a, n in zip(starts.tolist(), counts.tolist())]
+    return _engine_runs(units[starts], counts, np.ascontiguousarray(table[order, 2:]))
+
+
+def _engine_runs(units: np.ndarray, lengths: np.ndarray, features: np.ndarray) -> list[EngineRun]:
+    """One EngineRun per unit, each a view of its consecutive rows of features."""
+    ends = np.cumsum(lengths).tolist()
+    return [EngineRun(unit_id=int(u), features=features[end - n:end])
+            for u, n, end in zip(units.tolist(), lengths.tolist(), ends)]
 
 
 def _parse_lines(path: Path) -> list[EngineRun]:
@@ -196,6 +211,86 @@ def _parse_lines(path: Path) -> list[EngineRun]:
             raise DataIntegrityError(f"{path.name}: unit {unit} has fewer than 5 cycles")
         runs.append(EngineRun(unit_id=unit, features=features))
     return runs
+
+
+# --- parse cache ------------------------------------------------------------------
+
+def load_cmapss(path: str | Path) -> list[EngineRun]:
+    """parse_cmapss(path), read from the sidecar <path>.tdcae.npz when that
+    holds the runs of the file's current bytes.
+
+    The sidecar's key is the sha256 of CACHE_FORMAT followed by the file's
+    bytes. Any other sidecar (missing, unreadable, stale or inconsistent) is
+    ignored: the file is parsed, and its runs are written to the sidecar if
+    the directory takes the write. A file that fails to parse raises
+    parse_cmapss's error and is never cached. Nothing here raises an error
+    of its own.
+    """
+    path = Path(path)
+    key = _file_key(path)
+    if key is None:
+        return parse_cmapss(path)  # which raises the error that names the path
+    sidecar = path.with_name(path.name + CACHE_SUFFIX)
+    runs = _read_cache(sidecar, key)
+    if runs is None:
+        runs = parse_cmapss(path)
+        # a file rewritten during the parse must not be cached under the old key
+        if runs and _file_key(path) == key:
+            _write_cache(sidecar, key, runs)
+    return runs
+
+
+def _file_key(path: Path) -> str | None:
+    """The cache key of the file's bytes, read 1 MB at a time; None if unreadable."""
+    import hashlib  # only the commands that read a dataset pay for the import
+
+    digest = hashlib.sha256(CACHE_FORMAT)
+    try:
+        with path.open("rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _read_cache(sidecar: Path, key: str) -> list[EngineRun] | None:
+    """The runs the sidecar holds under key, or None unless it holds a
+    well-formed set: int64 units strictly increasing, int64 lengths of at
+    least 5 rows summing to the rows of one finite [N x 24] float64 table."""
+    try:
+        with sidecar.open("rb") as fh, np.lib.npyio.NpzFile(fh) as cache:
+            if cache["key"].shape != () or str(cache["key"]) != key:
+                return None
+            units, lengths, features = cache["units"], cache["lengths"], cache["features"]
+    except Exception:
+        # a damaged archive fails inside zipfile or numpy's .npy reader in many
+        # ways (BadZipFile, NotImplementedError, RuntimeError, TokenError, ...);
+        # every one of them is a miss
+        return None
+    ok = (units.dtype == lengths.dtype == np.int64 and features.dtype == np.float64
+          and units.ndim == 1 and lengths.shape == units.shape and len(units) > 0
+          and features.shape == (int(lengths.sum()), N_FEATURES)
+          and lengths.min() >= 5 and np.all(units[1:] > units[:-1])
+          and np.isfinite(features).all())
+    return _engine_runs(units, lengths, np.ascontiguousarray(features)) if ok else None
+
+
+def _write_cache(sidecar: Path, key: str, runs: list[EngineRun]) -> None:
+    """Best effort: a unit id beyond int64 or a directory that refuses the
+    write leaves no sidecar, and the next load parses the file again."""
+    try:
+        units = np.array([run.unit_id for run in runs], dtype=np.int64)
+    except OverflowError:
+        return
+    buffer = io.BytesIO()
+    np.savez(buffer, key=np.array(key), units=units,
+             lengths=np.array([run.life_length for run in runs], dtype=np.int64),
+             features=np.concatenate([run.features for run in runs]))
+    try:
+        atomic_write_bytes(sidecar, buffer.getbuffer())
+    except OSError:
+        pass
 
 
 def split_engines(runs: list[EngineRun], test_fraction: float, seed: int) -> DatasetSplit:
@@ -255,12 +350,29 @@ def normal_row_split(run: EngineRun) -> tuple[range, range]:
 
 # --- file output ---------------------------------------------------------------
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
+    """Write via a sibling temp file and rename, so readers never see partials.
+
+    Each call writes its own temp file, <name>.<random hex>.tmp, so writers
+    of one path that run at once never rename each other's unfinished file;
+    the last rename wins. The temp file is removed if the write fails.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """atomic_write_bytes of the UTF-8 encoded text."""
+    atomic_write_bytes(path, text.encode())
 
 
 def write_cmapss(runs: list[EngineRun], path: str | Path) -> None:

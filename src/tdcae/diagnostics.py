@@ -30,9 +30,10 @@ INJECTIVITY_FLOOR = 1e-5
 
 # Two-NN shortlists this many neighbours per row from Gram-matrix distances
 NN_CANDIDATES = 8
-# rows per Gram block in _two_nearest, pairs per block in injectivity_ratio_survey
+# rows per Gram block in _two_nearest, pairs per block in injectivity_ratio_survey;
+# a block's gathered [PAIR_BLOCK x 24] differences (1.5 MB) stay in cache
 NN_BLOCK_ROWS = 256
-PAIR_BLOCK = 65_536
+PAIR_BLOCK = 8_192
 
 # log-spaced cell sizes 10^-2 .. 10^-0.4, 17 values, spanning 1.6 decades
 DEFAULT_EPSILONS = 10.0 ** np.linspace(-2.0, -0.4, 17)

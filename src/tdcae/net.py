@@ -267,17 +267,26 @@ def encode(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def encoder_jacobian_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Encoder Jacobians dz/dx for a batch of inputs, [B x n x k]."""
+    """Encoder Jacobians dz/dx for a batch of inputs, [B x n x k].
+
+    Reverse mode: each sample's n bottleneck rows start as the last layer's
+    weights scaled by its tanh slopes, and every earlier layer is one
+    [B*n x out] @ [out x in] product, so the products carry n rows per
+    sample rather than k input columns.
+    """
     x = np.asarray(x, dtype=np.float64)
     n_layers = encoder_layer_count(params)
     _, cache = forward(params, x, n_layers=n_layers)
-    B, k = x.shape
-    J = np.broadcast_to(np.eye(k), (B, k, k)).copy()
-    for l in range(n_layers):
-        J = np.einsum("oi,bij->boj", params.weights[l], J)
-        if params.specs[l].activation == "tanh":
-            y = cache.activations[l + 1]
-            J = J * (1.0 - y * y)[:, :, None]
+    slopes = [1.0 - y * y if spec.activation == "tanh" else None
+              for spec, y in zip(params.specs[:n_layers], cache.activations[1:])]
+    B, last = len(x), n_layers - 1
+    W = params.weights[last]
+    J = np.repeat(W[None], B, axis=0) if slopes[last] is None else slopes[last][:, :, None] * W
+    n = W.shape[0]
+    for l in reversed(range(last)):
+        if slopes[l] is not None:
+            J *= slopes[l][:, None, :]
+        J = J.reshape(B * n, -1).dot(params.weights[l]).reshape(B, n, -1)
     return J
 
 

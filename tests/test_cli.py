@@ -440,6 +440,32 @@ def test_diagnose_rho_uses_the_trained_dt(tmp_path):
     assert rho_test != diagnostics.rho_table(latents, labels, dt=1.0)
 
 
+def test_commands_write_the_same_bytes_with_and_without_the_parse_cache(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    dataio.write_cmapss(dataio.synthetic_runs(n_engines=8, mean_life=60, seed=4),
+                        data / "train_FD001.txt")
+    sidecar = data / "train_FD001.txt.tdcae.npz"
+    for case in ("absent", "present"):
+        out = tmp_path / case
+        ckpt = str(out / "checkpoint_seed0.json")
+        for argv in (["train", "--seeds", "0", "--epochs", "1", "--out", str(out)],
+                     ["detect", "--checkpoint", ckpt, "--out", str(out / "det")],
+                     ["diagnose", "--checkpoint", ckpt, "--out", str(out / "diag")]):
+            if case == "absent":
+                sidecar.unlink(missing_ok=True)
+            assert run_cli(*argv, "--data", str(data), "--subset", "FD001") == 0
+            assert sidecar.is_file()
+    files = sorted(p.relative_to(tmp_path / "absent")
+                   for p in (tmp_path / "absent").rglob("*") if p.is_file())
+    assert len(files) == 6
+    for name in files:
+        assert (tmp_path / "absent" / name).read_bytes() == \
+            (tmp_path / "present" / name).read_bytes(), name
+    assert sorted(p.name for p in data.iterdir()) == [
+        "train_FD001.txt", "train_FD001.txt.tdcae.npz"]
+
+
 def test_detect_missing_checkpoint_fails(tmp_path, capsys):
     code = run_cli("detect", "--out", str(tmp_path / "o"),
                    "--checkpoint", str(tmp_path / "missing.json"))

@@ -1,5 +1,11 @@
+import errno
+import io
 import math
+import os
+import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,11 +213,12 @@ def test_files_the_vectorised_pass_refuses_fail_as_the_line_loop(tmp_path, edit,
 
 def test_unreadable_path_fails_as_the_line_loop(tmp_path):
     for path in (tmp_path / "missing.txt", tmp_path):
-        with pytest.raises(OSError) as fast:
-            dataio.parse_cmapss(path)
         with pytest.raises(OSError) as loop:
             dataio._parse_lines(path)
-        assert (type(fast.value), str(fast.value)) == (type(loop.value), str(loop.value))
+        for read in (dataio.parse_cmapss, dataio.load_cmapss):
+            with pytest.raises(OSError) as fast:
+                read(path)
+            assert (type(fast.value), str(fast.value)) == (type(loop.value), str(loop.value))
 
 def test_underscored_ids_are_read_by_the_line_loop(tmp_path):
     # float() accepts "1_0" as 10.0 and np.loadtxt refuses it: the loop decides
@@ -234,6 +241,8 @@ def test_empty_file_gives_no_runs_and_no_warning(tmp_path, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert dataio.parse_cmapss(path) == []
+        assert dataio.load_cmapss(path) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["train.txt"]  # nothing to cache
 
 
 @pytest.mark.parametrize("rows, error", [
@@ -248,6 +257,183 @@ def test_integrity_errors_come_from_the_line_loop(tmp_path, rows, error):
     with pytest.raises(dataio.DataIntegrityError, match=error) as fast:
         dataio.parse_cmapss(path)
     assert (type(fast.value), str(fast.value)) == loop_error(path)
+
+
+# --- the parse cache ---------------------------------------------------------------
+
+def sidecar_of(path):
+    return path.with_name(path.name + ".tdcae.npz")
+
+
+def no_parse(path):
+    raise AssertionError(f"{path} parsed; the sidecar should have answered")
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=cmapss_files())
+def test_cache_miss_then_hit_give_the_parsed_runs(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cache") / "train.txt"
+    path.write_bytes(text.encode())
+    want = dataio.parse_cmapss(path)
+    assert_same_runs(dataio.load_cmapss(path), want)  # miss: parses and writes
+    assert sidecar_of(path).is_file()
+    with mock.patch.object(dataio, "parse_cmapss", no_parse):
+        assert_same_runs(dataio.load_cmapss(path), want)  # hit
+
+
+def cached_file(tmp_path):
+    path = tmp_path / "train.txt"
+    write_raw(path, raw_rows(1, range(1, 9)) + raw_rows(4, range(1, 7), value=2.0))
+    dataio.load_cmapss(path)
+    assert sidecar_of(path).is_file()
+    return path
+
+
+def test_edited_file_is_parsed_again(tmp_path):
+    path = cached_file(tmp_path)
+    old = dataio.load_cmapss(path)
+    text = path.read_text()
+    assert "\n1 8 0.08 " in text  # unit 1, cycle 8, first setting
+    path.write_text(text.replace("\n1 8 0.08 ", "\n1 8 0.09 "))  # same size, one digit
+    runs = dataio.load_cmapss(path)
+    assert_same_runs(runs, dataio.parse_cmapss(path))
+    assert runs[0].features[7, 0] == 0.09 and old[0].features[7, 0] == 0.08
+    with mock.patch.object(dataio, "parse_cmapss", no_parse):
+        assert_same_runs(dataio.load_cmapss(path), runs)  # the sidecar was rewritten
+
+
+def saved_bytes(save, *args, **kwargs):
+    buffer = io.BytesIO()
+    save(buffer, *args, **kwargs)
+    return buffer.getvalue()
+
+
+def rewrite_sidecar(**changes):
+    """A sidecar whose arrays are the good ones with `changes` applied."""
+    def damage(good):
+        with np.load(io.BytesIO(good)) as z:
+            arrays = dict(z)
+        arrays.update({k: v(arrays) for k, v in changes.items()})
+        return saved_bytes(np.savez, **{k: v for k, v in arrays.items() if v is not None})
+    return damage
+
+
+def flip_bytes(seed):
+    def damage(good):
+        rng = np.random.default_rng(seed)
+        bad = bytearray(good)
+        for at in rng.integers(0, len(bad), size=3):
+            bad[at] ^= 0xFF
+        return bytes(bad)
+    return damage
+
+
+SIDECAR_DAMAGE = {
+    "empty": lambda good: b"",
+    "truncated_head": lambda good: good[:30],
+    "truncated_half": lambda good: good[:len(good) // 2],
+    "truncated_tail": lambda good: good[:-1],
+    "not_an_archive": lambda good: b"C-MAPSS\n" * 64,
+    "bare_npy": lambda good: saved_bytes(np.save, np.zeros(3)),
+    "wrong_key": rewrite_sidecar(key=lambda a: np.array("0" * 64)),
+    "key_array": rewrite_sidecar(key=lambda a: a["key"][None]),
+    "no_features": rewrite_sidecar(features=lambda a: None),
+    "features_23_wide": rewrite_sidecar(features=lambda a: a["features"][:, :23]),
+    "features_float32": rewrite_sidecar(features=lambda a: a["features"].astype(np.float32)),
+    "features_nan": rewrite_sidecar(features=lambda a: np.where(a["features"] > 1, np.nan,
+                                                                a["features"])),
+    "lengths_off_by_one": rewrite_sidecar(lengths=lambda a: a["lengths"] + [1, -2]),
+    "lengths_short": rewrite_sidecar(lengths=lambda a: np.array([4, a["lengths"].sum() - 4])),
+    "lengths_int32": rewrite_sidecar(lengths=lambda a: a["lengths"].astype(np.int32)),
+    "units_unsorted": rewrite_sidecar(units=lambda a: a["units"][::-1].copy()),
+    "units_2d": rewrite_sidecar(units=lambda a: a["units"][None]),
+    "no_units": rewrite_sidecar(units=lambda a: np.zeros(0, np.int64),
+                                lengths=lambda a: np.zeros(0, np.int64),
+                                features=lambda a: np.zeros((0, 24))),
+    **{f"flipped_{seed}": flip_bytes(seed) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("damage", SIDECAR_DAMAGE.values(), ids=SIDECAR_DAMAGE.keys())
+def test_damaged_sidecar_is_a_miss_and_is_rewritten(tmp_path, damage):
+    path = cached_file(tmp_path)
+    sidecar = sidecar_of(path)
+    good = sidecar.read_bytes()
+    sidecar.write_bytes(damage(good))
+    want = dataio.parse_cmapss(path)
+    assert_same_runs(dataio.load_cmapss(path), want)
+    assert sidecar.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.txt", "train.txt.tdcae.npz"]
+
+
+def test_sidecar_of_another_cache_format_is_a_miss(tmp_path, monkeypatch):
+    path = cached_file(tmp_path)
+    monkeypatch.setattr(dataio, "CACHE_FORMAT", dataio.CACHE_FORMAT + b"next\n")
+    calls = []
+    monkeypatch.setattr(dataio, "parse_cmapss", lambda p: calls.append(p) or [])
+    assert dataio.load_cmapss(path) == [] and calls == [path]
+
+
+def refuse_new_files(monkeypatch):
+    """Make every file creation fail as it does in a read-only directory."""
+    real_open = os.open
+
+    def read_only_open(file, flags, *args, **kwargs):
+        if flags & os.O_CREAT:
+            raise PermissionError(errno.EACCES, "Permission denied", str(file))
+        return real_open(file, flags, *args, **kwargs)
+    monkeypatch.setattr(os, "open", read_only_open)
+
+
+def test_read_only_directory_parses_and_writes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "train.txt"
+    write_raw(path, raw_rows(2, range(1, 9)))
+    mode = tmp_path.stat().st_mode
+    tmp_path.chmod(0o555)  # refuses writes unless the tests run as root
+    refuse_new_files(monkeypatch)
+    try:
+        for _ in range(2):
+            assert_same_runs(dataio.load_cmapss(path), dataio.parse_cmapss(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["train.txt"]
+    finally:
+        tmp_path.chmod(mode)
+
+
+@pytest.mark.parametrize("rows, match", [
+    (raw_rows(1, range(1, 4)) + [[1, 4, 0.5]] + raw_rows(1, range(5, 9)),
+     r"^train\.txt:4: expected 26 fields, got 3$"),
+    (raw_rows(1, range(1, 6)) + [[1, 6] + ["x"] * 24], r"^train\.txt:6: non-numeric field"),
+    (raw_rows(1, [1, 2, 3, 5, 6, 7]), r"^train\.txt: unit 1 cycles are not consecutive"),
+], ids=["field_count", "non_numeric", "cycle_gap"])
+def test_malformed_file_fails_the_same_on_every_load_and_is_not_cached(tmp_path, rows, match):
+    path = tmp_path / "train.txt"
+    write_raw(path, rows)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            dataio.load_cmapss(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["train.txt"]
+
+
+def test_unit_id_beyond_int64_is_read_but_not_cached(tmp_path):
+    path = tmp_path / "train.txt"
+    write_raw(path, raw_rows(10 ** 19, range(1, 7)))
+    assert [run.unit_id for run in dataio.load_cmapss(path)] == [10 ** 19]
+    assert [p.name for p in tmp_path.iterdir()] == ["train.txt"]
+
+
+def test_file_rewritten_during_the_parse_is_not_cached(tmp_path, monkeypatch):
+    path = tmp_path / "train.txt"
+    write_raw(path, raw_rows(1, range(1, 7)))
+    parse = dataio.parse_cmapss
+
+    def parse_then_rewrite(p):
+        runs = parse(p)
+        write_raw(path, raw_rows(2, range(1, 7)))
+        return runs
+    monkeypatch.setattr(dataio, "parse_cmapss", parse_then_rewrite)
+    assert [run.unit_id for run in dataio.load_cmapss(path)] == [1]
+    assert not sidecar_of(path).exists()
+
 
 @given(life=st.integers(min_value=1, max_value=500))
 def test_label_rule_is_ceil(life):
@@ -375,6 +561,51 @@ def test_normal_row_split_partitions_normal_range(life):
 
 
 # --- serialization -------------------------------------------------------------
+
+def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path, monkeypatch):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        dataio.atomic_write_text(path, "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert path.read_text() == "old\n"
+
+
+def test_concurrent_writers_of_one_path_never_expose_a_partial_file(tmp_path):
+    # with one shared temp name, a writer could rename another's half-written file
+    path = tmp_path / "out.bin"
+    payloads = [bytes([k]) * (1 << 20) for k in range(4)]
+    path.write_bytes(payloads[0])
+    errors = []
+
+    def writer(data):
+        try:
+            for _ in range(15):
+                dataio.atomic_write_bytes(path, data)
+        except OSError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+        for t in threads:
+            t.start()
+        while any(t.is_alive() for t in threads):
+            assert path.read_bytes() in payloads
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert path.read_bytes() in payloads
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
 
 def test_write_cmapss_parse_round_trip(tmp_path):
     runs = dataio.synthetic_runs(n_engines=2, mean_life=20, seed=8)

@@ -367,7 +367,8 @@ def unchunked_sampled_injectivity(params, x, max_pairs, seed, delta=dg.INJECTIVI
     return float(ratios.min()), int(np.sum(ratios < floor))
 
 
-@pytest.mark.parametrize("block", [1, 7, 100, dg.PAIR_BLOCK])
+# 65_536, a block larger than the default, gives the same bits
+@pytest.mark.parametrize("block", [1, 7, 100, 65_536, dg.PAIR_BLOCK])
 def test_injectivity_all_pairs_matches_pair_loop(block, monkeypatch):
     monkeypatch.setattr(dg, "PAIR_BLOCK", block)
     params = tanh_encoder(seed=3)
@@ -378,7 +379,7 @@ def test_injectivity_all_pairs_matches_pair_loop(block, monkeypatch):
     assert violations > 0
 
 
-@pytest.mark.parametrize("block", [1, 64, 999, dg.PAIR_BLOCK])
+@pytest.mark.parametrize("block", [1, 64, 999, 65_536, dg.PAIR_BLOCK])
 def test_injectivity_sampled_path_is_bitwise_the_unchunked_formula(block, monkeypatch):
     monkeypatch.setattr(dg, "PAIR_BLOCK", block)
     params = tanh_encoder(seed=4)

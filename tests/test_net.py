@@ -8,6 +8,7 @@ import pytest
 
 from tdcae import net, tdc
 from tdcae.dataio import DatasetSplit, ScalerParams
+from tdcae.diagnostics import RANK_THRESHOLD
 
 from conftest import fd_grads, max_rel_err
 
@@ -395,6 +396,41 @@ def test_jacobian_batch_matches_single():
         assert np.allclose(batch[i], net.encoder_jacobian_batch(params, x[i:i + 1])[0],
                            atol=1e-14)
 
+
+
+def forward_mode_jacobian(params, x):
+    """The einsum forward-mode Jacobian: k identity columns carried through every layer."""
+    n_layers = net.encoder_layer_count(params)
+    _, cache = net.forward(params, x, n_layers=n_layers)
+    B, k = x.shape
+    J = np.broadcast_to(np.eye(k), (B, k, k)).copy()
+    for l in range(n_layers):
+        J = np.einsum("oi,bij->boj", params.weights[l], J)
+        if params.specs[l].activation == "tanh":
+            y = cache.activations[l + 1]
+            J = J * (1.0 - y * y)[:, :, None]
+    return J
+
+
+@pytest.mark.parametrize("specs, rows", [
+    (net.autoencoder_specs(), 300),
+    (net.autoencoder_specs(24, 24, 6, n_hidden=2), 64),
+    (net.autoencoder_specs(5, 6, 4, n_hidden=0), 17),
+    ([net.LayerSpec(5, 6, "identity"), net.LayerSpec(6, 3, "tanh"),
+      net.LayerSpec(3, 5, "identity")], 9),
+    ([net.LayerSpec(5, 6, "tanh"), net.LayerSpec(6, 3, "identity"),
+      net.LayerSpec(3, 5, "identity")], 9),
+    ([net.LayerSpec(4, 2, "identity"), net.LayerSpec(2, 4, "identity")], 1),
+], ids=["paper", "latent6", "no_hidden", "identity_first", "identity_bottleneck", "linear"])
+def test_reverse_mode_jacobian_is_the_forward_mode_oracle(specs, rows):
+    params = net.init_params(specs, np.random.default_rng(rows))
+    x = np.random.default_rng(rows + 1).uniform(-1.5, 1.5, (rows, specs[0].in_dim))
+    jac, oracle = net.encoder_jacobian_batch(params, x), forward_mode_jacobian(params, x)
+    assert jac.shape == oracle.shape and jac.dtype == np.float64
+    assert np.max(np.abs(jac - oracle)) <= 1e-12
+    ranks = [np.sum(np.linalg.svd(j, compute_uv=False) > RANK_THRESHOLD, axis=-1)
+             for j in (jac, oracle)]
+    assert np.array_equal(*ranks)
 
 # --- adamax ----------------------------------------------------------------------------
 
