@@ -7,6 +7,8 @@ compare against global per-node percentile bands fitted on pooled training
 streams. A timestep is positive when at least vote_threshold nodes sit
 outside their band. Metrics are micro-averaged over pooled timesteps, plus
 the critical detection rate over each engine's final 10% of life.
+run_detector and the grid search run this pipeline on every engine at once,
+on one zero-padded time-major block (_Fleet), bitwise the per-engine path.
 """
 
 from __future__ import annotations
@@ -64,17 +66,19 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean truncated at the start (causal, no padding).
 
     Rows from window - 1 on average full windows, all at once over a strided
-    view. Each mean still sums its window's rows in time order, so every row
-    is bitwise the mean of values[t - window + 1:t + 1]; a running sum would
-    not be.
+    view, written straight into the result. Each mean still sums its window's
+    rows in time order, so every row is bitwise the mean of
+    values[t - window + 1:t + 1]; a running sum would not be. Values are
+    averaged as float64.
     """
-    out = np.empty_like(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty_like(values)
     head = min(window - 1, values.shape[0])
     for t in range(head):
         out[t] = values[:t + 1].mean(axis=0)
     if head < values.shape[0]:
         windows = sliding_window_view(values, window, axis=0)
-        out[head:] = np.moveaxis(windows, -1, 1).mean(axis=1)
+        np.moveaxis(windows, -1, 1).mean(axis=1, out=out[head:])
     return out
 
 
@@ -87,7 +91,7 @@ def baseline(smoothed: np.ndarray, window: int) -> np.ndarray:
     exists. Subtracting this re-anchors every engine at its own operating
     point.
     """
-    return np.concatenate([smoothed[:1], moving_average(smoothed, window)[:-1]])
+    return np.concatenate([smoothed[:1], moving_average(smoothed[:-1], window)])
 
 
 def normalize_stream(latent: LatentSeries, config: DetectorConfig) -> np.ndarray:
@@ -95,10 +99,21 @@ def normalize_stream(latent: LatentSeries, config: DetectorConfig) -> np.ndarray
     values = _full_latent(latent)
     if values.shape[0] < 1:
         raise ValueError("empty latent series")
+    return _normalize(values, config)
+
+
+def _normalize(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
+    """normalize_stream of a time-major array: one engine's [T x n] stream or a
+    fleet's raw block [Tmax x n*E]. Both stages are trailing and column-independent,
+    so each column of a block is bitwise its engine's stream on the rows the
+    engine fills."""
     smoothed = moving_average(values, config.moving_average_window)
-    if not config.use_baseline:
-        return smoothed
-    return smoothed - baseline(smoothed, config.baseline_window)
+    del values  # frees a fleet's raw block, which the caller hands over
+    if config.use_baseline:
+        # smoothed - baseline(smoothed, window), in place: no baseline array
+        smoothed[1:] -= moving_average(smoothed[:-1], config.baseline_window)
+        smoothed[:1] -= smoothed[:1]
+    return smoothed
 
 
 def fit_thresholds(normalized: list[np.ndarray], config: DetectorConfig) -> Thresholds:
@@ -118,7 +133,8 @@ def _fit_thresholds_each(normalized: list[np.ndarray],
     if not normalized:
         raise ValueError("no training streams to fit thresholds on")
     qs = sorted({q for c in configs for q in (c.upper_percentile, c.lower_percentile)})
-    bands = dict(zip(qs, np.percentile(np.vstack(normalized), qs, axis=0)))
+    bands = dict(zip(qs, np.percentile(np.vstack(normalized), qs, axis=0,
+                                       overwrite_input=True)))
     return [Thresholds(upper=bands[c.upper_percentile], lower=bands[c.lower_percentile])
             for c in configs]
 
@@ -193,10 +209,7 @@ def score(results: list[DetectionResult], runs: list[EngineRun]) -> MetricsSumma
     by_unit = {run.unit_id: run for run in runs}
     critical_hits = 0
     for res in results:
-        run = by_unit[res.unit_id]
-        if len(res) != run.life_length:
-            raise ValueError(f"unit {res.unit_id}: {len(res)} decisions "
-                             f"for {run.life_length} cycles")
+        run = _run_of(by_unit, res.unit_id, len(res))
         if res.positives[-critical_window(run.life_length):].any():
             critical_hits += 1
     positives = np.concatenate([res.positives for res in results] or [np.zeros(0, bool)])
@@ -206,6 +219,21 @@ def score(results: list[DetectionResult], runs: list[EngineRun]) -> MetricsSumma
     fp = int(np.count_nonzero(positives)) - tp
     fn = int(np.count_nonzero(truth)) - tp
     tn = positives.size - tp - fp - fn
+    return _summary(tp, fp, tn, fn, critical_hits, len(results))
+
+
+def _run_of(by_unit: dict[int, EngineRun], unit_id: int, n_decisions: int) -> EngineRun:
+    """The run that labels unit_id's decisions: a KeyError when there is none,
+    a ValueError when its life is not n_decisions cycles long."""
+    run = by_unit[unit_id]
+    if n_decisions != run.life_length:
+        raise ValueError(f"unit {unit_id}: {n_decisions} decisions "
+                         f"for {run.life_length} cycles")
+    return run
+
+
+def _summary(tp: int, fp: int, tn: int, fn: int, critical_hits: int,
+             n_engines: int) -> MetricsSummary:
     precision = _safe_div(tp, tp + fp)
     recall = _safe_div(tp, tp + fn)
     return MetricsSummary(
@@ -215,28 +243,128 @@ def score(results: list[DetectionResult], runs: list[EngineRun]) -> MetricsSumma
         recall=recall,
         specificity=_safe_div(tn, tn + fp),
         f1=_safe_div(2 * precision * recall, precision + recall),
-        cdr=_safe_div(critical_hits, len(results)),
-        n_engines=len(results),
+        cdr=_safe_div(critical_hits, n_engines),
+        n_engines=n_engines,
     )
+
+
+class _Fleet:
+    """Engines side by side in one time-major block, to decide and score them
+    all at once.
+
+    A block is [Tmax x n x E]: engine e's [T_e x n] latent stream fills rows
+    t < T_e of block[:, :, e], and zeros pad the rows after its last cycle.
+    Normalization is trailing and column-independent, so no filled row ever
+    reads the padding. Nodes before engines in a row let a vote count add up
+    E-wide rows. The [Tmax x E] masks are the labels of the filled rows split
+    into anomalous (truth) and normal, and each engine's final
+    critical_window cycles; all are False on padding.
+    """
+
+    def __init__(self, latents: list[LatentSeries], runs: list[EngineRun],
+                 n_nodes: int | None = None):
+        """n_nodes, the width every stream must have, defaults to the first's."""
+        if n_nodes is None:
+            n_nodes = 2 * latents[0].n_pairs if latents else 0
+        for latent in latents:
+            if len(latent) < 1:
+                raise ValueError("empty latent series")
+            if 2 * latent.n_pairs != n_nodes:
+                raise ValueError(f"unit {latent.unit_id}: stream has {2 * latent.n_pairs} "
+                                 f"nodes, expected {n_nodes}")
+        by_unit = {run.unit_id: run for run in runs}
+        labels = [_run_of(by_unit, latent.unit_id, len(latent)).labels for latent in latents]
+        self.latents = latents
+        self.lengths = [len(latent) for latent in latents]
+        rows = max(self.lengths, default=0)
+        self.shape = (rows, n_nodes, len(latents))
+        self.truth = np.zeros((rows, len(latents)), dtype=bool)
+        for e, (latent, truth) in enumerate(zip(latents, labels)):
+            self.truth[:len(latent), e] = truth
+        t = np.arange(rows)[:, None]
+        lengths = np.array(self.lengths, dtype=np.int64)
+        tails = np.array([critical_window(n) for n in self.lengths], dtype=np.int64)
+        filled = t < lengths
+        self.normal = filled & ~self.truth
+        self.critical = filled & (t >= lengths - tails)
+        self.n_truth = int(np.count_nonzero(self.truth))
+        self.n_normal = int(np.count_nonzero(self.normal))
+
+    def normalize(self, config: DetectorConfig) -> np.ndarray:
+        """normalize_stream of every engine in one call, as a [Tmax x n x E] block.
+
+        The raw block is built anew for each call and passed without another
+        reference, so _normalize frees it once smoothed: the search holds at
+        most two blocks at a time."""
+        return _normalize(self._raw_block(), config).reshape(self.shape)
+
+    def _raw_block(self) -> np.ndarray:
+        """The zero-padded latent streams as one [Tmax x n*E] array."""
+        block = np.zeros(self.shape)
+        for e, latent in enumerate(self.latents):
+            block[:len(latent), :, e] = _full_latent(latent)
+        rows, n, engines = self.shape
+        return block.reshape(rows, n * engines)
+
+    def streams(self, block: np.ndarray) -> list[np.ndarray]:
+        """Each engine's [T_e x n] stream in a [Tmax x n x E] block, in engine order."""
+        return [block[:length, :, e] for e, length in enumerate(self.lengths)]
+
+    def summary(self, positives: np.ndarray) -> MetricsSummary:
+        """score of [Tmax x E] decisions; rows of padding count for nothing."""
+        tp = int(np.count_nonzero(positives & self.truth))
+        fp = int(np.count_nonzero(positives & self.normal))
+        critical_hits = int(np.count_nonzero((positives & self.critical).any(axis=0)))
+        return _summary(tp, fp, self.n_normal - fp, self.n_truth - tp, critical_hits,
+                        len(self.lengths))
+
+
+def _nodes_above(block: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """[Tmax x E] count of nodes above their band in a [Tmax x n x E] block."""
+    return np.count_nonzero(block > band[:, None], axis=1)
+
+
+def _nodes_below(block: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """[Tmax x E] count of nodes below their band in a [Tmax x n x E] block.
+
+    No node is both above an upper band and below a lower one, because
+    Thresholds keeps lower <= upper, so the two counts add up to _decide's
+    votes."""
+    return np.count_nonzero(block < band[:, None], axis=1)
 
 
 def run_detector(latents: list[LatentSeries], runs: list[EngineRun],
                  thresholds: Thresholds, config: DetectorConfig
                  ) -> tuple[list[DetectionResult], MetricsSummary]:
-    results = [detect(latent, thresholds, config) for latent in latents]
-    return results, score(results, runs)
+    """detect on every engine, and score of the results against runs.
+
+    The engines are normalized, decided and scored together on one
+    zero-padded time-major block (see _Fleet); each engine's result is
+    bitwise detect's and the summary is score's.
+    """
+    fleet = _Fleet(latents, runs, thresholds.n_nodes)
+    block = fleet.normalize(config)
+    votes = _nodes_above(block, thresholds.upper) + _nodes_below(block, thresholds.lower)
+    positives = votes >= config.vote_threshold
+    results = [DetectionResult(unit_id=latent.unit_id, votes=v[:length], positives=p[:length])
+               for latent, length, v, p in zip(latents, fleet.lengths,
+                                               np.ascontiguousarray(votes.T),
+                                               np.ascontiguousarray(positives.T))]
+    return results, fleet.summary(positives)
 
 
 def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
                         grid: list[DetectorConfig]) -> DetectorConfig:
     """Grid search maximizing timestep F1 on the training engines.
 
-    Configs sharing their windows and baseline switch share one normalization
-    of the streams, made once per group and held one group at a time, and
-    one percentile pass over it that gives every config in the group its
-    thresholds. Each config is scored against the 60/40 labels. Ties break
-    toward higher specificity, then a smaller smoothing window, then the
-    earlier config in the grid.
+    The training engines sit side by side in one zero-padded time-major
+    block (see _Fleet). Configs sharing their windows and baseline switch
+    share one normalization of that block, made once per group and held one
+    group at a time, and one percentile pass over its pooled rows that gives
+    every config in the group its thresholds. Votes are counted once per
+    distinct band, not per config, and each config is scored on the block
+    against the 60/40 labels. Ties break toward higher specificity, then a
+    smaller smoothing window, then the earlier config in the grid.
     """
     if not grid:
         raise ValueError("empty configuration grid")
@@ -244,21 +372,31 @@ def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
     for i, config in enumerate(grid):
         windows = (config.moving_average_window, config.baseline_window, config.use_baseline)
         groups.setdefault(windows, []).append(i)
+    fleet = _Fleet(latents, runs)
     keys = {}
     for indices in groups.values():
-        keys.update(zip(indices, _search_keys(latents, runs, [grid[i] for i in indices])))
+        keys.update(zip(indices, _group_keys(fleet, [grid[i] for i in indices])))
     return grid[max(range(len(grid)), key=keys.__getitem__)]
 
 
 def _search_keys(latents: list[LatentSeries], runs: list[EngineRun],
                  configs: list[DetectorConfig]) -> list[tuple]:
     """(f1, specificity, -window) of each config, all sharing configs[0]'s normalization."""
-    streams = [normalize_stream(latent, configs[0]) for latent in latents]
+    return _group_keys(_Fleet(latents, runs), configs)
+
+
+def _group_keys(fleet: _Fleet, configs: list[DetectorConfig]) -> list[tuple]:
+    """_search_keys on a fleet already built."""
+    block = fleet.normalize(configs[0])
+    thresholds = _fit_thresholds_each(fleet.streams(block), configs)
+    uppers = {c.upper_percentile: th.upper for c, th in zip(configs, thresholds)}
+    lowers = {c.lower_percentile: th.lower for c, th in zip(configs, thresholds)}
+    above = {q: _nodes_above(block, band) for q, band in uppers.items()}
+    below = {q: _nodes_below(block, band) for q, band in lowers.items()}
     keys = []
-    for config, thresholds in zip(configs, _fit_thresholds_each(streams, configs)):
-        results = [_decide(latent.unit_id, stream, thresholds, config)
-                   for latent, stream in zip(latents, streams)]
-        summary = score(results, runs)
+    for config in configs:
+        votes = above[config.upper_percentile] + below[config.lower_percentile]
+        summary = fleet.summary(votes >= config.vote_threshold)
         keys.append((summary.f1, summary.specificity, -config.moving_average_window))
     return keys
 

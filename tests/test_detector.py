@@ -132,6 +132,20 @@ def test_baseline_is_bitwise_the_loop(T, n, window, seed):
     assert np.array_equal(actual, expected)
 
 
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(1, 40), pairs=st.integers(1, 4), ma_window=st.integers(1, 50),
+       base_window=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_normalize_stream_is_smoothing_minus_baseline(T, pairs, ma_window, base_window, seed):
+    values = np.random.default_rng(seed).normal(scale=100.0, size=(T, 2 * pairs))
+    latent = LatentSeries(unit_id=1, z=values[:, :pairs], z_dot=values[:, pairs:])
+    config = det.DetectorConfig(moving_average_window=ma_window, baseline_window=base_window)
+    smoothed = det.moving_average(values, ma_window)
+    assert np.array_equal(det.normalize_stream(latent, config),
+                          smoothed - det.baseline(smoothed, base_window))
+    assert np.array_equal(det.normalize_stream(latent, replace(config, use_baseline=False)),
+                          smoothed)
+
+
 def test_ramp_normalizes_to_constant_offset():
     # steady drift of slope 1: v settles at (window+1)/2
     t = np.arange(60, dtype=float)
@@ -438,19 +452,24 @@ def test_optimize_thresholds_is_the_per_config_loop(data, base, lengths, coarse,
 
 
 def test_optimize_thresholds_normalizes_once_per_window(monkeypatch):
+    # one normalization of the whole fleet's block per window group, none per engine
     calls = []
-    normalize = det.normalize_stream
-    monkeypatch.setattr(det, "normalize_stream",
-                        lambda latent, config: calls.append(config) or normalize(latent, config))
+    normalize = det._normalize
+    monkeypatch.setattr(det, "_normalize",
+                        lambda values, config: calls.append((values.shape, config))
+                        or normalize(values, config))
+    monkeypatch.setattr(det, "normalize_stream", None)
     rng = np.random.default_rng(4)
-    latents = [two_node_latent(rng.normal(size=30), unit_id=u) for u in range(1, 6)]
-    runs = [run_with_labels([False] * 18 + [True] * 12, unit_id=u) for u in range(1, 6)]
+    lengths = [30, 24, 30, 17, 29]
+    latents = [two_node_latent(rng.normal(size=T), unit_id=u) for u, T in enumerate(lengths)]
+    runs = [EngineRun(unit_id=u, features=np.zeros((T, 24))) for u, T in enumerate(lengths)]
     grid = det.config_grid(det.DetectorConfig(latent_dim=2, vote_threshold=1),
                            uppers=[80.0, 86.0, 92.0], lowers=[5.0, 9.0, 14.0], windows=[6, 12, 18])
     assert len(grid) == 27
     det.optimize_thresholds(latents, runs, grid)
-    assert len(calls) == 3 * len(latents)
-    assert sorted({c.moving_average_window for c in calls}) == [6, 12, 18]
+    assert len(calls) == 3
+    assert all(shape == (30, 2 * len(latents)) for shape, _ in calls)
+    assert sorted(c.moving_average_window for _, c in calls) == [6, 12, 18]
 
 
 def per_config_search_keys(latents, runs, configs):
@@ -494,6 +513,138 @@ def test_one_percentile_pass_per_group_is_the_per_config_fit(percentiles, votes,
     assert det._search_keys(latents, runs, configs) == keys
     best = configs[max(range(len(configs)), key=keys.__getitem__)]
     assert det.optimize_thresholds(latents, runs, configs) is best
+
+
+# --- the fleet block: every engine decided at once ---------------------------------------
+
+def per_engine_search_keys(latents, runs, configs):
+    """Oracle: _search_keys one engine at a time, as it ran before the fleet block:
+    normalize_stream per engine, then _decide per engine and score per config."""
+    streams = [det.normalize_stream(latent, configs[0]) for latent in latents]
+    keys = []
+    for config in configs:
+        thresholds = loop_fit_thresholds(streams, config)
+        summary = det.score([det._decide(latent.unit_id, stream, thresholds, config)
+                             for latent, stream in zip(latents, streams)], runs)
+        keys.append((summary.f1, summary.specificity, -config.moving_average_window))
+    return keys
+
+
+def per_engine_run_detector(latents, runs, thresholds, config):
+    """Oracle: run_detector as detect per engine, then score."""
+    results = [det._decide(latent.unit_id, det.normalize_stream(latent, config), thresholds,
+                           config) for latent in latents]
+    return results, det.score(results, runs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), lengths=st.lists(st.integers(1, 60), min_size=1, max_size=8),
+       pairs=st.integers(1, 6), windows=st.tuples(st.integers(1, 70), st.integers(1, 70)),
+       base_window=st.integers(1, 70), use_baseline=st.booleans(),
+       percentiles=st.lists(st.tuples(st.sampled_from([5.0, 9.0, 14.0, 30.0]),
+                                      st.sampled_from([70.0, 80.0, 86.0, 92.0])),
+                            min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_fleet_block_is_the_per_engine_detector(data, lengths, pairs, windows, base_window,
+                                                use_baseline, percentiles, seed):
+    # ragged lengths from 1 cycle, windows longer than most engines, rounded values for
+    # ties, and runs in an order of their own: score matches labels by unit_id
+    rng = np.random.default_rng(seed)
+    n = 2 * pairs
+    latents, runs = [], []
+    for u, T in enumerate(lengths):
+        values = np.round(rng.normal(size=(T, n)) + np.linspace(0.0, 3.0, T)[:, None])
+        latents.append(LatentSeries(unit_id=100 + u, z=values[:, :pairs], z_dot=values[:, pairs:]))
+        runs.append(EngineRun(unit_id=100 + u, features=np.zeros((T, 24))))
+    runs = data.draw(st.permutations(runs))
+    groups = [[det.DetectorConfig(upper_percentile=up, lower_percentile=lo,
+                                  moving_average_window=w, baseline_window=base_window,
+                                  use_baseline=use_baseline, latent_dim=n,
+                                  vote_threshold=data.draw(st.integers(1, n)))
+               for lo, up in percentiles] for w in windows]
+
+    fleet = det._Fleet(latents, runs)
+    for configs in groups:
+        block = fleet.normalize(configs[0])
+        for latent, stream in zip(latents, fleet.streams(block)):
+            assert np.array_equal(stream, det.normalize_stream(latent, configs[0]))
+        assert det._search_keys(latents, runs, configs) == per_engine_search_keys(
+            latents, runs, configs)
+    grid = groups[0] + groups[1]
+    assert det.optimize_thresholds(latents, runs, grid) is loop_optimize_thresholds(
+        latents, runs, grid)
+
+    config = grid[0]
+    thresholds = det.fit_thresholds([det.normalize_stream(latent, config) for latent in latents],
+                                    config)
+    results, summary = det.run_detector(latents, runs, thresholds, config)
+    want_results, want_summary = per_engine_run_detector(latents, runs, thresholds, config)
+    assert summary == want_summary
+    assert [r.unit_id for r in results] == [r.unit_id for r in want_results]
+    for got, want in zip(results, want_results):
+        assert got.votes.dtype == np.int64 and got.positives.dtype == bool
+        assert np.array_equal(got.votes, want.votes)
+        assert np.array_equal(got.positives, want.positives)
+        assert got.votes.flags.c_contiguous and got.positives.flags.c_contiguous
+
+
+def run_detector_call(latents, runs):
+    thresholds = det.Thresholds(upper=np.full(2, 0.5), lower=np.full(2, -0.5))
+    return det.run_detector(latents, runs, thresholds, RAW)
+
+
+def per_engine_call(latents, runs):
+    thresholds = det.Thresholds(upper=np.full(2, 0.5), lower=np.full(2, -0.5))
+    return per_engine_run_detector(latents, runs, thresholds, RAW)
+
+
+def optimize_thresholds_call(latents, runs):
+    return det.optimize_thresholds(latents, runs, [RAW])
+
+
+fleet_calls = pytest.mark.parametrize(
+    "call", [run_detector_call, optimize_thresholds_call, per_engine_call])
+
+
+@fleet_calls
+def test_fleet_rejects_an_empty_latent_series(call):
+    latents = [two_node_latent(np.zeros(4), unit_id=1),
+               LatentSeries(unit_id=2, z=np.empty((0, 1)), z_dot=np.empty((0, 1)))]
+    runs = [run_with_labels([False] * 4, unit_id=1), run_with_labels([False] * 4, unit_id=2)]
+    with pytest.raises(ValueError, match="empty latent series"):
+        call(latents, runs)
+
+
+@fleet_calls
+def test_fleet_rejects_a_run_of_another_length(call):
+    latents = [two_node_latent(np.zeros(4), unit_id=1), two_node_latent(np.zeros(5), unit_id=2)]
+    runs = [run_with_labels([False] * 4, unit_id=1), run_with_labels([False] * 6, unit_id=2)]
+    with pytest.raises(ValueError, match="unit 2: 5 decisions for 6 cycles"):
+        call(latents, runs)
+
+
+@fleet_calls
+def test_fleet_rejects_a_stream_of_another_width(call):
+    wide = LatentSeries(unit_id=2, z=np.zeros((4, 2)), z_dot=np.zeros((4, 2)))
+    latents = [two_node_latent(np.zeros(4), unit_id=1), wide]
+    runs = [run_with_labels([False] * 4, unit_id=1), run_with_labels([False] * 4, unit_id=2)]
+    with pytest.raises(ValueError, match="nodes"):
+        call(latents, runs)
+
+
+@fleet_calls
+def test_fleet_rejects_a_unit_without_a_run(call):
+    latents = [two_node_latent(np.zeros(4), unit_id=1), two_node_latent(np.zeros(4), unit_id=7)]
+    runs = [run_with_labels([False] * 4, unit_id=1)]
+    with pytest.raises(KeyError):
+        call(latents, runs)
+
+
+def test_fleet_of_no_engines():
+    results, summary = run_detector_call([], [])
+    assert results == [] and summary == det.score([], [])
+    with pytest.raises(ValueError, match="no training streams"):
+        optimize_thresholds_call([], [])
 
 
 def test_grid_search_calls_percentile_once_per_window_group(monkeypatch):
