@@ -22,6 +22,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dataio import EngineRun, atomic_write_text
 from .tdc import LatentSeries
 
+# rows per chunk in moving_average, as cells: a fleet block's [rows x E*n]
+# running sums (512 KB) stay in cache while each shifted row slice is added
+MEAN_BLOCK_CELLS = 65_536
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -65,20 +69,43 @@ def _full_latent(latent: LatentSeries) -> np.ndarray:
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean truncated at the start (causal, no padding).
 
-    Rows from window - 1 on average full windows, all at once over a strided
-    view, written straight into the result. Each mean still sums its window's
-    rows in time order, so every row is bitwise the mean of
-    values[t - window + 1:t + 1]; a running sum would not be. Values are
-    averaged as float64.
+    Row t is bitwise values[max(0, t - window + 1):t + 1].mean(axis=0), as
+    float64. numpy sums the rows of a C-ordered array at least 2 columns wide
+    one after another in time order, then divides by the row count, and so
+    does this function:
+    - rows t < window - 1 are a cumulative sum of the first rows, divided by
+      t + 1;
+    - each later row starts as the first row of its window, adds the other
+      window - 1 rows in order, and is divided by window. The adds run on
+      whole slices shifted by one row each, MEAN_BLOCK_CELLS // n rows (at
+      least one) at a time for n columns.
+    numpy reduces a single column, a 1-D array or a column-major array
+    pairwise once a window spans 9 rows or more, so those keep a mean over a
+    strided window view, which numpy reduces the same way.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     values = np.asarray(values, dtype=np.float64)
     out = np.empty_like(values)
-    head = min(window - 1, values.shape[0])
-    for t in range(head):
-        out[t] = values[:t + 1].mean(axis=0)
-    if head < values.shape[0]:
-        windows = sliding_window_view(values, window, axis=0)
-        np.moveaxis(windows, -1, 1).mean(axis=1, out=out[head:])
+    rows = values.shape[0]
+    head = min(window - 1, rows)
+    if values.ndim != 2 or values.shape[1] < 2 or not values.flags.c_contiguous:
+        for t in range(head):
+            out[t] = values[:t + 1].mean(axis=0)
+        if head < rows:
+            windows = sliding_window_view(values, window, axis=0)
+            np.moveaxis(windows, -1, 1).mean(axis=1, out=out[head:])
+        return out
+    np.cumsum(values[:head], axis=0, out=out[:head])
+    out[:head] /= np.arange(1, head + 1)[:, None]
+    step = max(1, MEAN_BLOCK_CELLS // values.shape[1])
+    for start in range(head, rows, step):
+        sums = out[start:start + step]
+        first, length = start - window + 1, sums.shape[0]
+        sums[:] = values[first:first + length]
+        for k in range(1, window):
+            sums += values[first + k:first + k + length]
+        sums /= window
     return out
 
 
@@ -89,7 +116,7 @@ def baseline(smoothed: np.ndarray, window: int) -> np.ndarray:
     b[t] is moving_average(smoothed, window)[t - 1], the mean of the up to
     `window` values before t, so early steps average whatever history
     exists. Subtracting this re-anchors every engine at its own operating
-    point.
+    point. A window below 1 raises ValueError, as in moving_average.
     """
     return np.concatenate([smoothed[:1], moving_average(smoothed[:-1], window)])
 

@@ -132,6 +132,35 @@ def test_baseline_is_bitwise_the_loop(T, n, window, seed):
     assert np.array_equal(actual, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 400), n=st.integers(2, 700), window=st.integers(1, 70),
+       decimals=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_fleet_sized_smoothing_is_bitwise_the_loop(T, n, window, decimals, seed):
+    # up to 700 columns: a long stream spans several MEAN_BLOCK_CELLS row chunks;
+    # rounding makes ties
+    values = np.round(np.random.default_rng(seed).normal(scale=100.0, size=(T, n)), decimals)
+    assert np.array_equal(det.moving_average(values, window), loop_moving_average(values, window))
+    assert np.array_equal(det.baseline(values, window), loop_baseline(values, window))
+
+
+@pytest.mark.parametrize("layout", ["1-D", "column-major", "strided columns"])
+@pytest.mark.parametrize("window", [1, 5, 12, 40])
+def test_smoothing_other_layouts_is_bitwise_the_loop(layout, window):
+    # numpy reduces these layouts' windows pairwise from 9 rows on, not row after row
+    raw = np.random.default_rng(window).normal(scale=100.0, size=(30, 6))
+    values = {"1-D": raw[:, 0], "column-major": np.asfortranarray(raw),
+              "strided columns": raw[:, ::2]}[layout]
+    assert np.array_equal(det.moving_average(values, window), loop_moving_average(values, window))
+    assert np.array_equal(det.baseline(values, window), loop_baseline(values, window))
+
+
+@pytest.mark.parametrize("window", [0, -3])
+@pytest.mark.parametrize("stage", [det.moving_average, det.baseline])
+def test_smoothing_rejects_window_below_one(stage, window):
+    with pytest.raises(ValueError, match="window"):
+        stage(np.ones((5, 3)), window)
+
+
 @settings(max_examples=100, deadline=None)
 @given(T=st.integers(1, 40), pairs=st.integers(1, 4), ma_window=st.integers(1, 50),
        base_window=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
