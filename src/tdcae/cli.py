@@ -299,8 +299,8 @@ def cmd_detect(cp, args) -> int:
     train_runs = select_runs(runs, split.train_engines)
     latents_train = [tdc.infer_latent(params, dataio.apply_scaler(r, scaler))
                      for r in train_runs]
-    normalized = [detector.normalize_stream(lat, det_cfg) for lat in latents_train]
-    thresholds = detector.fit_thresholds(normalized, det_cfg)
+    thresholds = detector.fit_thresholds(detector.normalize_fleet(latents_train, det_cfg),
+                                         det_cfg)
 
     target_units = split.train_engines if args.engines == "train" else split.test_engines
     target_runs = select_runs(runs, target_units)

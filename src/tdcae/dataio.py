@@ -112,6 +112,8 @@ class ScalerParams:
         object.__setattr__(self, "maximum", np.asarray(self.maximum, dtype=np.float64))
         if self.minimum.shape != self.maximum.shape:
             raise ValueError("min/max shape mismatch")
+        if not (np.all(np.isfinite(self.minimum)) and np.all(np.isfinite(self.maximum))):
+            raise ValueError("min/max must be finite")
         if np.any(self.maximum < self.minimum):
             raise ValueError("max < min for some feature")
 

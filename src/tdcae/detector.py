@@ -7,8 +7,12 @@ compare against global per-node percentile bands fitted on pooled training
 streams. A timestep is positive when at least vote_threshold nodes sit
 outside their band. Metrics are micro-averaged over pooled timesteps, plus
 the critical detection rate over each engine's final 10% of life.
-run_detector and the grid search run this pipeline on every engine at once,
-on one zero-padded time-major block (_Fleet), bitwise the per-engine path.
+
+One path decides and scores. Engines are normalized, thresholded and voted
+side by side in one zero-padded time-major block (_Fleet), and decisions are
+scored against the runs' labels as [Tmax x E] masks (_Labels). A single
+engine is a block one engine wide: normalize_stream and detect are the
+one-engine case, and score pads finished decisions into a block.
 """
 
 from __future__ import annotations
@@ -60,10 +64,6 @@ class Thresholds:
     @property
     def n_nodes(self) -> int:
         return self.upper.shape[0]
-
-
-def _full_latent(latent: LatentSeries) -> np.ndarray:
-    return np.hstack([latent.z, latent.z_dot])
 
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -121,21 +121,26 @@ def baseline(smoothed: np.ndarray, window: int) -> np.ndarray:
     return np.concatenate([smoothed[:1], moving_average(smoothed[:-1], window)])
 
 
+def normalize_fleet(latents: list[LatentSeries], config: DetectorConfig) -> list[np.ndarray]:
+    """Each engine's moving-averaged, baseline-subtracted [T x n] stream, in
+    engine order: views of one normalized block (see _Fleet). Every stream
+    must be as wide as the first."""
+    fleet = _Fleet(latents, 2 * latents[0].n_pairs if latents else 0)
+    return fleet.streams(fleet.normalize(config))
+
+
 def normalize_stream(latent: LatentSeries, config: DetectorConfig) -> np.ndarray:
-    """Moving-averaged, baseline-subtracted latent stream [T x n]."""
-    values = _full_latent(latent)
-    if values.shape[0] < 1:
-        raise ValueError("empty latent series")
-    return _normalize(values, config)
+    """Moving-averaged, baseline-subtracted latent stream [T x n]: normalize_fleet
+    of one engine."""
+    return normalize_fleet([latent], config)[0]
 
 
 def _normalize(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
-    """normalize_stream of a time-major array: one engine's [T x n] stream or a
-    fleet's raw block [Tmax x n*E]. Both stages are trailing and column-independent,
-    so each column of a block is bitwise its engine's stream on the rows the
-    engine fills."""
+    """Smoothing minus baseline of a fleet's raw [Tmax x n*E] block. Both stages
+    are trailing and column-independent, so each column is bitwise its engine's
+    stream normalized alone on the rows the engine fills."""
     smoothed = moving_average(values, config.moving_average_window)
-    del values  # frees a fleet's raw block, which the caller hands over
+    del values  # frees the raw block, which the caller hands over
     if config.use_baseline:
         # smoothed - baseline(smoothed, window), in place: no baseline array
         smoothed[1:] -= moving_average(smoothed[:-1], config.baseline_window)
@@ -184,20 +189,10 @@ class DetectionResult:
 
 def detect(latent: LatentSeries, thresholds: Thresholds,
            config: DetectorConfig) -> DetectionResult:
-    """Vote-based decisions: positive when >= vote_threshold nodes leave their band."""
-    return _decide(latent.unit_id, normalize_stream(latent, config), thresholds, config)
+    """Vote-based decisions: positive when >= vote_threshold nodes leave their band.
 
-
-def _decide(unit_id: int, stream: np.ndarray, thresholds: Thresholds,
-            config: DetectorConfig) -> DetectionResult:
-    """detect's decisions on a stream normalize_stream already produced."""
-    if stream.shape[1] != thresholds.n_nodes:
-        raise ValueError(f"stream has {stream.shape[1]} nodes, "
-                         f"thresholds have {thresholds.n_nodes}")
-    outside = (stream > thresholds.upper) | (stream < thresholds.lower)
-    votes = outside.sum(axis=1)
-    return DetectionResult(unit_id=unit_id, votes=votes,
-                           positives=votes >= config.vote_threshold)
+    The decision of a fleet one engine wide (see _Fleet.decide)."""
+    return _Fleet([latent], thresholds.n_nodes).decide(thresholds, config)[0]
 
 
 @dataclass(frozen=True)
@@ -231,94 +226,43 @@ def score(results: list[DetectionResult], runs: list[EngineRun]) -> MetricsSumma
     """Micro-averaged confusion metrics over pooled timesteps, plus CDR.
 
     CDR is the fraction of engines raising at least one positive inside
-    their final ceil(0.1 T) cycles.
+    their final ceil(0.1 T) cycles. The results' positives are zero-padded
+    into one [Tmax x E] block and summarized against the runs' label masks
+    (see _Labels): a KeyError for a unit with no run, a ValueError for a run
+    whose life is not as long as its decisions.
     """
-    by_unit = {run.unit_id: run for run in runs}
-    critical_hits = 0
-    for res in results:
-        run = _run_of(by_unit, res.unit_id, len(res))
-        if res.positives[-critical_window(run.life_length):].any():
-            critical_hits += 1
-    positives = np.concatenate([res.positives for res in results] or [np.zeros(0, bool)])
-    truth = np.concatenate([by_unit[res.unit_id].labels for res in results]
-                           or [np.zeros(0, bool)])
-    tp = int(np.count_nonzero(positives & truth))
-    fp = int(np.count_nonzero(positives)) - tp
-    fn = int(np.count_nonzero(truth)) - tp
-    tn = positives.size - tp - fp - fn
-    return _summary(tp, fp, tn, fn, critical_hits, len(results))
-
-
-def _run_of(by_unit: dict[int, EngineRun], unit_id: int, n_decisions: int) -> EngineRun:
-    """The run that labels unit_id's decisions: a KeyError when there is none,
-    a ValueError when its life is not n_decisions cycles long."""
-    run = by_unit[unit_id]
-    if n_decisions != run.life_length:
-        raise ValueError(f"unit {unit_id}: {n_decisions} decisions "
-                         f"for {run.life_length} cycles")
-    return run
-
-
-def _summary(tp: int, fp: int, tn: int, fn: int, critical_hits: int,
-             n_engines: int) -> MetricsSummary:
-    precision = _safe_div(tp, tp + fp)
-    recall = _safe_div(tp, tp + fn)
-    return MetricsSummary(
-        tp=tp, fp=fp, tn=tn, fn=fn,
-        accuracy=_safe_div(tp + tn, tp + fp + tn + fn),
-        precision=precision,
-        recall=recall,
-        specificity=_safe_div(tn, tn + fp),
-        f1=_safe_div(2 * precision * recall, precision + recall),
-        cdr=_safe_div(critical_hits, n_engines),
-        n_engines=n_engines,
-    )
+    labels = _Labels([(res.unit_id, len(res)) for res in results], runs)
+    positives = np.zeros(labels.truth.shape, dtype=bool)
+    for e, res in enumerate(results):
+        positives[:len(res), e] = res.positives
+    return labels.summary(positives)
 
 
 class _Fleet:
-    """Engines side by side in one time-major block, to decide and score them
-    all at once.
+    """Engines side by side in one time-major block, to normalize and decide
+    them all at once.
 
     A block is [Tmax x n x E]: engine e's [T_e x n] latent stream fills rows
     t < T_e of block[:, :, e], and zeros pad the rows after its last cycle.
     Normalization is trailing and column-independent, so no filled row ever
     reads the padding. Nodes before engines in a row let a vote count add up
-    E-wide rows. The [Tmax x E] masks are the labels of the filled rows split
-    into anomalous (truth) and normal, and each engine's final
-    critical_window cycles; all are False on padding.
+    E-wide rows.
     """
 
-    def __init__(self, latents: list[LatentSeries], runs: list[EngineRun],
-                 n_nodes: int | None = None):
-        """n_nodes, the width every stream must have, defaults to the first's."""
-        if n_nodes is None:
-            n_nodes = 2 * latents[0].n_pairs if latents else 0
+    def __init__(self, latents: list[LatentSeries], n_nodes: int):
+        """n_nodes is the width every stream must have."""
         for latent in latents:
             if len(latent) < 1:
                 raise ValueError("empty latent series")
             if 2 * latent.n_pairs != n_nodes:
                 raise ValueError(f"unit {latent.unit_id}: stream has {2 * latent.n_pairs} "
                                  f"nodes, expected {n_nodes}")
-        by_unit = {run.unit_id: run for run in runs}
-        labels = [_run_of(by_unit, latent.unit_id, len(latent)).labels for latent in latents]
         self.latents = latents
         self.lengths = [len(latent) for latent in latents]
-        rows = max(self.lengths, default=0)
-        self.shape = (rows, n_nodes, len(latents))
-        self.truth = np.zeros((rows, len(latents)), dtype=bool)
-        for e, (latent, truth) in enumerate(zip(latents, labels)):
-            self.truth[:len(latent), e] = truth
-        t = np.arange(rows)[:, None]
-        lengths = np.array(self.lengths, dtype=np.int64)
-        tails = np.array([critical_window(n) for n in self.lengths], dtype=np.int64)
-        filled = t < lengths
-        self.normal = filled & ~self.truth
-        self.critical = filled & (t >= lengths - tails)
-        self.n_truth = int(np.count_nonzero(self.truth))
-        self.n_normal = int(np.count_nonzero(self.normal))
+        self.shape = (max(self.lengths, default=0), n_nodes, len(latents))
 
     def normalize(self, config: DetectorConfig) -> np.ndarray:
-        """normalize_stream of every engine in one call, as a [Tmax x n x E] block.
+        """Every engine's normalized stream in one call, as a [Tmax x n x E] block.
 
         The raw block is built anew for each call and passed without another
         reference, so _normalize frees it once smoothed: the search holds at
@@ -326,10 +270,12 @@ class _Fleet:
         return _normalize(self._raw_block(), config).reshape(self.shape)
 
     def _raw_block(self) -> np.ndarray:
-        """The zero-padded latent streams as one [Tmax x n*E] array."""
+        """The zero-padded latent streams, state then derivative nodes, as one
+        [Tmax x n*E] array."""
         block = np.zeros(self.shape)
         for e, latent in enumerate(self.latents):
-            block[:len(latent), :, e] = _full_latent(latent)
+            block[:len(latent), :latent.n_pairs, e] = latent.z
+            block[:len(latent), latent.n_pairs:, e] = latent.z_dot
         rows, n, engines = self.shape
         return block.reshape(rows, n * engines)
 
@@ -337,13 +283,16 @@ class _Fleet:
         """Each engine's [T_e x n] stream in a [Tmax x n x E] block, in engine order."""
         return [block[:length, :, e] for e, length in enumerate(self.lengths)]
 
-    def summary(self, positives: np.ndarray) -> MetricsSummary:
-        """score of [Tmax x E] decisions; rows of padding count for nothing."""
-        tp = int(np.count_nonzero(positives & self.truth))
-        fp = int(np.count_nonzero(positives & self.normal))
-        critical_hits = int(np.count_nonzero((positives & self.critical).any(axis=0)))
-        return _summary(tp, fp, self.n_normal - fp, self.n_truth - tp, critical_hits,
-                        len(self.lengths))
+    def decide(self, thresholds: Thresholds, config: DetectorConfig) -> list[DetectionResult]:
+        """Each engine's decisions, in engine order, from one normalization and
+        one vote count of the block."""
+        block = self.normalize(config)
+        votes = _nodes_above(block, thresholds.upper) + _nodes_below(block, thresholds.lower)
+        positives = votes >= config.vote_threshold
+        # copies, not views of the [Tmax x E] arrays: a kept result holds its own cycles only
+        return [DetectionResult(unit_id=latent.unit_id, votes=votes[:length, e].copy(),
+                                positives=positives[:length, e].copy())
+                for e, (latent, length) in enumerate(zip(self.latents, self.lengths))]
 
 
 def _nodes_above(block: np.ndarray, band: np.ndarray) -> np.ndarray:
@@ -355,29 +304,70 @@ def _nodes_below(block: np.ndarray, band: np.ndarray) -> np.ndarray:
     """[Tmax x E] count of nodes below their band in a [Tmax x n x E] block.
 
     No node is both above an upper band and below a lower one, because
-    Thresholds keeps lower <= upper, so the two counts add up to _decide's
-    votes."""
+    Thresholds keeps lower <= upper, so the two counts add up to the number
+    of nodes outside their band."""
     return np.count_nonzero(block < band[:, None], axis=1)
+
+
+class _Labels:
+    """The runs' labels of a fleet's decisions as [Tmax x E] masks, to score
+    them all at once.
+
+    The masks are the labels of the filled rows split into anomalous (truth)
+    and normal, and each engine's final critical_window cycles; all are
+    False on the padding after an engine's last cycle.
+    """
+
+    def __init__(self, engines: list[tuple[int, int]], runs: list[EngineRun]):
+        """engines holds each engine's (unit_id, cycles decided), in block order.
+        A unit with no run is a KeyError; a run whose life is not as many
+        cycles as its engine decided is a ValueError."""
+        by_unit = {run.unit_id: run for run in runs}
+        lengths = np.array([length for _, length in engines], dtype=np.int64)
+        rows = int(lengths.max(initial=0))
+        self.truth = np.zeros((rows, len(engines)), dtype=bool)
+        for e, (unit_id, length) in enumerate(engines):
+            run = by_unit[unit_id]
+            if length != run.life_length:
+                raise ValueError(f"unit {unit_id}: {length} decisions "
+                                 f"for {run.life_length} cycles")
+            self.truth[:length, e] = run.labels
+        t = np.arange(rows)[:, None]
+        tails = np.array([critical_window(n) for n in lengths], dtype=np.int64)
+        filled = t < lengths
+        self.normal = filled & ~self.truth
+        self.critical = filled & (t >= lengths - tails)
+        self.n_truth = int(np.count_nonzero(self.truth))
+        self.n_normal = int(np.count_nonzero(self.normal))
+
+    def summary(self, positives: np.ndarray) -> MetricsSummary:
+        """The metrics of [Tmax x E] decisions; rows of padding count for nothing."""
+        tp = int(np.count_nonzero(positives & self.truth))
+        fp = int(np.count_nonzero(positives & self.normal))
+        tn, fn = self.n_normal - fp, self.n_truth - tp
+        critical_hits = int(np.count_nonzero((positives & self.critical).any(axis=0)))
+        n_engines = self.truth.shape[1]
+        precision = _safe_div(tp, tp + fp)
+        recall = _safe_div(tp, tp + fn)
+        return MetricsSummary(
+            tp=tp, fp=fp, tn=tn, fn=fn,
+            accuracy=_safe_div(tp + tn, tp + fp + tn + fn),
+            precision=precision,
+            recall=recall,
+            specificity=_safe_div(tn, tn + fp),
+            f1=_safe_div(2 * precision * recall, precision + recall),
+            cdr=_safe_div(critical_hits, n_engines),
+            n_engines=n_engines,
+        )
 
 
 def run_detector(latents: list[LatentSeries], runs: list[EngineRun],
                  thresholds: Thresholds, config: DetectorConfig
                  ) -> tuple[list[DetectionResult], MetricsSummary]:
-    """detect on every engine, and score of the results against runs.
-
-    The engines are normalized, decided and scored together on one
-    zero-padded time-major block (see _Fleet); each engine's result is
-    bitwise detect's and the summary is score's.
-    """
-    fleet = _Fleet(latents, runs, thresholds.n_nodes)
-    block = fleet.normalize(config)
-    votes = _nodes_above(block, thresholds.upper) + _nodes_below(block, thresholds.lower)
-    positives = votes >= config.vote_threshold
-    results = [DetectionResult(unit_id=latent.unit_id, votes=v[:length], positives=p[:length])
-               for latent, length, v, p in zip(latents, fleet.lengths,
-                                               np.ascontiguousarray(votes.T),
-                                               np.ascontiguousarray(positives.T))]
-    return results, fleet.summary(positives)
+    """detect on every engine, and score of the results against runs: one
+    fleet decision (see _Fleet), then score."""
+    results = _Fleet(latents, thresholds.n_nodes).decide(thresholds, config)
+    return results, score(results, runs)
 
 
 def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
@@ -399,33 +389,24 @@ def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
     for i, config in enumerate(grid):
         windows = (config.moving_average_window, config.baseline_window, config.use_baseline)
         groups.setdefault(windows, []).append(i)
-    fleet = _Fleet(latents, runs)
-    keys = {}
+    fleet = _Fleet(latents, 2 * latents[0].n_pairs if latents else 0)
+    labels = _Labels([(latent.unit_id, len(latent)) for latent in latents], runs)
+    keys = [None] * len(grid)
     for indices in groups.values():
-        keys.update(zip(indices, _group_keys(fleet, [grid[i] for i in indices])))
+        configs = [grid[i] for i in indices]
+        block = fleet.normalize(configs[0])
+        thresholds = _fit_thresholds_each(fleet.streams(block), configs)
+        uppers = {c.upper_percentile: th.upper for c, th in zip(configs, thresholds)}
+        lowers = {c.lower_percentile: th.lower for c, th in zip(configs, thresholds)}
+        above = {q: _nodes_above(block, band) for q, band in uppers.items()}
+        below = {q: _nodes_below(block, band) for q, band in lowers.items()}
+        for i, config in zip(indices, configs):
+            votes = above[config.upper_percentile] + below[config.lower_percentile]
+            summary = labels.summary(votes >= config.vote_threshold)
+            keys[i] = (summary.f1, summary.specificity, -config.moving_average_window)
+        # freed before the next group's normalization, which then holds two blocks at most
+        del block, above, below, votes
     return grid[max(range(len(grid)), key=keys.__getitem__)]
-
-
-def _search_keys(latents: list[LatentSeries], runs: list[EngineRun],
-                 configs: list[DetectorConfig]) -> list[tuple]:
-    """(f1, specificity, -window) of each config, all sharing configs[0]'s normalization."""
-    return _group_keys(_Fleet(latents, runs), configs)
-
-
-def _group_keys(fleet: _Fleet, configs: list[DetectorConfig]) -> list[tuple]:
-    """_search_keys on a fleet already built."""
-    block = fleet.normalize(configs[0])
-    thresholds = _fit_thresholds_each(fleet.streams(block), configs)
-    uppers = {c.upper_percentile: th.upper for c, th in zip(configs, thresholds)}
-    lowers = {c.lower_percentile: th.lower for c, th in zip(configs, thresholds)}
-    above = {q: _nodes_above(block, band) for q, band in uppers.items()}
-    below = {q: _nodes_below(block, band) for q, band in lowers.items()}
-    keys = []
-    for config in configs:
-        votes = above[config.upper_percentile] + below[config.lower_percentile]
-        summary = fleet.summary(votes >= config.vote_threshold)
-        keys.append((summary.f1, summary.specificity, -config.moving_average_window))
-    return keys
 
 
 def config_grid(base: DetectorConfig, uppers, lowers, windows) -> list[DetectorConfig]:

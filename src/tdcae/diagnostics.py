@@ -344,13 +344,13 @@ def rho_metric(z_series: np.ndarray, zdot_series: np.ndarray, dt: float = 1.0) -
     return float(np.mean((x - accumulated) ** 2))
 
 
-def _pair_etas(latent: LatentSeries, window: tuple[int, int] | None) -> list[float]:
+def _pair_etas(latent: LatentSeries, window: tuple[int, int]) -> list[float]:
     """Each pair's eta over one index window of a latent series.
 
     A pair whose state or derivative channel is constant over the window
     gets eta = nan instead of aborting the whole engine.
     """
-    start, stop = window if window is not None else (0, len(latent))
+    start, stop = window
     if not (0 <= start < stop <= len(latent)) or stop - start < 2:
         raise ValueError(f"bad window ({start}, {stop}) for series of length {len(latent)}")
     etas = []
@@ -360,11 +360,6 @@ def _pair_etas(latent: LatentSeries, window: tuple[int, int] | None) -> list[flo
         except ValueError:
             etas.append(float("nan"))
     return etas
-
-
-def eta_per_engine(latent: LatentSeries, window: tuple[int, int] | None = None) -> float:
-    """Mean eta across the latent pairs of one engine."""
-    return float(np.mean(_pair_etas(latent, window)))
 
 
 def eta_table(latents: list[LatentSeries], windows: list[tuple[int, int]]) -> list[dict]:

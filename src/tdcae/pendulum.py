@@ -112,11 +112,6 @@ def phase_slice(traj: Trajectory, start_index: int, end_index: int) -> np.ndarra
     return np.column_stack([traj.theta[start_index:end_index], traj.theta_dot[start_index:end_index]])
 
 
-def energy(traj: Trajectory, omega0: float) -> np.ndarray:
-    """Mechanical energy 0.5*theta_dot^2 + omega0^2*(1 - cos theta) per sample."""
-    return 0.5 * traj.theta_dot**2 + omega0**2 * (1.0 - np.cos(traj.theta))
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     from .dataio import atomic_write_text
 

@@ -1,5 +1,6 @@
 """Shared fixtures: surrogate data, a small trained model, optional real data,
-and the finite-difference gradient every gradient test compares against.
+the finite-difference gradient every gradient test compares against, and
+the per-engine eta that the latent-consistency tests check.
 
 The real turbofan files are looked up via the CMAPSS_DATA environment
 variable or a data/ directory next to the package; data-dependent tests
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdcae import dataio, tdc
+from tdcae import dataio, diagnostics, tdc
 
 
 def cmapss_file(subset: str) -> Path | None:
@@ -59,6 +60,14 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Largest entrywise |a - n| / max(1e-4, |a|, |n|) of two flat gradients."""
     denom = np.maximum(1e-4, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def eta_per_engine(latent, window=None) -> float:
+    """Mean eta across the latent pairs of one engine, over window (start, stop),
+    by default the whole series."""
+    if window is None:
+        window = (0, len(latent))
+    return float(np.mean(diagnostics._pair_etas(latent, window)))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import pytest
 
 from tdcae import dataio, detector, diagnostics, net, pendulum, tdc
 
-from conftest import cmapss_file, fd_grads, max_rel_err
+from conftest import cmapss_file, eta_per_engine, fd_grads, max_rel_err
 
 
 def criterion(num, ok, detail):
@@ -262,7 +262,7 @@ def test_criterion_08_consistency_structure():
     etas = []
     for run in pipeline["scaled_train"]:
         latent = tdc.infer_latent(params, run)
-        etas.append(diagnostics.eta_per_engine(latent, window=(0, run.normal_count)))
+        etas.append(eta_per_engine(latent, window=(0, run.normal_count)))
     eta_ok = all(0.6 <= e <= 1.3 for e in etas)
 
     latents_test = [tdc.infer_latent(params, r) for r in pipeline["scaled_test"]]

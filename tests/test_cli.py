@@ -11,6 +11,8 @@ import pytest
 
 from tdcae import cli, dataio, detector, diagnostics, net, pendulum, tdc
 
+from test_detector import per_engine_detect, per_engine_normalize, per_engine_score
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -374,6 +376,10 @@ def set_training(**values):
     return lambda payload: payload["training_config"].update(values)
 
 
+def set_scaler_min(value):
+    return lambda payload: payload["scaler"]["min"].__setitem__(0, value)
+
+
 def set_weight(value):
     return lambda payload: payload["weights"][2][0].__setitem__(1, value)
 
@@ -399,6 +405,7 @@ MALFORMED_CHECKPOINTS = {
     "dt_nan": (set_training(dt=float("nan")), "training_config"),
     "input_dim_other": (set_training(input_dim=12), "training_config"),
     "latent_dim_other": (set_training(latent_dim=4), "training_config"),
+    "scaler_nan": (set_scaler_min(float("nan")), "scaler"),
     "weights_int": (set_fields(weights=3), "weights"),
     "weight_string": (set_weight("abc"), "weights[2]"),
     "no_unique_bottleneck": (set_bottleneck(24), "specs"),
@@ -438,6 +445,42 @@ def test_diagnose_rho_uses_the_trained_dt(tmp_path):
     labels = [r.labels for r in test_runs]
     assert rho_test == diagnostics.rho_table(latents, labels, dt=0.5)
     assert rho_test != diagnostics.rho_table(latents, labels, dt=1.0)
+
+
+@pytest.mark.parametrize("engines", ["test", "train"])
+def test_detect_writes_the_bytes_of_the_per_engine_oracles(engines, pipeline_dir, tmp_path):
+    # detect normalizes, decides and scores on one fleet block; the oracles run one
+    # engine at a time and must lead to the same files, byte for byte
+    argv = ["detect", "--out", str(tmp_path / "cli"), "--seed", "0", "--engines", engines,
+            "--checkpoint", str(pipeline_dir / "checkpoint_seed0.json")]
+    assert run_cli(*argv) == 0
+
+    args = cli.build_parser().parse_args(argv)
+    cp = cli.load_config(None)
+    params, scaler, split, _, runs = cli._checkpoint_and_runs(cp, args)
+    config = cli.detector_config(cp, args, latent_dim=net.latent_dim(params))
+
+    def latents(target_runs):
+        return [tdc.infer_latent(params, dataio.apply_scaler(r, scaler)) for r in target_runs]
+
+    train = latents(cli.select_runs(runs, split.train_engines))
+    thresholds = detector.fit_thresholds([per_engine_normalize(lat, config) for lat in train],
+                                         config)
+    target_runs = cli.select_runs(
+        runs, split.train_engines if engines == "train" else split.test_engines)
+    results = [per_engine_detect(lat, thresholds, config) for lat in latents(target_runs)]
+    summary = per_engine_score(results, target_runs)
+    out = tmp_path / "oracle"
+    out.mkdir()
+    detector.write_detections_csv(results, target_runs, out / "detections.csv")
+    cli.write_json(out / "metrics.json", {
+        "engines": engines,
+        "metrics": summary.as_dict(),
+        "thresholds": {"upper": list(thresholds.upper), "lower": list(thresholds.lower)},
+        "mac": detector.mac_report(params),
+    })
+    for name in ("detections.csv", "metrics.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_commands_write_the_same_bytes_with_and_without_the_parse_cache(tmp_path):

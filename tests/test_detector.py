@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -256,6 +257,80 @@ def test_fit_thresholds_is_bitwise_two_percentile_calls(lengths, n, lower, upper
     assert np.array_equal(got.lower, want.lower)
 
 
+# --- per-engine oracles: the detector one engine at a time, as it ran before the fleet block
+
+def per_engine_normalize(latent, config):
+    """Oracle: normalize_stream on the engine's own [T x n] stream."""
+    values = np.hstack([latent.z, latent.z_dot])
+    if values.shape[0] < 1:
+        raise ValueError("empty latent series")
+    smoothed = det.moving_average(values, config.moving_average_window)
+    if not config.use_baseline:
+        return smoothed
+    return smoothed - det.baseline(smoothed, config.baseline_window)
+
+
+def per_engine_decide(unit_id, stream, thresholds, config):
+    """Oracle: detect's decisions on a stream per_engine_normalize already produced."""
+    if stream.shape[1] != thresholds.n_nodes:
+        raise ValueError(f"stream has {stream.shape[1]} nodes, "
+                         f"thresholds have {thresholds.n_nodes}")
+    outside = (stream > thresholds.upper) | (stream < thresholds.lower)
+    votes = outside.sum(axis=1)
+    return det.DetectionResult(unit_id=unit_id, votes=votes,
+                               positives=votes >= config.vote_threshold)
+
+
+def per_engine_detect(latent, thresholds, config):
+    """Oracle: detect as per_engine_normalize, then per_engine_decide."""
+    return per_engine_decide(latent.unit_id, per_engine_normalize(latent, config), thresholds,
+                             config)
+
+
+def run_of(by_unit, unit_id, n_decisions):
+    """The run that labels unit_id's decisions: a KeyError when there is none,
+    a ValueError when its life is not n_decisions cycles long."""
+    run = by_unit[unit_id]
+    if n_decisions != run.life_length:
+        raise ValueError(f"unit {unit_id}: {n_decisions} decisions "
+                         f"for {run.life_length} cycles")
+    return run
+
+
+def metrics_summary(tp, fp, tn, fn, critical_hits, n_engines):
+    """The metrics of pooled confusion counts and critical-window hits."""
+    precision = det._safe_div(tp, tp + fp)
+    recall = det._safe_div(tp, tp + fn)
+    return det.MetricsSummary(
+        tp=tp, fp=fp, tn=tn, fn=fn,
+        accuracy=det._safe_div(tp + tn, tp + fp + tn + fn),
+        precision=precision,
+        recall=recall,
+        specificity=det._safe_div(tn, tn + fp),
+        f1=det._safe_div(2 * precision * recall, precision + recall),
+        cdr=det._safe_div(critical_hits, n_engines),
+        n_engines=n_engines,
+    )
+
+
+def per_engine_score(results, runs):
+    """Oracle: score over the results' positives concatenated, engine by engine."""
+    by_unit = {run.unit_id: run for run in runs}
+    critical_hits = 0
+    for res in results:
+        run = run_of(by_unit, res.unit_id, len(res))
+        if res.positives[-det.critical_window(run.life_length):].any():
+            critical_hits += 1
+    positives = np.concatenate([res.positives for res in results] or [np.zeros(0, bool)])
+    truth = np.concatenate([by_unit[res.unit_id].labels for res in results]
+                           or [np.zeros(0, bool)])
+    tp = int(np.count_nonzero(positives & truth))
+    fp = int(np.count_nonzero(positives)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
+    tn = positives.size - tp - fp - fn
+    return metrics_summary(tp, fp, tn, fn, critical_hits, len(results))
+
+
 # --- detect ----------------------------------------------------------------------------
 
 def test_detect_votes_and_positives():
@@ -363,12 +438,7 @@ def loop_score(results, runs):
         tn += int(np.sum(~res.positives & ~truth))
         fn += int(np.sum(~res.positives & truth))
         hits += bool(res.positives[-det.critical_window(run.life_length):].any())
-    precision, recall = det._safe_div(tp, tp + fp), det._safe_div(tp, tp + fn)
-    return det.MetricsSummary(
-        tp=tp, fp=fp, tn=tn, fn=fn, accuracy=det._safe_div(tp + tn, tp + fp + tn + fn),
-        precision=precision, recall=recall, specificity=det._safe_div(tn, tn + fp),
-        f1=det._safe_div(2 * precision * recall, precision + recall),
-        cdr=det._safe_div(hits, len(results)), n_engines=len(results))
+    return metrics_summary(tp, fp, tn, fn, hits, len(results))
 
 
 @settings(max_examples=100, deadline=None)
@@ -442,9 +512,10 @@ def loop_optimize_thresholds(latents, runs, grid):
     """optimize_thresholds as one normalization, fit and score per config."""
     best_key, best_config = None, None
     for config in grid:
-        normalized = [det.normalize_stream(latent, config) for latent in latents]
+        normalized = [per_engine_normalize(latent, config) for latent in latents]
         thresholds = loop_fit_thresholds(normalized, config)
-        summary = loop_score([det.detect(latent, thresholds, config) for latent in latents], runs)
+        summary = loop_score([per_engine_decide(latent.unit_id, stream, thresholds, config)
+                              for latent, stream in zip(latents, normalized)], runs)
         key = (summary.f1, summary.specificity, -config.moving_average_window)
         if best_key is None or key > best_key:
             best_key, best_config = key, config
@@ -501,15 +572,32 @@ def test_optimize_thresholds_normalizes_once_per_window(monkeypatch):
     assert sorted(c.moving_average_window for _, c in calls) == [6, 12, 18]
 
 
+def search_keys(latents, runs, configs):
+    """The (f1, specificity, -window) keys optimize_thresholds ranks configs by, read
+    off the summaries it computes; the configs must share one window group."""
+    summaries = []
+    summary = det._Labels.summary
+
+    def record(labels, positives):
+        summaries.append(summary(labels, positives))
+        return summaries[-1]
+
+    with mock.patch.object(det._Labels, "summary", record):
+        det.optimize_thresholds(latents, runs, configs)
+    assert len(summaries) == len(configs)
+    return [(s.f1, s.specificity, -c.moving_average_window) for s, c in zip(summaries, configs)]
+
+
 def per_config_search_keys(latents, runs, configs):
-    """Oracle: _search_keys with one pooling and np.percentile([up, lo]) call per config."""
-    streams = [det.normalize_stream(latent, configs[0]) for latent in latents]
+    """Oracle: search_keys with one pooling and np.percentile([up, lo]) call per config."""
+    streams = [per_engine_normalize(latent, configs[0]) for latent in latents]
     keys = []
     for config in configs:
         upper, lower = np.percentile(np.vstack(streams),
                                      [config.upper_percentile, config.lower_percentile], axis=0)
         thresholds = det.Thresholds(upper=upper, lower=lower)
-        summary = det.score([det.detect(latent, thresholds, config) for latent in latents], runs)
+        summary = per_engine_score([per_engine_detect(latent, thresholds, config)
+                                    for latent in latents], runs)
         keys.append((summary.f1, summary.specificity, -config.moving_average_window))
     return keys
 
@@ -532,14 +620,14 @@ def test_one_percentile_pass_per_group_is_the_per_config_fit(percentiles, votes,
     configs = [det.DetectorConfig(upper_percentile=up, lower_percentile=lo, latent_dim=4,
                                   moving_average_window=3, vote_threshold=votes)
                for lo, up in percentiles]
-    streams = [det.normalize_stream(latent, configs[0]) for latent in latents]
+    streams = [per_engine_normalize(latent, configs[0]) for latent in latents]
     for config, got in zip(configs, det._fit_thresholds_each(streams, configs)):
         upper, lower = np.percentile(np.vstack(streams),
                                      [config.upper_percentile, config.lower_percentile], axis=0)
         assert got.upper.tobytes() == upper.tobytes()
         assert got.lower.tobytes() == lower.tobytes()
     keys = per_config_search_keys(latents, runs, configs)
-    assert det._search_keys(latents, runs, configs) == keys
+    assert search_keys(latents, runs, configs) == keys
     best = configs[max(range(len(configs)), key=keys.__getitem__)]
     assert det.optimize_thresholds(latents, runs, configs) is best
 
@@ -547,23 +635,22 @@ def test_one_percentile_pass_per_group_is_the_per_config_fit(percentiles, votes,
 # --- the fleet block: every engine decided at once ---------------------------------------
 
 def per_engine_search_keys(latents, runs, configs):
-    """Oracle: _search_keys one engine at a time, as it ran before the fleet block:
-    normalize_stream per engine, then _decide per engine and score per config."""
-    streams = [det.normalize_stream(latent, configs[0]) for latent in latents]
+    """Oracle: search_keys one engine at a time, as it ran before the fleet block:
+    normalize per engine, then decide per engine and score per config."""
+    streams = [per_engine_normalize(latent, configs[0]) for latent in latents]
     keys = []
     for config in configs:
         thresholds = loop_fit_thresholds(streams, config)
-        summary = det.score([det._decide(latent.unit_id, stream, thresholds, config)
-                             for latent, stream in zip(latents, streams)], runs)
+        summary = per_engine_score([per_engine_decide(latent.unit_id, stream, thresholds, config)
+                                    for latent, stream in zip(latents, streams)], runs)
         keys.append((summary.f1, summary.specificity, -config.moving_average_window))
     return keys
 
 
 def per_engine_run_detector(latents, runs, thresholds, config):
     """Oracle: run_detector as detect per engine, then score."""
-    results = [det._decide(latent.unit_id, det.normalize_stream(latent, config), thresholds,
-                           config) for latent in latents]
-    return results, det.score(results, runs)
+    results = [per_engine_detect(latent, thresholds, config) for latent in latents]
+    return results, per_engine_score(results, runs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -592,19 +679,17 @@ def test_fleet_block_is_the_per_engine_detector(data, lengths, pairs, windows, b
                                   vote_threshold=data.draw(st.integers(1, n)))
                for lo, up in percentiles] for w in windows]
 
-    fleet = det._Fleet(latents, runs)
     for configs in groups:
-        block = fleet.normalize(configs[0])
-        for latent, stream in zip(latents, fleet.streams(block)):
-            assert np.array_equal(stream, det.normalize_stream(latent, configs[0]))
-        assert det._search_keys(latents, runs, configs) == per_engine_search_keys(
+        for latent, stream in zip(latents, det.normalize_fleet(latents, configs[0])):
+            assert np.array_equal(stream, per_engine_normalize(latent, configs[0]))
+        assert search_keys(latents, runs, configs) == per_engine_search_keys(
             latents, runs, configs)
     grid = groups[0] + groups[1]
     assert det.optimize_thresholds(latents, runs, grid) is loop_optimize_thresholds(
         latents, runs, grid)
 
     config = grid[0]
-    thresholds = det.fit_thresholds([det.normalize_stream(latent, config) for latent in latents],
+    thresholds = det.fit_thresholds([per_engine_normalize(latent, config) for latent in latents],
                                     config)
     results, summary = det.run_detector(latents, runs, thresholds, config)
     want_results, want_summary = per_engine_run_detector(latents, runs, thresholds, config)
@@ -615,6 +700,12 @@ def test_fleet_block_is_the_per_engine_detector(data, lengths, pairs, windows, b
         assert np.array_equal(got.votes, want.votes)
         assert np.array_equal(got.positives, want.positives)
         assert got.votes.flags.c_contiguous and got.positives.flags.c_contiguous
+    # detect and score are the fleet's one-engine and ready-made-decision cases
+    for latent, want in zip(latents, want_results):
+        got = det.detect(latent, thresholds, config)
+        assert np.array_equal(got.votes, want.votes)
+        assert np.array_equal(got.positives, want.positives)
+    assert det.score(want_results, runs) == want_summary
 
 
 def run_detector_call(latents, runs):

@@ -9,6 +9,8 @@ from tdcae import diagnostics as dg
 from tdcae import net, tdc
 from tdcae.dataio import EngineRun
 
+from conftest import eta_per_engine
+
 
 def identity_encoder(dim=3):
     specs = [net.LayerSpec(dim, dim, "identity")]
@@ -471,7 +473,7 @@ def test_constant_channel_gives_nan_eta_and_finite_rho():
     t = np.arange(20, dtype=float)
     latent = make_latent([np.sin(0.3 * t), t], [np.cos(0.3 * t), np.ones(20)])
     wavy = make_latent([np.sin(0.2 * t), np.cos(t)], [np.cos(0.2 * t), np.sin(t)])
-    assert math.isnan(dg.eta_per_engine(latent))  # constant derivative channel in pair 1
+    assert math.isnan(eta_per_engine(latent))  # constant derivative channel in pair 1
     rows = dg.eta_table([latent, wavy], [(0, 20), (0, 20)])
     assert [row["n_engines"] for row in rows] == [2, 1]
     rho = dg.rho_table([latent], [np.zeros(20, bool)])
@@ -486,7 +488,7 @@ def test_eta_table_rejects_bad_window():
         with pytest.raises(ValueError, match="window"):
             dg.eta_table([latent], [bad])
         with pytest.raises(ValueError, match="window"):
-            dg.eta_per_engine(latent, window=bad)
+            eta_per_engine(latent, window=bad)
 
 
 def test_rho_table_rejects_misaligned_labels():
@@ -498,7 +500,7 @@ def test_rho_table_rejects_misaligned_labels():
 def test_eta_per_engine_averages_pairs():
     z = np.random.default_rng(118).uniform(size=(30, 2))
     latent = make_latent([z[:, 0], z[:, 1]], [z[:, 0], z[:, 1]])
-    assert dg.eta_per_engine(latent) == pytest.approx(1.0)
+    assert eta_per_engine(latent) == pytest.approx(1.0)
 
 
 def test_eta_table_counts_finite_engines_only():

@@ -12,6 +12,8 @@ import pytest
 
 from tdcae import dataio, detector, diagnostics, net, tdc
 
+from conftest import eta_per_engine
+
 
 @pytest.fixture(scope="module")
 def pipeline(trained_setup):
@@ -84,7 +86,7 @@ def test_encoder_geometry_is_clean(pipeline):
 def test_eta_near_one_on_training_engines(pipeline):
     for run in pipeline["scaled_train"]:
         latent = tdc.infer_latent(pipeline["params"], run)
-        eta = diagnostics.eta_per_engine(latent, window=(0, run.normal_count))
+        eta = eta_per_engine(latent, window=(0, run.normal_count))
         assert 0.5 < eta < 1.5
 
 

@@ -671,8 +671,11 @@ def test_checkpoint_with_saved_val_fraction_still_loads(tmp_path):
     ("scaler", {"min": 0, "max": [1]}, "scaler: expected"),
     ("scaler", {"min": ["a", 0], "max": [1, 1]}, "scaler: could not convert"),
     ("scaler", {"min": [0, 2], "max": [1, 1]}, "scaler: max < min"),
+    ("scaler", {"min": [float("nan"), 0], "max": [1, 1]}, "scaler: min/max must be finite"),
+    ("scaler", {"min": [0, 0], "max": [1, float("inf")]}, "scaler: min/max must be finite"),
 ], ids=["split_keys", "split_int", "split_string_id", "split_list", "split_overlap",
-        "scaler_keys", "scaler_int", "scaler_string", "scaler_order"])
+        "scaler_keys", "scaler_int", "scaler_string", "scaler_order", "scaler_nan",
+        "scaler_inf"])
 def test_checkpoint_rejects_malformed_split_or_scaler(key, value, match, tmp_path):
     path = tmp_path / "ckpt.json"
     save_micro_checkpoint(path, micro_params(seed=22, specs=[net.LayerSpec(2, 2)]))
