@@ -191,16 +191,16 @@ def output_dir(cp, args) -> Path:
     return out
 
 
-def load_runs(cp, args, root: int) -> list[dataio.EngineRun]:
-    cfg = run_config(cp, args)
-    if cfg.subset == "synthetic":
-        return dataio.synthetic_runs(seed=component_seed(root, "synthetic-data"))
-    if cfg.dataset is None:
+def load_runs(run: RunConfig) -> list[dataio.EngineRun]:
+    """The engines of [run]'s subset: synthetic ones from its root seed, or a C-MAPSS file."""
+    if run.subset == "synthetic":
+        return dataio.synthetic_runs(seed=component_seed(run.seed, "synthetic-data"))
+    if run.dataset is None:
         raise FileNotFoundError(
-            f"subset {cfg.subset} needs a dataset path (--data or [run] dataset)")
-    path = Path(cfg.dataset)
+            f"subset {run.subset} needs a dataset path (--data or [run] dataset)")
+    path = Path(run.dataset)
     if path.is_dir():
-        path = path / f"train_{cfg.subset}.txt"
+        path = path / f"train_{run.subset}.txt"
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
     return dataio.load_cmapss(path)
@@ -241,22 +241,15 @@ def cmd_simulate(cp, args) -> int:
     return 0
 
 
-def _prepared_data(cp, args, root):
-    """Runs, split, scaler and scaled train runs for train."""
-    runs = load_runs(cp, args, root)
-    split = dataio.split_engines(runs, run_config(cp, args).test_fraction,
-                                 component_seed(root, "engine-split"))
+def cmd_train(cp, args) -> int:
+    run = run_config(cp, args)
+    out = output_dir(cp, args)
+    base = training_config(cp, args)
+    runs = load_runs(run)
+    split = dataio.split_engines(runs, run.test_fraction, component_seed(run.seed, "engine-split"))
     train_runs = select_runs(runs, split.train_engines)
     scaler = dataio.fit_scaler(train_runs)
     scaled_train = [dataio.apply_scaler(r, scaler) for r in train_runs]
-    return runs, split, scaler, scaled_train
-
-
-def cmd_train(cp, args) -> int:
-    root = root_seed(cp, args)
-    out = output_dir(cp, args)
-    base = training_config(cp, args)
-    runs, split, scaler, scaled_train = _prepared_data(cp, args, root)
 
     summary = []
     for seed in seed_list(cp, args):
@@ -284,28 +277,27 @@ def cmd_train(cp, args) -> int:
     return 0
 
 
-def _checkpoint_and_runs(cp, args):
-    """Params, scaler, split and training dt of --checkpoint, plus its runs."""
+def _checkpoint_engines(cp, args):
+    """--checkpoint's record and its split's train and test engines, scaled by its scaler."""
     ckpt = net.load_checkpoint(args.checkpoint)
-    runs = load_runs(cp, args, root_seed(cp, args))
-    return ckpt["params"], ckpt["scaler"], ckpt["split"], ckpt["training_config"]["dt"], runs
+    runs = load_runs(run_config(cp, args))
+    return ckpt, *([dataio.apply_scaler(r, ckpt["scaler"]) for r in select_runs(runs, units)]
+                   for units in (ckpt["split"].train_engines, ckpt["split"].test_engines))
 
 
 def cmd_detect(cp, args) -> int:
     out = output_dir(cp, args)
-    params, scaler, split, _, runs = _checkpoint_and_runs(cp, args)
+    ckpt, train_runs, test_runs = _checkpoint_engines(cp, args)
+    params = ckpt["params"]
     det_cfg = detector_config(cp, args, latent_dim=net.latent_dim(params))
 
-    train_runs = select_runs(runs, split.train_engines)
-    latents_train = [tdc.infer_latent(params, dataio.apply_scaler(r, scaler))
-                     for r in train_runs]
-    thresholds = detector.fit_thresholds(detector.normalize_fleet(latents_train, det_cfg),
-                                         det_cfg)
+    latents_train = [tdc.infer_latent(params, r) for r in train_runs]
+    thresholds = detector.fit_thresholds(detector.normalize_fleet(latents_train, det_cfg), det_cfg)
 
-    target_units = split.train_engines if args.engines == "train" else split.test_engines
-    target_runs = select_runs(runs, target_units)
-    latents = [tdc.infer_latent(params, dataio.apply_scaler(r, scaler))
-               for r in target_runs]
+    if args.engines == "train":
+        target_runs, latents = train_runs, latents_train
+    else:
+        target_runs, latents = test_runs, [tdc.infer_latent(params, r) for r in test_runs]
     results, summary = detector.run_detector(latents, target_runs, thresholds, det_cfg)
 
     detector.write_detections_csv(results, target_runs, out / "detections.csv")
@@ -322,9 +314,8 @@ def cmd_detect(cp, args) -> int:
 
 def cmd_diagnose(cp, args) -> int:
     out = output_dir(cp, args)
-    params, scaler, split, dt, runs = _checkpoint_and_runs(cp, args)
-    train_runs = [dataio.apply_scaler(r, scaler) for r in select_runs(runs, split.train_engines)]
-    test_runs = [dataio.apply_scaler(r, scaler) for r in select_runs(runs, split.test_engines)]
+    ckpt, train_runs, test_runs = _checkpoint_engines(cp, args)
+    params = ckpt["params"]
 
     two_nn = diagnostics.two_nn_by_engine(train_runs)
     test_rows = np.vstack([r.features for r in test_runs])
@@ -345,7 +336,7 @@ def cmd_diagnose(cp, args) -> int:
                         "floor": diagnostics.INJECTIVITY_FLOOR,
                         "n_samples": int(len(test_rows))},
         "eta_train": diagnostics.eta_table(latents_train, windows),
-        "rho_test": diagnostics.rho_table(latents_test, labels_test, dt=dt),
+        "rho_test": diagnostics.rho_table(latents_test, labels_test, dt=ckpt["training_config"]["dt"]),
     })
     print(f"two-NN {two_nn.value:.2f} +/- {two_nn.std:.2f}; "
           f"full-rank fraction {rank.full_rank_fraction:.4f}; "

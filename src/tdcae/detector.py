@@ -24,6 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import EngineRun, atomic_write_text
+from .net import encoder_layer_count
 from .tdc import LatentSeries
 
 # rows per chunk in moving_average, as cells: a fleet block's [rows x E*n]
@@ -124,8 +125,8 @@ def baseline(smoothed: np.ndarray, window: int) -> np.ndarray:
 def normalize_fleet(latents: list[LatentSeries], config: DetectorConfig) -> list[np.ndarray]:
     """Each engine's moving-averaged, baseline-subtracted [T x n] stream, in
     engine order: views of one normalized block (see _Fleet). Every stream
-    must be as wide as the first."""
-    fleet = _Fleet(latents, 2 * latents[0].n_pairs if latents else 0)
+    must be config.latent_dim nodes wide."""
+    fleet = _Fleet(latents, config.latent_dim)
     return fleet.streams(fleet.normalize(config))
 
 
@@ -192,7 +193,7 @@ def detect(latent: LatentSeries, thresholds: Thresholds,
     """Vote-based decisions: positive when >= vote_threshold nodes leave their band.
 
     The decision of a fleet one engine wide (see _Fleet.decide)."""
-    return _Fleet([latent], thresholds.n_nodes).decide(thresholds, config)[0]
+    return _Fleet([latent], config.latent_dim).decide(thresholds, config)[0]
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ class _Fleet:
     """
 
     def __init__(self, latents: list[LatentSeries], n_nodes: int):
-        """n_nodes is the width every stream must have."""
+        """n_nodes is the width every stream must have: the config's latent_dim."""
         for latent in latents:
             if len(latent) < 1:
                 raise ValueError("empty latent series")
@@ -286,6 +287,8 @@ class _Fleet:
     def decide(self, thresholds: Thresholds, config: DetectorConfig) -> list[DetectionResult]:
         """Each engine's decisions, in engine order, from one normalization and
         one vote count of the block."""
+        if thresholds.n_nodes != self.shape[1]:
+            raise ValueError(f"thresholds have {thresholds.n_nodes} nodes, expected {self.shape[1]}")
         block = self.normalize(config)
         votes = _nodes_above(block, thresholds.upper) + _nodes_below(block, thresholds.lower)
         positives = votes >= config.vote_threshold
@@ -366,7 +369,7 @@ def run_detector(latents: list[LatentSeries], runs: list[EngineRun],
                  ) -> tuple[list[DetectionResult], MetricsSummary]:
     """detect on every engine, and score of the results against runs: one
     fleet decision (see _Fleet), then score."""
-    results = _Fleet(latents, thresholds.n_nodes).decide(thresholds, config)
+    results = _Fleet(latents, config.latent_dim).decide(thresholds, config)
     return results, score(results, runs)
 
 
@@ -389,7 +392,7 @@ def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
     for i, config in enumerate(grid):
         windows = (config.moving_average_window, config.baseline_window, config.use_baseline)
         groups.setdefault(windows, []).append(i)
-    fleet = _Fleet(latents, 2 * latents[0].n_pairs if latents else 0)
+    fleet = _Fleet(latents, grid[0].latent_dim)
     labels = _Labels([(latent.unit_id, len(latent)) for latent in latents], runs)
     keys = [None] * len(grid)
     for indices in groups.values():
@@ -428,27 +431,33 @@ def config_grid(base: DetectorConfig, uppers, lowers, windows) -> list[DetectorC
 # weight-MAC sum (2688) by 672 and matches no per-layer accounting we know of.
 REFERENCE_MAC_FIGURE = 3360
 
-# Recurrent baseline: 48-step sequence, input 24, hidden 16, gate matmuls only.
-LSTM_BASELINE_MACS = 245_760
-
 
 def count_macs(params) -> int:
     """Weight multiply-accumulates of one forward pass (bias adds excluded)."""
     return sum(s.in_dim * s.out_dim for s in params.specs)
 
 
+def count_lstm_macs(steps: int, inputs: int, hidden: int) -> int:
+    """Gate multiply-accumulates of an LSTM: four [hidden x (inputs + hidden)] matmuls a step."""
+    return 4 * hidden * (inputs + hidden) * steps
+
+
 def mac_report(params) -> dict:
+    """Weight MACs of the autoencoder, of its encoder (all a detection step runs) and of an LSTM."""
     macs = count_macs(params)
+    encoder_macs = sum(s.in_dim * s.out_dim for s in params.specs[:encoder_layer_count(params)])
+    lstm_macs = count_lstm_macs(steps=48, inputs=24, hidden=16)
     return {
         "weight_macs": macs,
+        "encoder_macs": encoder_macs,
         "bias_adds": sum(s.out_dim for s in params.specs),
         "reference_figure": REFERENCE_MAC_FIGURE,
         "reference_note": (
             f"commonly quoted cost is {REFERENCE_MAC_FIGURE} MACs; the exact "
             f"weight-MAC sum is {macs}, a {REFERENCE_MAC_FIGURE - macs} gap "
             "not explained by bias or activation accounting"),
-        "lstm_baseline_macs": LSTM_BASELINE_MACS,
-        "lstm_ratio": LSTM_BASELINE_MACS / macs,
+        "lstm_baseline_macs": lstm_macs,
+        "lstm_ratio": lstm_macs / encoder_macs,
     }
 
 

@@ -299,14 +299,14 @@ class AdamaxState:
     writes and adamax_step()'s two temporaries."""
 
     learning_rate: float
+    m: np.ndarray
+    u: np.ndarray
+    grads: Gradients
+    scratch: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    u: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    grads: Gradients = field(default_factory=lambda: Gradients(np.zeros(0), np.zeros(0)))
-    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))
 
 
 def init_adamax(params: NetworkParams, learning_rate: float = 0.003) -> AdamaxState:
@@ -315,8 +315,7 @@ def init_adamax(params: NetworkParams, learning_rate: float = 0.003) -> AdamaxSt
                        scratch=np.zeros((2, params.theta.size)))
 
 
-def adamax_step(params: NetworkParams, grads: Gradients,
-                state: AdamaxState) -> tuple[NetworkParams, AdamaxState]:
+def adamax_step(params: NetworkParams, grads: Gradients, state: AdamaxState) -> None:
     """One Adamax update of theta from the theta-shaped grads.theta, in place:
 
         m <- b1*m + (1-b1)*g;  u <- max(b2*u, |g|)
@@ -339,7 +338,6 @@ def adamax_step(params: NetworkParams, grads: Gradients,
     np.multiply(state.m, scale, out=step)
     step /= np.add(state.u, state.eps, out=denom)
     params.theta -= step
-    return params, state
 
 
 # --- checkpoint format --------------------------------------------------------

@@ -438,7 +438,7 @@ def test_diagnose_rho_uses_the_trained_dt(tmp_path):
     rho_test = json.loads((out / "diag" / "diagnostics.json").read_text())["rho_test"]
 
     ckpt = net.load_checkpoint(ckpt_path)
-    runs = cli.load_runs(cli.load_config(None), namespace(subset=None, data=None), 0)
+    runs = cli.load_runs(cli.RunConfig())
     test_runs = [dataio.apply_scaler(r, ckpt["scaler"])
                  for r in cli.select_runs(runs, ckpt["split"].test_engines)]
     latents = [tdc.infer_latent(ckpt["params"], r) for r in test_runs]
@@ -457,7 +457,9 @@ def test_detect_writes_the_bytes_of_the_per_engine_oracles(engines, pipeline_dir
 
     args = cli.build_parser().parse_args(argv)
     cp = cli.load_config(None)
-    params, scaler, split, _, runs = cli._checkpoint_and_runs(cp, args)
+    ckpt = net.load_checkpoint(args.checkpoint)
+    params, scaler, split = ckpt["params"], ckpt["scaler"], ckpt["split"]
+    runs = cli.load_runs(cli.run_config(cp, args))
     config = cli.detector_config(cp, args, latent_dim=net.latent_dim(params))
 
     def latents(target_runs):

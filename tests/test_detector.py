@@ -168,7 +168,8 @@ def test_smoothing_rejects_window_below_one(stage, window):
 def test_normalize_stream_is_smoothing_minus_baseline(T, pairs, ma_window, base_window, seed):
     values = np.random.default_rng(seed).normal(scale=100.0, size=(T, 2 * pairs))
     latent = LatentSeries(unit_id=1, z=values[:, :pairs], z_dot=values[:, pairs:])
-    config = det.DetectorConfig(moving_average_window=ma_window, baseline_window=base_window)
+    config = det.DetectorConfig(moving_average_window=ma_window, baseline_window=base_window,
+                                latent_dim=2 * pairs)
     smoothed = det.moving_average(values, ma_window)
     assert np.array_equal(det.normalize_stream(latent, config),
                           smoothed - det.baseline(smoothed, base_window))
@@ -708,18 +709,27 @@ def test_fleet_block_is_the_per_engine_detector(data, lengths, pairs, windows, b
     assert det.score(want_results, runs) == want_summary
 
 
+THRESHOLDS_2 = det.Thresholds(upper=np.full(2, 0.5), lower=np.full(2, -0.5))
+
+
 def run_detector_call(latents, runs):
-    thresholds = det.Thresholds(upper=np.full(2, 0.5), lower=np.full(2, -0.5))
-    return det.run_detector(latents, runs, thresholds, RAW)
+    return det.run_detector(latents, runs, THRESHOLDS_2, RAW)
 
 
 def per_engine_call(latents, runs):
-    thresholds = det.Thresholds(upper=np.full(2, 0.5), lower=np.full(2, -0.5))
-    return per_engine_run_detector(latents, runs, thresholds, RAW)
+    return per_engine_run_detector(latents, runs, THRESHOLDS_2, RAW)
 
 
 def optimize_thresholds_call(latents, runs):
     return det.optimize_thresholds(latents, runs, [RAW])
+
+
+def normalize_fleet_call(latents, runs):
+    return det.normalize_fleet(latents, RAW)
+
+
+def detect_call(latents, runs):
+    return [det.detect(latent, THRESHOLDS_2, RAW) for latent in latents]
 
 
 fleet_calls = pytest.mark.parametrize(
@@ -743,7 +753,8 @@ def test_fleet_rejects_a_run_of_another_length(call):
         call(latents, runs)
 
 
-@fleet_calls
+@pytest.mark.parametrize("call", [run_detector_call, optimize_thresholds_call, per_engine_call,
+                                  normalize_fleet_call, detect_call])
 def test_fleet_rejects_a_stream_of_another_width(call):
     wide = LatentSeries(unit_id=2, z=np.zeros((4, 2)), z_dot=np.zeros((4, 2)))
     latents = [two_node_latent(np.zeros(4), unit_id=1), wide]
@@ -758,6 +769,33 @@ def test_fleet_rejects_a_unit_without_a_run(call):
     runs = [run_with_labels([False] * 4, unit_id=1)]
     with pytest.raises(KeyError):
         call(latents, runs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda latents, runs, config: det.detect(latents[0], THRESHOLDS_2, config),
+    lambda latents, runs, config: det.run_detector(latents, runs, THRESHOLDS_2, config),
+    lambda latents, runs, config: det.normalize_fleet(latents, config),
+    lambda latents, runs, config: det.optimize_thresholds(latents, runs, [config]),
+], ids=["detect", "run_detector", "normalize_fleet", "optimize_thresholds"])
+def test_config_width_is_the_streams_width(call):
+    # the config's latent_dim (8) bounds its vote_threshold (3); 2-node streams could
+    # never reach 3 votes, so they fail naming both widths instead of never firing
+    latents = [two_node_latent(np.zeros(4), unit_id=1)]
+    runs = [run_with_labels([False] * 4, unit_id=1)]
+    with pytest.raises(ValueError, match="unit 1: stream has 2 nodes, expected 8"):
+        call(latents, runs, det.DetectorConfig(vote_threshold=3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda latents, runs, thresholds: det.detect(latents[0], thresholds, RAW),
+    lambda latents, runs, thresholds: det.run_detector(latents, runs, thresholds, RAW),
+], ids=["detect", "run_detector"])
+def test_thresholds_width_is_the_streams_width(call):
+    latents = [two_node_latent(np.zeros(4), unit_id=1)]
+    runs = [run_with_labels([False] * 4, unit_id=1)]
+    thresholds = det.Thresholds(upper=np.full(3, 0.5), lower=np.full(3, -0.5))
+    with pytest.raises(ValueError, match="thresholds have 3 nodes, expected 2"):
+        call(latents, runs, thresholds)
 
 
 def test_fleet_of_no_engines():
@@ -814,11 +852,22 @@ def test_count_macs_default_architecture():
 def test_mac_report_quotes_reference_figure():
     report = det.mac_report(default_params())
     assert report["weight_macs"] == 2688
+    assert report["encoder_macs"] == 1344
     assert report["bias_adds"] == 128
     assert report["reference_figure"] == 3360
     assert "3360" in report["reference_note"] and "2688" in report["reference_note"]
-    assert report["lstm_ratio"] == pytest.approx(245_760 / 2688)
+    assert report["lstm_baseline_macs"] == 122_880
+    # against the encoder, which is all a detection step runs; the same 640/7 as
+    # twice the LSTM against the whole autoencoder, bit for bit
+    assert report["lstm_ratio"] == 122_880 / 1344 == 245_760 / 2688
     assert report["lstm_ratio"] >= 90.0
+
+
+def test_lstm_macs_from_shapes():
+    # four gates, each an [hidden x (inputs + hidden)] matmul per step
+    assert det.count_lstm_macs(steps=1, inputs=1, hidden=1) == 8
+    assert det.count_lstm_macs(steps=48, inputs=24, hidden=16) == 4 * 16 * 40 * 48 == 122_880
+    assert det.count_lstm_macs(steps=96, inputs=24, hidden=16) == 245_760
 
 
 # --- serialization ---------------------------------------------------------------------------
