@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ NN_CANDIDATES = 8
 # a block's gathered [PAIR_BLOCK x 24] differences (1.5 MB) stay in cache
 NN_BLOCK_ROWS = 256
 PAIR_BLOCK = 8_192
+# largest row block of jacobian_rank_survey: [512 x 8 x 24] Jacobians, 0.8 MB
+RANK_BLOCK = 512
 
 # log-spaced cell sizes 10^-2 .. 10^-0.4, 17 values, spanning 1.6 decades
 DEFAULT_EPSILONS = 10.0 ** np.linspace(-2.0, -0.4, 17)
@@ -232,18 +235,31 @@ def jacobian_rank_survey(params: net.NetworkParams, inputs: np.ndarray,
                          threshold: float = RANK_THRESHOLD) -> RankReport:
     """SVD-based rank of the encoder Jacobian at every input row.
 
-    One batched SVD covers every sample. If it fails to converge, each
-    sample is decomposed alone, and those that still fail are flagged in
-    `failed` and excluded from the fraction, never silently dropped.
+    The rows are split by np.array_split into ceil(n / RANK_BLOCK)
+    near-equal blocks, never a 1-row block unless n == 1 (a 1-row forward
+    takes another BLAS path and can differ in the last ulp). Each block
+    gets its Jacobians and one batched SVD, so memory is bounded by the
+    block, and the singular values are those of one whole-batch SVD. If a
+    block's SVD fails to converge, each of its samples is decomposed alone,
+    and those that still fail are flagged by row index in `failed` and
+    excluded from the fraction, never silently dropped.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    jac = net.encoder_jacobian_batch(params, np.asarray(inputs, dtype=np.float64))
+    x = np.asarray(inputs, dtype=np.float64)
+    n_blocks = max(1, min(math.ceil(len(x) / RANK_BLOCK), len(x) // 2))
+    svs, failed, offset = [], [], 0
+    for rows in np.array_split(x, n_blocks):
+        jac = net.encoder_jacobian_batch(params, rows)
+        try:
+            svs.append(np.linalg.svd(jac, compute_uv=False))
+        except np.linalg.LinAlgError:
+            block_svs, block_failed = _per_sample_singular_values(jac)
+            svs.append(block_svs)
+            failed += [offset + k for k in block_failed]
+        offset += len(rows)
+    svs = np.concatenate(svs)
     full = min(jac.shape[1], jac.shape[2])
-    try:
-        svs, failed = np.linalg.svd(jac, compute_uv=False), []
-    except np.linalg.LinAlgError:
-        svs, failed = _per_sample_singular_values(jac)
     ranks = np.sum(svs > threshold, axis=-1, dtype=int)
     fraction = float(np.mean(ranks == full)) if len(ranks) else 0.0
     return RankReport(singular_values=svs, ranks=ranks, threshold=threshold,
@@ -271,37 +287,93 @@ def injectivity_ratio_survey(params: net.NetworkParams, inputs: np.ndarray,
 
     Ratios ||E(x1)-E(x2)|| / ||x1-x2|| over all pairs separated by more than
     delta; beyond max_pairs total pairs, a uniform random subsample of
-    max_pairs pairs is used instead. Distances are computed PAIR_BLOCK pairs
-    at a time, which bounds the memory of the difference arrays.
+    max_pairs pairs is used instead (see _pair_blocks for its draw order).
+    Pairs arrive PAIR_BLOCK at a time and their distances are computed in
+    buffers allocated once, so memory is bounded by the block, not by the
+    number of pairs; a running minimum and count give the same result as
+    one whole-array pass.
     """
+    if max_pairs < 1:
+        raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
     x = np.asarray(inputs, dtype=np.float64)
     n = len(x)
     if n < 2:
         raise ValueError("need at least 2 inputs")
-    n_enc = net.encoder_layer_count(params)
-    latent, _ = net.forward(params, x, n_layers=n_enc)
+    latent = net.forward(params, x, n_layers=net.encoder_layer_count(params))[0]
+    buffers = np.empty((2, PAIR_BLOCK * max(x.shape[1], latent.shape[1])))
+    dx_block, dz_block = np.empty((2, PAIR_BLOCK))
+    min_ratio, below, surveyed = math.inf, 0, False
+    for i, j in _pair_blocks(n, max_pairs, seed):
+        dx = _row_distances(x, i, j, buffers, dx_block[:len(i)])
+        dz = _row_distances(latent, i, j, buffers, dz_block[:len(i)])
+        mask = dx > delta
+        if not np.any(mask):
+            continue
+        ratios = dz[mask] / dx[mask]
+        min_ratio = min(min_ratio, float(ratios.min()))
+        below += int(np.sum(ratios < floor))
+        surveyed = True
+    if not surveyed:
+        raise ValueError("no pairs separated by more than delta")
+    return min_ratio, below
 
-    if n * (n - 1) // 2 <= max_pairs:
-        i, j = np.triu_indices(n, 1)
-    else:
-        rng = np.random.default_rng(seed)
-        need = max_pairs
-        i = rng.integers(0, n, size=int(need * 1.02) + 16)
-        j = rng.integers(0, n, size=i.size)
+
+def _pair_blocks(n: int, max_pairs: int,
+                 seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The injectivity survey's (i, j) index pairs, in blocks of at most PAIR_BLOCK.
+
+    With n * (n - 1) / 2 <= max_pairs, every pair i < j in row-major order
+    (the order of np.triu_indices(n, 1)). Otherwise a seeded sample in the
+    order of one whole-array draw: i is default_rng(seed).integers(0, n, m)
+    and j the next m draws of the same stream, with m = 1.02 * max_pairs + 16;
+    self-pairs are dropped and the first max_pairs pairs kept. Generator
+    draws are the same in chunks as in one call, so one generator replays i
+    block by block while a second skips i's draws and gives j in lockstep.
+    """
+    total = n * (n - 1) // 2
+    if total <= max_pairs:
+        counts = np.arange(n - 1, 0, -1)  # pairs in rows 0 .. n-2
+        starts = np.cumsum(counts) - counts
+        for lo in range(0, total, PAIR_BLOCK):
+            k = np.arange(lo, min(lo + PAIR_BLOCK, total))
+            i = np.searchsorted(starts, k, side="right") - 1
+            yield i, k - starts[i] + i + 1
+        return
+    draws = int(max_pairs * 1.02) + 16
+    sizes = [min(PAIR_BLOCK, draws - lo) for lo in range(0, draws, PAIR_BLOCK)]
+    rng_i, rng_j = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in sizes:
+        rng_j.integers(0, n, size=size)
+    need = max_pairs
+    for size in sizes:
+        i, j = rng_i.integers(0, n, size=size), rng_j.integers(0, n, size=size)
         keep = i != j
         i, j = i[keep][:need], j[keep][:need]
-    dx = np.empty(len(i))
-    dz = np.empty(len(i))
-    for start in range(0, len(i), PAIR_BLOCK):
-        block = slice(start, start + PAIR_BLOCK)
-        dx[block] = np.linalg.norm(x[i[block]] - x[j[block]], axis=1)
-        dz[block] = np.linalg.norm(latent[i[block]] - latent[j[block]], axis=1)
+        yield i, j
+        need -= len(i)
+        if need == 0:
+            return
 
-    mask = dx > delta
-    if not np.any(mask):
-        raise ValueError("no pairs separated by more than delta")
-    ratios = dz[mask] / dx[mask]
-    return float(ratios.min()), int(np.sum(ratios < floor))
+
+def _row_distances(rows: np.ndarray, i: np.ndarray, j: np.ndarray,
+                   buffers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """||rows[i] - rows[j]|| per pair, written into out and returned.
+
+    The gathered rows go to the front of the two flat rows of buffers, so no
+    block allocates (np.take buffers `out` under its default mode="raise";
+    "clip" writes in place, and every index is in range).
+    sqrt(add.reduce(d * d, axis=1)) is what np.linalg.norm computes for
+    real d, bit for bit.
+    """
+    shape = (len(i), rows.shape[1])
+    a = buffers[0, :shape[0] * shape[1]].reshape(shape)
+    b = buffers[1, :shape[0] * shape[1]].reshape(shape)
+    np.take(rows, i, axis=0, out=a, mode="clip")
+    np.take(rows, j, axis=0, out=b, mode="clip")
+    np.subtract(a, b, out=a)
+    np.multiply(a, a, out=a)
+    np.add.reduce(a, axis=1, out=out)
+    return np.sqrt(out, out=out)
 
 
 # --- consistency metrics ---------------------------------------------------------

@@ -24,6 +24,7 @@ def namespace(**kw):
 
 # --- seeding / config plumbing -------------------------------------------------------
 
+
 def test_component_seed_deterministic_and_distinct():
     a = cli.component_seed(0, "training")
     assert a == cli.component_seed(0, "training")
@@ -227,6 +228,7 @@ def test_missing_config_file_fails(tmp_path, capsys):
 
 # --- simulate -------------------------------------------------------------------------
 
+
 def simulate_ini(tmp_path, extra=""):
     ini = tmp_path / "sim.ini"
     ini.write_text(f"[pendulum]\nt_end = 30.0\n{extra}")
@@ -274,6 +276,7 @@ def test_unknown_flag_exits_with_usage_error():
 
 
 # --- train / detect / diagnose / report on the synthetic dataset ------------------------
+
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
@@ -537,6 +540,14 @@ def test_diagnose_writes_report(pipeline_dir, tmp_path, capsys):
     assert 0.0 <= payload["jacobian_rank"]["full_rank_fraction"] <= 1.0
     assert len(payload["eta_train"]) == 4
     assert "two-NN" in capsys.readouterr().out
+
+
+def test_diagnose_reruns_byte_identical(pipeline_dir, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert run_cli("diagnose", "--out", str(out), "--seed", "0",
+                       "--checkpoint", str(pipeline_dir / "checkpoint_seed0.json")) == 0
+    assert (a / "diagnostics.json").read_bytes() == (b / "diagnostics.json").read_bytes()
 
 
 def test_report_aggregates_metrics(tmp_path, capsys):

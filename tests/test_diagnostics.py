@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ def tanh_encoder(seed=0):
 
 
 # --- two-NN ------------------------------------------------------------------------
+
 
 def brute_two_nearest(pts):
     """Exact distances from each row to every other row, two smallest kept:
@@ -159,6 +161,7 @@ def test_recommend_embedding_dim_rejects_non_positive():
 
 # --- box counting -----------------------------------------------------------------
 
+
 def test_box_counts_lattice_exact():
     ticks = np.linspace(0.0, 1.0, 11)
     lattice = np.array([(x, y) for x in ticks for y in ticks])
@@ -211,6 +214,7 @@ def test_box_dimension_preconditions():
 
 
 # --- jacobian rank ------------------------------------------------------------------
+
 
 def test_rank_survey_identity_is_full_rank():
     report = dg.jacobian_rank_survey(identity_encoder(3), np.random.default_rng(2).uniform(size=(10, 3)))
@@ -269,6 +273,43 @@ def test_rank_survey_falls_back_per_sample_when_batched_svd_fails(monkeypatch):
     assert report.as_dict()["n_failed"] == 2
 
 
+# n = 1 (mod block) leaves no 1-row block: np.array_split spreads the rows
+@pytest.mark.parametrize("block", [2, 7, 64, dg.RANK_BLOCK])
+def test_rank_survey_blocks_are_one_whole_batch_svd(block, monkeypatch):
+    monkeypatch.setattr(dg, "RANK_BLOCK", block)
+    params = tanh_encoder(seed=9)
+    for n in (1, 2, 3, 2 * block + 1, 3 * block):
+        x = np.random.default_rng(n).uniform(size=(n, 12))
+        whole = np.linalg.svd(net.encoder_jacobian_batch(params, x), compute_uv=False)
+        report = dg.jacobian_rank_survey(params, x, threshold=0.05)
+        assert np.array_equal(report.singular_values, whole), n
+        assert np.array_equal(report.ranks, np.sum(whole > 0.05, axis=-1)), n
+        assert report.failed == []
+
+
+def test_rank_survey_fallback_reports_global_row_indices(monkeypatch):
+    monkeypatch.setattr(dg, "RANK_BLOCK", 3)
+    params = tanh_encoder(seed=7)
+    x = np.random.default_rng(8).uniform(size=(9, 12))
+    loop = np.array([np.linalg.svd(j, compute_uv=False)
+                     for j in net.encoder_jacobian_batch(params, x)])
+    svd, calls = np.linalg.svd, []
+
+    def flaky_svd(a, **kwargs):
+        # the second block's batched call fails, and so does its second sample, row 4
+        calls.append(a.ndim)
+        if calls == [3, 3] or calls == [3, 3, 2, 2]:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+    report = dg.jacobian_rank_survey(params, x)
+    assert calls == [3, 3, 2, 2, 2, 3]
+    assert report.failed == [4]
+    assert np.array_equal(report.singular_values, loop[[0, 1, 2, 3, 5, 6, 7, 8]])
+    assert len(report.ranks) == 8
+
+
 def jacobi_singular_values(a, sweeps=60, tol=1e-14):
     """Independent SVD route: cyclic Jacobi diagonalization of A^T A."""
     g = a.T @ a
@@ -310,6 +351,7 @@ def test_svd_reconstruction_identity():
 
 
 # --- injectivity ---------------------------------------------------------------------
+
 
 def test_injectivity_identity_encoder_is_one():
     x = np.random.default_rng(112).uniform(size=(30, 3))
@@ -391,12 +433,65 @@ def test_injectivity_sampled_path_is_bitwise_the_unchunked_formula(block, monkey
         assert got == unchunked_sampled_injectivity(params, x, max_pairs, seed=9, floor=0.3)
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_pair_blocks_are_the_whole_array_pairs(block, monkeypatch):
+    monkeypatch.setattr(dg, "PAIR_BLOCK", block)
+    for n in (2, 3, 40):
+        i, j = (np.concatenate(a) for a in zip(*dg._pair_blocks(n, n * (n - 1) // 2, seed=0)))
+        assert np.array_equal(i, np.triu_indices(n, 1)[0])
+        assert np.array_equal(j, np.triu_indices(n, 1)[1])
+    rng = np.random.default_rng(5)
+    i = rng.integers(0, 30, size=int(300 * 1.02) + 16)
+    j = rng.integers(0, 30, size=i.size)
+    keep = i != j
+    blocks = list(dg._pair_blocks(30, 300, seed=5))
+    assert all(len(b[0]) <= block for b in blocks)
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), i[keep][:300])
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), j[keep][:300])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_injectivity_many_self_pairs_is_bitwise_the_unchunked_formula(seed, monkeypatch):
+    # n = 50 draws a self-pair 2% of the time, which the 2% margin only just covers
+    monkeypatch.setattr(dg, "PAIR_BLOCK", 7)
+    params = tanh_encoder(seed=4)
+    x = np.random.default_rng(122).uniform(size=(50, 12))
+    got = dg.injectivity_ratio_survey(params, x, floor=0.3, max_pairs=1000, seed=seed)
+    assert got == unchunked_sampled_injectivity(params, x, 1000, seed=seed, floor=0.3)
+
+
+@pytest.mark.parametrize("max_pairs", [0, -5])
+def test_injectivity_rejects_max_pairs_below_one(max_pairs):
+    x = np.random.default_rng(123).uniform(size=(10, 3))
+    with pytest.raises(ValueError, match="max_pairs"):
+        dg.injectivity_ratio_survey(identity_encoder(3), x, max_pairs=max_pairs)
+
+
+def traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_surveys_run_in_block_bounded_memory():
+    # the diagnose command's size: 4216 test rows of 24 features, 1M sampled pairs;
+    # whole-array surveys peaked at about 50 MB (injectivity) and 16 MB (rank)
+    params = net.init_params(net.autoencoder_specs(24, 24, 8), np.random.default_rng(0))
+    x = np.random.default_rng(1).uniform(size=(4216, 24))
+    assert traced_peak_mb(lambda: dg.injectivity_ratio_survey(params, x, max_pairs=1_000_000)) <= 8
+    assert traced_peak_mb(lambda: dg.jacobian_rank_survey(params, x)) <= 4
+
+
 def test_injectivity_needs_two_inputs():
     with pytest.raises(ValueError, match="at least 2"):
         dg.injectivity_ratio_survey(identity_encoder(2), np.zeros((1, 2)))
 
 
 # --- eta / rho -----------------------------------------------------------------------
+
 
 def test_eta_identical_series_is_one():
     z = np.random.default_rng(115).uniform(size=50)
@@ -463,6 +558,7 @@ def test_rho_validates_shapes():
 
 
 # --- reports -------------------------------------------------------------------------
+
 
 def make_latent(z_cols, zd_cols, unit_id=1):
     return tdc.LatentSeries(unit_id=unit_id, z=np.column_stack(z_cols),
