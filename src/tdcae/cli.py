@@ -108,23 +108,23 @@ def load_config(path: str | None) -> configparser.ConfigParser:
         return cp
     if not Path(path).is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        cp.read(path)
-    except configparser.Error as exc:
-        raise ValueError(f"{path}: malformed config: {exc}") from exc
-    if cp.defaults():
-        raise ValueError(f"{path}: unknown section [{cp.default_section}]")
-    for section in cp.sections():
-        if section not in CONFIG_SECTIONS:
-            raise ValueError(f"{path}: unknown section [{section}]")
-        known = section_fields(section)
-        for key in cp.options(section):
-            if key not in known:
-                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+    with dataio.naming(path):
+        with open(path, encoding="utf-8") as fh:
             try:
-                _GETTERS[known[key]](cp, section, key)
-            except ValueError as exc:
-                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+                cp.read_file(fh)
+            except configparser.Error as exc:
+                raise ValueError(f"malformed config: {exc}") from None
+        if cp.defaults():
+            raise ValueError(f"unknown section [{cp.default_section}]")
+        for section in cp.sections():
+            if section not in CONFIG_SECTIONS:
+                raise ValueError(f"unknown section [{section}]")
+            known = section_fields(section)
+            for key in cp.options(section):
+                if key not in known:
+                    raise ValueError(f"unknown key {key!r} in [{section}]")
+                with dataio.naming(f"[{section}] {key}"):
+                    _GETTERS[known[key]](cp, section, key)
     return cp
 
 
@@ -168,10 +168,8 @@ def run_config(cp: configparser.ConfigParser, args) -> RunConfig:
     flags = {"seed": getattr(args, "seed", None), "out": getattr(args, "out", None),
              "subset": getattr(args, "subset", None), "dataset": getattr(args, "data", None)}
     if getattr(args, "seeds", None) is not None:
-        try:
+        with dataio.naming("--seeds"):
             flags["seeds"] = parse_seeds(args.seeds)
-        except ValueError as exc:
-            raise ValueError(f"--seeds: {exc}") from None
     return _section_config(cp, "run", args, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -349,19 +347,17 @@ REPORT_KEYS = ("accuracy", "precision", "recall", "specificity", "f1", "cdr")
 
 def read_metrics(path: str) -> dict:
     """The "metrics" object of a detect metrics.json: every report key, each a number."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: not JSON: {exc}") from None
-    metrics = payload.get("metrics") if isinstance(payload, dict) else None
-    if not isinstance(metrics, dict):
-        raise ValueError(f'{path}: no "metrics" object; expected a metrics.json from detect')
-    missing = [k for k in REPORT_KEYS if k not in metrics]
-    if missing:
-        raise ValueError(f"{path}: metrics lack {', '.join(missing)}")
-    for key in REPORT_KEYS:
-        if isinstance(metrics[key], bool) or not isinstance(metrics[key], (int, float)):
-            raise ValueError(f"{path}: metrics: {key} must be a number")
+    payload = dataio.read_json(path)
+    with dataio.naming(path):
+        metrics = payload.get("metrics") if isinstance(payload, dict) else None
+        if not isinstance(metrics, dict):
+            raise ValueError('no "metrics" object; expected a metrics.json from detect')
+        missing = [k for k in REPORT_KEYS if k not in metrics]
+        if missing:
+            raise ValueError(f"metrics lack {', '.join(missing)}")
+        for key in REPORT_KEYS:
+            if isinstance(metrics[key], bool) or not isinstance(metrics[key], (int, float)):
+                raise ValueError(f"metrics: {key} must be a number")
     return metrics
 
 

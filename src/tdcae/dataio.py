@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -175,25 +177,29 @@ def _engine_runs(units: np.ndarray, lengths: np.ndarray, features: np.ndarray) -
 def _parse_lines(path: Path) -> list[EngineRun]:
     """parse_cmapss line by line: the reference reader and the error path."""
     by_unit: dict[int, list[tuple[int, int, list[float]]]] = {}  # (cycle, line, values)
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue  # tolerate blank lines
-            if len(fields) != 2 + N_FEATURES:
-                raise ParseError(
-                    f"{path.name}:{lineno}: expected {2 + N_FEATURES} fields, got {len(fields)}"
-                )
-            try:
-                unit_id, cycle_id = float(fields[0]), float(fields[1])
-                unit, cycle = int(unit_id), int(cycle_id)
-                values = [float(v) for v in fields[2:]]
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"{path.name}:{lineno}: non-numeric field ({exc})") from None
-            if unit != unit_id or cycle != cycle_id:
-                raise ParseError(f"{path.name}:{lineno}: unit and cycle must be integers, "
-                                 f"got {fields[0]} and {fields[1]}")
-            by_unit.setdefault(unit, []).append((cycle, lineno, values))
+    # bytes.splitlines() ends lines where text mode's universal newlines do;
+    # decoding each line alone lets an undecodable byte name its line
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            fields = raw.decode("utf-8").split()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path.name}:{lineno}: not UTF-8 text ({exc})") from None
+        if not fields:
+            continue  # tolerate blank lines
+        if len(fields) != 2 + N_FEATURES:
+            raise ParseError(
+                f"{path.name}:{lineno}: expected {2 + N_FEATURES} fields, got {len(fields)}"
+            )
+        try:
+            unit_id, cycle_id = float(fields[0]), float(fields[1])
+            unit, cycle = int(unit_id), int(cycle_id)
+            values = [float(v) for v in fields[2:]]
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path.name}:{lineno}: non-numeric field ({exc})") from None
+        if unit != unit_id or cycle != cycle_id:
+            raise ParseError(f"{path.name}:{lineno}: unit and cycle must be integers, "
+                             f"got {fields[0]} and {fields[1]}")
+        by_unit.setdefault(unit, []).append((cycle, lineno, values))
 
     runs = []
     for unit in sorted(by_unit):
@@ -348,6 +354,27 @@ def normal_row_split(run: EngineRun) -> tuple[range, range]:
     n_normal = run.normal_count
     n_train = n_normal - int(math.floor(VAL_FRACTION * n_normal))
     return range(0, n_train), range(n_train, n_normal)
+
+
+# --- outside input -------------------------------------------------------------
+
+@contextlib.contextmanager
+def naming(where: str | Path) -> Iterator[None]:
+    """Re-raise a ValueError or TypeError from the block as ValueError(f"{where}: {exc}").
+
+    Nested from the file down to the field, it names where outside input is bad.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def read_json(path: str | Path):
+    """The value a UTF-8 JSON file holds; an undecodable or malformed file
+    fails as ValueError("<path>: not JSON: ...")."""
+    with naming(f"{path}: not JSON"):
+        return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 # --- file output ---------------------------------------------------------------

@@ -440,8 +440,8 @@ def eta_table(latents: list[LatentSeries], windows: list[tuple[int, int]]) -> li
     rows = []
     for k in range(latents[0].n_pairs):
         values = [etas[k] for etas in per_engine if math.isfinite(etas[k])]
-        rows.append({"pair": k, "mean": float(np.mean(values)), "std": float(np.std(values)),
-                     "n_engines": len(values)})
+        mean, std = _mean_std(values)
+        rows.append({"pair": k, "mean": mean, "std": std, "n_engines": len(values)})
     return rows
 
 
@@ -470,11 +470,15 @@ def rho_table(latents: list[LatentSeries], labels: list[np.ndarray],
                                           latent.z_dot[start:stop, k], dt))
     rows = []
     for k in range(n_pairs):
-        rows.append({
-            "pair": k,
-            "normal_mean": float(np.mean(per_pair_normal[k])) if per_pair_normal[k] else float("nan"),
-            "normal_std": float(np.std(per_pair_normal[k])) if per_pair_normal[k] else float("nan"),
-            "anomalous_mean": float(np.mean(per_pair_anom[k])) if per_pair_anom[k] else float("nan"),
-            "anomalous_std": float(np.std(per_pair_anom[k])) if per_pair_anom[k] else float("nan"),
-        })
+        normal_mean, normal_std = _mean_std(per_pair_normal[k])
+        anomalous_mean, anomalous_std = _mean_std(per_pair_anom[k])
+        rows.append({"pair": k, "normal_mean": normal_mean, "normal_std": normal_std,
+                     "anomalous_mean": anomalous_mean, "anomalous_std": anomalous_std})
     return rows
+
+
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    """(mean, std) of one pair's values across engines, (nan, nan) if there are none."""
+    if not values:
+        return math.nan, math.nan
+    return float(np.mean(values)), float(np.std(values))

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import DatasetSplit, ScalerParams, atomic_write_text
+from .dataio import DatasetSplit, ScalerParams, atomic_write_text, naming, read_json
 
 ACTIVATIONS = ("tanh", "identity")
 
@@ -379,90 +379,76 @@ def load_checkpoint(path: str | Path) -> dict:
     it builds a tdc.TrainingConfig whose input_dim and latent_dim are the
     network's. Any error is a ValueError naming the file and the field.
     """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    missing = [key for key in CHECKPOINT_FIELDS if payload.get(key) is None]
-    if missing:
-        raise ValueError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    if not isinstance(payload["specs"], list):
-        raise ValueError(f"{path}: specs: expected a list, got {payload['specs']!r}")
-    specs = [_checkpoint_layer_spec(path, k, entry) for k, entry in enumerate(payload["specs"])]
-    weights = _checkpoint_arrays(path, "weights", payload["weights"],
-                                 [(s.out_dim, s.in_dim) for s in specs])
-    biases = _checkpoint_arrays(path, "biases", payload["biases"], [(s.out_dim,) for s in specs])
-    try:
-        params = NetworkParams(specs=specs, weights=weights, biases=biases)
-        widths = {"input_dim": params.input_dim, "latent_dim": _paired_latent_dim(params)}
-    except ValueError as exc:
-        raise ValueError(f"{path}: specs: {exc}") from None
-    scaler = _checkpoint_scaler(path, payload["scaler"])
-    if scaler.minimum.shape != (params.input_dim,):
-        raise ValueError(f"{path}: scaler width {scaler.minimum.shape[0]} "
-                         f"!= network input dim {params.input_dim}")
-    split = _checkpoint_split(path, payload["split"])
-    training_config = _checkpoint_training_config(path, payload["training_config"])
-    for key, width in widths.items():
-        if training_config[key] != width:
-            raise ValueError(f"{path}: training_config: {key} {training_config[key]} "
-                             f"!= network's {width}")
+    payload = read_json(path)
+    with naming(path):
+        if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
+        if payload.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+        missing = [key for key in CHECKPOINT_FIELDS if payload.get(key) is None]
+        if missing:
+            raise ValueError(f"checkpoint lacks {', '.join(missing)}")
+        if not isinstance(payload["specs"], list):
+            raise ValueError(f"specs: expected a list, got {payload['specs']!r}")
+        specs = []
+        for k, entry in enumerate(payload["specs"]):
+            with naming(f"specs[{k}]"):
+                if not (isinstance(entry, list) and len(entry) == 3
+                        and all(type(v) is int for v in entry[:2]) and isinstance(entry[2], str)):
+                    raise ValueError(f"expected [in_dim, out_dim, activation], got {entry!r}")
+                specs.append(LayerSpec(*entry))
+        weights = _checkpoint_arrays("weights", payload["weights"],
+                                     [(s.out_dim, s.in_dim) for s in specs])
+        biases = _checkpoint_arrays("biases", payload["biases"], [(s.out_dim,) for s in specs])
+        with naming("specs"):
+            params = NetworkParams(specs=specs, weights=weights, biases=biases)
+            widths = {"input_dim": params.input_dim, "latent_dim": _paired_latent_dim(params)}
+        with naming("scaler"):
+            entry = payload["scaler"]
+            if not (isinstance(entry, dict) and isinstance(entry.get("min"), list)
+                    and isinstance(entry.get("max"), list)):
+                raise ValueError(f"expected lists min and max, got {entry!r}")
+            scaler = ScalerParams(minimum=np.array(entry["min"], dtype=np.float64),
+                                  maximum=np.array(entry["max"], dtype=np.float64))
+        if scaler.minimum.shape != (params.input_dim,):
+            raise ValueError(f"scaler width {scaler.minimum.shape[0]} "
+                             f"!= network input dim {params.input_dim}")
+        with naming("split"):
+            entry, keys = payload["split"], ("train_engines", "test_engines")
+            if not (isinstance(entry, dict)
+                    and all(isinstance(entry.get(k), list) and all(type(u) is int for u in entry[k])
+                            for k in keys)):
+                raise ValueError("expected integer lists train_engines and "
+                                 f"test_engines, got {entry!r}")
+            split = DatasetSplit(*(frozenset(entry[k]) for k in keys))
+        with naming("training_config"):
+            training_config = _checkpoint_training_config(payload["training_config"])
+            for key, width in widths.items():
+                if training_config[key] != width:
+                    raise ValueError(f"{key} {training_config[key]} != network's {width}")
     return {**payload, "params": params, "scaler": scaler, "split": split,
             "training_config": training_config}
 
 
-def _checkpoint_arrays(path: str | Path, key: str, entry,
-                       shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+def _checkpoint_arrays(key: str, entry, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """A checkpoint's weights or biases as finite arrays of the layers' shapes;
-    errors name the file and the entry."""
+    errors name the entry."""
     if not isinstance(entry, list) or len(entry) != len(shapes):
         got = f"{len(entry)}" if isinstance(entry, list) else f"{entry!r}"
-        raise ValueError(f"{path}: {key}: expected a list of {len(shapes)} arrays, got {got}")
+        raise ValueError(f"{key}: expected a list of {len(shapes)} arrays, got {got}")
     arrays = []
     for k, (value, shape) in enumerate(zip(entry, shapes)):
-        try:
+        with naming(f"{key}[{k}]"):
             array = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {key}[{k}]: {exc}") from None
-        if array.shape != shape or not np.all(np.isfinite(array)):
-            raise ValueError(f"{path}: {key}[{k}]: expected finite numbers of shape {shape}")
+            if array.shape != shape or not np.all(np.isfinite(array)):
+                raise ValueError(f"expected finite numbers of shape {shape}")
         arrays.append(array)
     return arrays
 
 
-def _checkpoint_scaler(path: str | Path, entry) -> ScalerParams:
-    """The checkpoint's scaler as ScalerParams; errors name the file and the field."""
-    if not (isinstance(entry, dict) and isinstance(entry.get("min"), list)
-            and isinstance(entry.get("max"), list)):
-        raise ValueError(f"{path}: scaler: expected lists min and max, got {entry!r}")
-    try:
-        return ScalerParams(minimum=np.array(entry["min"], dtype=np.float64),
-                            maximum=np.array(entry["max"], dtype=np.float64))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: scaler: {exc}") from None
-
-
-def _checkpoint_split(path: str | Path, entry) -> DatasetSplit:
-    """The checkpoint's split as a DatasetSplit; errors name the file and the field."""
-    keys = ("train_engines", "test_engines")
-    if not (isinstance(entry, dict)
-            and all(isinstance(entry.get(k), list) and all(type(u) is int for u in entry[k])
-                    for k in keys)):
-        raise ValueError(f"{path}: split: expected integer lists train_engines and "
-                         f"test_engines, got {entry!r}")
-    try:
-        return DatasetSplit(*(frozenset(entry[k]) for k in keys))
-    except ValueError as exc:
-        raise ValueError(f"{path}: split: {exc}") from None
-
-
-def _checkpoint_training_config(path: str | Path, entry) -> dict:
+def _checkpoint_training_config(entry) -> dict:
     """The checkpoint's training config, unchanged once every tdc.TrainingConfig
-    field is present and the dataclass accepts them; errors name the file and the field.
+    field is present and the dataclass accepts them.
 
     A missing field fails rather than taking its default, which would pass
     off a config the network was not trained with.
@@ -470,24 +456,10 @@ def _checkpoint_training_config(path: str | Path, entry) -> dict:
     from .tdc import TrainingConfig  # tdc imports this module
 
     if not isinstance(entry, dict):
-        raise ValueError(f"{path}: training_config: expected an object, got {entry!r}")
+        raise ValueError(f"expected an object, got {entry!r}")
     missing = [f.name for f in fields(TrainingConfig) if f.name not in entry]
     if missing:
-        raise ValueError(f"{path}: training_config: lacks {', '.join(missing)}")
-    try:
-        TrainingConfig(**entry)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: training_config: {exc}") from None
+        raise ValueError(f"lacks {', '.join(missing)}")
+    TrainingConfig(**entry)
     return entry
 
-
-def _checkpoint_layer_spec(path: str | Path, k: int, entry) -> LayerSpec:
-    """specs[k] of a checkpoint as a LayerSpec; errors name the file and the entry."""
-    if not (isinstance(entry, list) and len(entry) == 3
-            and all(type(v) is int for v in entry[:2]) and isinstance(entry[2], str)):
-        raise ValueError(f"{path}: specs[{k}]: expected [in_dim, out_dim, activation], "
-                         f"got {entry!r}")
-    try:
-        return LayerSpec(*entry)
-    except ValueError as exc:
-        raise ValueError(f"{path}: specs[{k}]: {exc}") from None

@@ -592,6 +592,31 @@ def test_report_rejects_foreign_json_by_name(text, missing, tmp_path, capsys):
     assert not (tmp_path / "rep" / "report.json").exists()
 
 
+# ten FD001-layout rows of one engine, line 7 ending in a byte that is not UTF-8
+DATASET_LINE_7_NOT_UTF8 = b"".join(b"1 %d" % c + b" 0.5" * 24 + b" \xe9" * (c == 7) + b"\n"
+                                   for c in range(1, 11))
+
+
+# id: (the command that reads the file, what the file holds, how the error names it)
+UNDECODABLE_INPUTS = {
+    "checkpoint": ("detect --checkpoint", b'{"format": "\xe9"}', "{path}: not JSON: "),
+    "config": ("simulate --config", b"[pendulum]\nt_end = 5\xe9\n", "{path}: "),
+    "metrics": ("report", b'{"metrics": "\xe9"}', "{path}: not JSON: "),
+    "dataset": ("train --subset FD001 --data", DATASET_LINE_7_NOT_UTF8,
+                "{name}:7: not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", UNDECODABLE_INPUTS)
+def test_undecodable_input_fails_naming_the_file(case, tmp_path, capsys):
+    command, content, named = UNDECODABLE_INPUTS[case]
+    path = tmp_path / "input.bad"
+    path.write_bytes(content)
+    assert run_cli(*command.split(), str(path), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: " + named.format(path=path, name=path.name))
+
+
 def run_python(*argv):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -414,6 +414,18 @@ def test_malformed_file_fails_the_same_on_every_load_and_is_not_cached(tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["train.txt"]
 
 
+def test_undecodable_line_fails_naming_it_on_every_load(tmp_path):
+    path = tmp_path / "train.txt"
+    dataio.write_cmapss(dataio.synthetic_runs(n_engines=4, mean_life=20, seed=2), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[6] = lines[6].rstrip(b"\n") + b" \xe9\n"
+    path.write_bytes(b"".join(lines))
+    for _ in range(2):
+        with pytest.raises(dataio.ParseError, match=r"^train\.txt:7: not UTF-8 text"):
+            dataio.load_cmapss(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["train.txt"]
+
+
 def test_unit_id_beyond_int64_is_read_but_not_cached(tmp_path):
     path = tmp_path / "train.txt"
     write_raw(path, raw_rows(10 ** 19, range(1, 7)))

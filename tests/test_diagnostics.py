@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -607,6 +608,16 @@ def test_eta_table_counts_finite_engines_only():
     assert rows[0]["pair"] == 0
     assert rows[0]["n_engines"] == 1
     assert math.isfinite(rows[0]["mean"])
+
+
+def test_pair_constant_on_every_engine_gives_nan_eta_without_warning():
+    t = np.arange(15, dtype=float)
+    flat = [make_latent([np.ones(15)], [np.sin(t)], unit_id=u) for u in (1, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = dg.eta_table(flat, windows=[(0, 15), (0, 15)])
+    assert rows[0]["n_engines"] == 0
+    assert math.isnan(rows[0]["mean"]) and math.isnan(rows[0]["std"])
 
 
 def consistency_eta(latent, window, k):
