@@ -1,28 +1,28 @@
 #!/usr/bin/env python
 """Pendulum experiment: simulate with and without drift, report box counting.
 
-Writes trajectory CSVs and box-counting fits for both variants under --out,
-then prints how long the drifted run stays inside the phase-space bounding
-box of its first 20 seconds.
+Writes pendulum.ini ([pendulum] t_end) under --out, and the trajectory CSVs
+and box-counting fits that `tdcae simulate` writes from it for both
+variants. Then prints how long the drifted run stays inside the phase-space
+bounding box of its first 20 seconds.
 """
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from tdcae import cli, diagnostics, pendulum
+from tdcae import cli
 
 
-def escape_time(traj, t_window: float) -> float:
+def escape_time(t, theta, theta_dot, t_window: float) -> float:
     """First time the trajectory leaves its initial t_window bounding box."""
-    mask = traj.t <= t_window
-    lo_t, hi_t = traj.theta[mask].min(), traj.theta[mask].max()
-    lo_d, hi_d = traj.theta_dot[mask].min(), traj.theta_dot[mask].max()
-    outside = ((traj.theta < lo_t) | (traj.theta > hi_t)
-               | (traj.theta_dot < lo_d) | (traj.theta_dot > hi_d))
-    idx = np.argmax(outside)
-    return float(traj.t[idx]) if outside.any() else float("inf")
+    mask = t <= t_window
+    outside = ((theta < theta[mask].min()) | (theta > theta[mask].max())
+               | (theta_dot < theta_dot[mask].min()) | (theta_dot > theta_dot[mask].max()))
+    return float(t[np.argmax(outside)]) if outside.any() else float("inf")
 
 
 def main() -> int:
@@ -31,19 +31,22 @@ def main() -> int:
     parser.add_argument("--t-end", type=float, default=300.0)
     args = parser.parse_args()
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    config = out / "pendulum.ini"
+    config.write_text(f"[pendulum]\nt_end = {args.t_end!r}\n")
     for tag, extra in (("drift", []), ("no_drift", ["--no-drift"])):
-        rc = cli.main(["simulate", "--out", f"{args.out}/{tag}"] + extra)
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out / tag)] + extra)
         if rc != 0:
             return rc
 
-    cfg = pendulum.PendulumConfig(t_end=args.t_end)
-    traj = pendulum.simulate(cfg)
-    t_escape = escape_time(traj, 20.0)
+    t, theta, theta_dot = np.loadtxt(out / "drift" / "trajectory.csv", delimiter=",",
+                                     skiprows=1, unpack=True)
+    t_escape = escape_time(t, theta, theta_dot, 20.0)
     print(f"drifted trajectory escapes its first-20s bounding box at t = {t_escape:.1f} s")
 
-    slice_ = pendulum.phase_slice(traj, 100, 1000)
-    est = diagnostics.box_counting_dimension(slice_)
-    print(f"phase-slice box-counting slope {est.value:.3f} (residual {est.std:.3f})")
+    fit = json.loads((out / "drift" / "box_counting.json").read_text())
+    print(f"phase-slice box-counting slope {fit['slope']:.3f} (residual {fit['fit_residual']:.3f})")
     return 0
 
 

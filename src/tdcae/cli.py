@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import sys
 import zlib
@@ -128,27 +129,38 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
-def _section_config(cp: configparser.ConfigParser, section: str, args, **overrides):
-    """Build a section's dataclass: its defaults, then file values, then overrides.
-
-    A value the dataclass rejects fails naming the section, and the --config
-    file if one was given.
-    """
-    values = {key: _GETTERS[kind](cp, section, key)
-              for key, kind in section_fields(section).items() if cp.has_option(section, key)}
+@contextlib.contextmanager
+def _naming_section(args, section: str):
+    """Re-raise a ValueError from the block naming the section, and the --config
+    file if one was given."""
     try:
-        return CONFIG_SECTIONS[section][0](**{**values, **overrides})
+        yield
     except ValueError as exc:
         source = getattr(args, "config", None)
         raise ValueError(f"{source + ': ' if source else ''}[{section}] {exc}") from None
 
 
+def _section_config(cp: configparser.ConfigParser, section: str, args, **overrides):
+    """Build a section's dataclass: its defaults, then file values, then overrides.
+
+    A value the dataclass rejects fails naming the section.
+    """
+    values = {key: _GETTERS[kind](cp, section, key)
+              for key, kind in section_fields(section).items() if cp.has_option(section, key)}
+    with _naming_section(args, section):
+        return CONFIG_SECTIONS[section][0](**{**values, **overrides})
+
+
 def training_config(cp: configparser.ConfigParser, args) -> tdc.TrainingConfig:
+    """[training] under the flags, for a network that has a unique bottleneck."""
     flags = {name: getattr(args, name, None) for name in ("epochs", "alpha", "latent_dim")}
     if getattr(args, "stop_gradient", False):
         flags["stop_gradient"] = True
-    return _section_config(cp, "training", args,
-                           **{k: v for k, v in flags.items() if v is not None})
+    cfg = _section_config(cp, "training", args,
+                          **{k: v for k, v in flags.items() if v is not None})
+    with _naming_section(args, "training"):
+        tdc.network_specs(cfg)
+    return cfg
 
 
 def detector_config(cp: configparser.ConfigParser, args,
@@ -216,13 +228,17 @@ def select_runs(runs, units) -> list[dataio.EngineRun]:
 
 def cmd_simulate(cp, args) -> int:
     cfg = pendulum_config(cp, args)
-    out = output_dir(cp, args)
     traj = pendulum.simulate(cfg)
-    pendulum.write_trajectory_csv(traj, out / "trajectory.csv")
-
     start, stop = 100, min(1000, len(traj) - 1)
-    points = pendulum.phase_slice(traj, start, stop)
-    est = diagnostics.box_counting_dimension(points)
+    with _naming_section(args, "pendulum"):
+        try:
+            points = pendulum.phase_slice(traj, start, stop)
+            est = diagnostics.box_counting_dimension(points)
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"t_end {cfg.t_end} at dt {cfg.dt} is too short for box counting: "
+                             f"{exc}") from None
+    out = output_dir(cp, args)
+    pendulum.write_trajectory_csv(traj, out / "trajectory.csv")
     counts = diagnostics.box_counts(points, diagnostics.DEFAULT_EPSILONS)
     write_json(out / "box_counting.json", {
         "slope": est.value,
@@ -241,8 +257,8 @@ def cmd_simulate(cp, args) -> int:
 
 def cmd_train(cp, args) -> int:
     run = run_config(cp, args)
-    out = output_dir(cp, args)
     base = training_config(cp, args)
+    out = output_dir(cp, args)
     runs = load_runs(run)
     split = dataio.split_engines(runs, run.test_fraction, component_seed(run.seed, "engine-split"))
     train_runs = select_runs(runs, split.train_engines)

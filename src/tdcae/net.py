@@ -58,7 +58,7 @@ class NetworkParams:
     theta: np.ndarray = field(init=False, repr=False)
     # per layer: (weight start, bias start, bias end) offsets into theta
     _offsets: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-    # layers up to and including the unique narrowest output, 0 if there is none
+    # encoder_depth(specs): 0 if there is no unique bottleneck
     _encoder_depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,10 +83,7 @@ class NetworkParams:
         views = [self.layer_views(self.theta, l) for l in range(self.n_layers)]
         self.weights = tuple(w for w, _ in views)
         self.biases = tuple(b for _, b in views)
-        out_dims = [s.out_dim for s in self.specs]
-        narrowest = min(out_dims)
-        unique = out_dims.count(narrowest) == 1
-        self._encoder_depth = out_dims.index(narrowest) + 1 if unique else 0
+        self._encoder_depth = encoder_depth(self.specs)
 
     @property
     def n_layers(self) -> int:
@@ -117,6 +114,13 @@ def autoencoder_specs(input_dim: int = 24, hidden_dim: int = 24, latent_dim: int
     specs = [LayerSpec(a, b, "tanh") for a, b in zip(dims[:-2], dims[1:-1])]
     specs.append(LayerSpec(dims[-2], dims[-1], "identity"))
     return specs
+
+
+def encoder_depth(specs: list[LayerSpec]) -> int:
+    """Layers up to and including the unique narrowest output, 0 if there is none."""
+    out_dims = [s.out_dim for s in specs]
+    narrowest = min(out_dims)
+    return out_dims.index(narrowest) + 1 if out_dims.count(narrowest) == 1 else 0
 
 
 def encoder_layer_count(params: NetworkParams) -> int:

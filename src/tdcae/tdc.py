@@ -220,6 +220,16 @@ def train_step(params: net.NetworkParams, batch: TripletBatch, config: TrainingC
     return rec, tdc
 
 
+def network_specs(config: TrainingConfig) -> list[net.LayerSpec]:
+    """The layers train builds for config; they must have a unique bottleneck."""
+    specs = net.autoencoder_specs(config.input_dim, config.hidden_dim, config.latent_dim)
+    if not net.encoder_depth(specs):
+        widths = "-".join(str(s.out_dim) for s in specs)
+        raise ValueError(f"latent_dim {config.latent_dim} gives a {config.input_dim}-{widths} "
+                         "network with no unique bottleneck layer")
+    return specs
+
+
 def train(runs: list[EngineRun],
           config: TrainingConfig) -> tuple[net.NetworkParams, list[EpochStats]]:
     """Train on the normal training ranges of already-scaled engine runs.
@@ -235,8 +245,7 @@ def train(runs: list[EngineRun],
         raise ValueError("no training triplets available")
 
     rng = np.random.default_rng(config.seed)
-    specs = net.autoencoder_specs(config.input_dim, config.hidden_dim, config.latent_dim)
-    params = net.init_params(specs, rng)
+    params = net.init_params(network_specs(config), rng)
     state = net.init_adamax(params, learning_rate=config.learning_rate)
 
     history = []

@@ -269,6 +269,21 @@ def test_simulate_invalid_config_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end,cause", [
+    ("0.5", "window [100, 50) out of range for length 51"),
+    ("1.5", "need at least 100 points, got 50"),
+    ("1.99", "need at least 100 points, got 99")], ids=["no_window", "50_points", "99_points"])
+def test_simulate_too_short_for_box_counting_fails_before_writing(t_end, cause, tmp_path, capsys):
+    ini = tmp_path / "short.ini"
+    ini.write_text(f"[pendulum]\nt_end = {t_end}\n")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(ini), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini}: [pendulum] t_end {t_end} at dt 0.01 is too short for box counting: "
+        f"{cause}\n")
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--frobnicate")
@@ -286,6 +301,28 @@ def pipeline_dir(tmp_path_factory):
                    "--seeds", "0", "--epochs", "2")
     assert code == 0
     return out
+
+
+@pytest.mark.parametrize("setting,widths", [("--latent-dim 24", "24-24-24-24-24-24-24"),
+                                            ("latent_dim = 30", "24-24-24-30-24-24-24")],
+                         ids=["flag", "file"])
+def test_train_rejects_a_latent_width_with_no_bottleneck_before_reading_data(setting, widths,
+                                                                             tmp_path, capsys):
+    if setting.startswith("--"):
+        argv, source = setting.split(), ""
+    else:
+        ini = tmp_path / "wide.ini"
+        ini.write_text(f"[training]\n{setting}\n")
+        argv, source = ["--config", str(ini)], f"{ini}: "
+    width = setting.split()[-1]
+    out = tmp_path / "o"
+    # the dataset does not exist: the width must fail before it is read
+    assert run_cli("train", *argv, "--subset", "FD001", "--data", str(tmp_path / "missing"),
+                   "--out", str(out), "--epochs", "1") == 1
+    assert capsys.readouterr().err == (
+        f"error: {source}[training] latent_dim {width} gives a {widths} network "
+        "with no unique bottleneck layer\n")
+    assert not out.exists()
 
 
 def test_train_writes_artifacts(pipeline_dir):
