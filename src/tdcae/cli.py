@@ -231,12 +231,15 @@ def cmd_simulate(cp, args) -> int:
     traj = pendulum.simulate(cfg)
     start, stop = 100, min(1000, len(traj) - 1)
     with _naming_section(args, "pendulum"):
-        try:
-            points = pendulum.phase_slice(traj, start, stop)
-            est = diagnostics.box_counting_dimension(points)
-        except (IndexError, ValueError) as exc:
+        if stop - start < diagnostics.BOX_COUNTING_MIN_POINTS:
             raise ValueError(f"t_end {cfg.t_end} at dt {cfg.dt} is too short for box counting: "
-                             f"{exc}") from None
+                             f"steps [{start}, {stop}) hold {max(0, stop - start)} points and "
+                             f"the fit needs {diagnostics.BOX_COUNTING_MIN_POINTS}")
+        points = pendulum.phase_slice(traj, start, stop)
+        try:
+            est = diagnostics.box_counting_dimension(points)
+        except ValueError as exc:
+            raise ValueError(f"box counting on steps [{start}, {stop}) failed: {exc}") from None
     out = output_dir(cp, args)
     pendulum.write_trajectory_csv(traj, out / "trajectory.csv")
     counts = diagnostics.box_counts(points, diagnostics.DEFAULT_EPSILONS)
@@ -258,8 +261,8 @@ def cmd_simulate(cp, args) -> int:
 def cmd_train(cp, args) -> int:
     run = run_config(cp, args)
     base = training_config(cp, args)
-    out = output_dir(cp, args)
     runs = load_runs(run)
+    out = output_dir(cp, args)
     split = dataio.split_engines(runs, run.test_fraction, component_seed(run.seed, "engine-split"))
     train_runs = select_runs(runs, split.train_engines)
     scaler = dataio.fit_scaler(train_runs)
@@ -300,10 +303,10 @@ def _checkpoint_engines(cp, args):
 
 
 def cmd_detect(cp, args) -> int:
-    out = output_dir(cp, args)
     ckpt, train_runs, test_runs = _checkpoint_engines(cp, args)
     params = ckpt["params"]
     det_cfg = detector_config(cp, args, latent_dim=net.latent_dim(params))
+    out = output_dir(cp, args)
 
     latents_train = [tdc.infer_latent(params, r) for r in train_runs]
     thresholds = detector.fit_thresholds(detector.normalize_fleet(latents_train, det_cfg), det_cfg)
@@ -327,8 +330,8 @@ def cmd_detect(cp, args) -> int:
 
 
 def cmd_diagnose(cp, args) -> int:
-    out = output_dir(cp, args)
     ckpt, train_runs, test_runs = _checkpoint_engines(cp, args)
+    out = output_dir(cp, args)
     params = ckpt["params"]
 
     two_nn = diagnostics.two_nn_by_engine(train_runs)

@@ -41,6 +41,9 @@ RANK_BLOCK = 512
 # log-spaced cell sizes 10^-2 .. 10^-0.4, 17 values, spanning 1.6 decades
 DEFAULT_EPSILONS = 10.0 ** np.linspace(-2.0, -0.4, 17)
 
+# the fewest points box_counting_dimension fits a slope to
+BOX_COUNTING_MIN_POINTS = 100
+
 
 @dataclass(frozen=True)
 class DimensionEstimate:
@@ -192,8 +195,8 @@ def box_counting_dimension(points: np.ndarray, epsilons=None) -> DimensionEstima
     measure rather than a sampling spread.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if len(pts) < 100:
-        raise ValueError(f"need at least 100 points, got {len(pts)}")
+    if len(pts) < BOX_COUNTING_MIN_POINTS:
+        raise ValueError(f"need at least {BOX_COUNTING_MIN_POINTS} points, got {len(pts)}")
     eps = DEFAULT_EPSILONS if epsilons is None else np.asarray(epsilons, dtype=np.float64)
     if len(eps) < 4 or eps.max() / eps.min() < 10.0:
         raise ValueError("need at least 4 epsilon values spanning a decade")

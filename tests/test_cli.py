@@ -270,9 +270,9 @@ def test_simulate_invalid_config_fails_cleanly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("t_end,cause", [
-    ("0.5", "window [100, 50) out of range for length 51"),
-    ("1.5", "need at least 100 points, got 50"),
-    ("1.99", "need at least 100 points, got 99")], ids=["no_window", "50_points", "99_points"])
+    ("0.5", "steps [100, 50) hold 0 points"),
+    ("1.5", "steps [100, 150) hold 50 points"),
+    ("1.99", "steps [100, 199) hold 99 points")], ids=["no_window", "50_points", "99_points"])
 def test_simulate_too_short_for_box_counting_fails_before_writing(t_end, cause, tmp_path, capsys):
     ini = tmp_path / "short.ini"
     ini.write_text(f"[pendulum]\nt_end = {t_end}\n")
@@ -280,7 +280,18 @@ def test_simulate_too_short_for_box_counting_fails_before_writing(t_end, cause, 
     assert run_cli("simulate", "--config", str(ini), "--out", str(out)) == 1
     assert capsys.readouterr().err == (
         f"error: {ini}: [pendulum] t_end {t_end} at dt 0.01 is too short for box counting: "
-        f"{cause}\n")
+        f"{cause} and the fit needs 100\n")
+    assert not out.exists()
+
+
+def test_simulate_degenerate_trajectory_fails_without_blaming_t_end(tmp_path, capsys):
+    ini = tmp_path / "still.ini"
+    ini.write_text("[pendulum]\ntheta0 = 0\namplitude = 0\n")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(ini), "--no-drift", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ini}: [pendulum] box counting on steps [100, 1000) failed: "
+        "degenerate point set (all points identical)\n")
     assert not out.exists()
 
 
@@ -556,6 +567,19 @@ def test_detect_missing_checkpoint_fails(tmp_path, capsys):
                    "--checkpoint", str(tmp_path / "missing.json"))
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "detect", "diagnose"])
+def test_missing_dataset_fails_before_creating_out(command, pipeline_dir, tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    ckpt = [] if command == "train" else [
+        "--checkpoint", str(pipeline_dir / "checkpoint_seed0.json")]
+    out = tmp_path / "o"
+    assert run_cli(command, "--subset", "FD001", "--data", str(missing), "--out", str(out),
+                   *ckpt) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset file not found: {missing}\n")
+    assert not out.exists()
 
 
 def test_train_named_subset_needs_dataset_path(tmp_path, capsys):

@@ -46,6 +46,7 @@ def test_run_cmapss_missing_data_fails_naming_it(tmp_path):
     assert proc.returncode != 0
     assert str(missing) in proc.stderr
     assert not (tmp_path / "out" / "synthetic").exists()
+    assert not (tmp_path / "out" / "FD001").exists()
 
 
 def test_run_pendulum(tmp_path):
@@ -55,6 +56,7 @@ def test_run_pendulum(tmp_path):
     assert "escapes its first-20s bounding box" in proc.stdout
     assert (out / "pendulum.ini").is_file()
     for tag in ("drift", "no_drift"):
+        assert (out / tag / "box_counting.json").is_file()
         rows = (out / tag / "trajectory.csv").read_text().splitlines()[1:]
         assert len(rows) == 3001
     fit = json.loads((out / "drift" / "box_counting.json").read_text())
