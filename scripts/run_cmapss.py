@@ -3,7 +3,8 @@
 
 Reads the public turbofan text files from --data as `tdcae train` does: a
 directory holding train_<subset>.txt, or the file itself. --subset synthetic
-runs the bundled surrogate instead. Outputs go to --out/<subset>.
+runs the bundled surrogate instead and reads no --data. Outputs go to
+--out/<subset>.
 """
 
 import argparse
@@ -24,7 +25,9 @@ def main() -> int:
     args = parser.parse_args()
 
     out = Path(args.out) / args.subset
-    source = ["--subset", args.subset, "--data", args.data]
+    source = ["--subset", args.subset]
+    if args.subset != "synthetic":
+        source += ["--data", args.data]
     rc = cli.main(["train", "--out", str(out), "--seeds", args.seeds,
                    "--epochs", str(args.epochs)] + source)
     if rc != 0:

@@ -204,6 +204,9 @@ def output_dir(cp, args) -> Path:
 def load_runs(run: RunConfig) -> list[dataio.EngineRun]:
     """The engines of [run]'s subset: synthetic ones from its root seed, or a C-MAPSS file."""
     if run.subset == "synthetic":
+        if run.dataset is not None:
+            raise ValueError(f"dataset {run.dataset} is read only for a C-MAPSS subset; "
+                             "add --subset FD001 or FD003 (subset synthetic reads no file)")
         return dataio.synthetic_runs(seed=component_seed(run.seed, "synthetic-data"))
     if run.dataset is None:
         raise FileNotFoundError(
@@ -295,11 +298,24 @@ def cmd_train(cp, args) -> int:
 
 
 def _checkpoint_engines(cp, args):
-    """--checkpoint's record and its split's train and test engines, scaled by its scaler."""
+    """--checkpoint's record and its split's train and test engines, scaled by its scaler.
+
+    The split's training engines must refit the checkpoint's scaler bit for
+    bit; otherwise the data is not what the checkpoint was trained on.
+    """
     ckpt = net.load_checkpoint(args.checkpoint)
     runs = load_runs(run_config(cp, args))
-    return ckpt, *([dataio.apply_scaler(r, ckpt["scaler"]) for r in select_runs(runs, units)]
-                   for units in (ckpt["split"].train_engines, ckpt["split"].test_engines))
+    train_runs, test_runs = (select_runs(runs, units) for units in
+                             (ckpt["split"].train_engines, ckpt["split"].test_engines))
+    scaler = ckpt["scaler"]
+    fitted = dataio.fit_scaler(train_runs)
+    if not (np.array_equal(fitted.minimum, scaler.minimum)
+            and np.array_equal(fitted.maximum, scaler.maximum)):
+        raise ValueError(f"{args.checkpoint}: the data is not what the checkpoint was trained "
+                         "on: its training engines fit another scaler (for the surrogate, "
+                         "pass the training --seed)")
+    return (ckpt, [dataio.apply_scaler(r, scaler) for r in train_runs],
+            [dataio.apply_scaler(r, scaler) for r in test_runs])
 
 
 def cmd_detect(cp, args) -> int:
@@ -400,20 +416,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Latent-consistency anomaly detection for bounded dynamical systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--seed", type=int, help="root seed (overrides [run] seed)")
-        p.add_argument("--out", help="output directory (overrides [run] out)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="INI config file")
+    common.add_argument("--seed", type=int, help="root seed (overrides [run] seed)")
+    common.add_argument("--out", help="output directory (overrides [run] out)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", help="dataset directory or file")
+    data.add_argument("--subset", choices=SUBSETS)
+    checkpoint = argparse.ArgumentParser(add_help=False)
+    checkpoint.add_argument("--checkpoint", required=True)
 
-    p = sub.add_parser("simulate", help="integrate the pendulum and report box counting")
-    common(p)
+    p = sub.add_parser("simulate", parents=[common],
+                       help="integrate the pendulum and report box counting")
     p.add_argument("--no-drift", action="store_true", help="disable the linear drift terms")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", help="train one autoencoder per seed")
-    common(p)
-    p.add_argument("--data", help="dataset directory or file")
-    p.add_argument("--subset", choices=SUBSETS)
+    p = sub.add_parser("train", parents=[common, data], help="train one autoencoder per seed")
     p.add_argument("--seeds", help="training seeds, comma or space separated")
     p.add_argument("--epochs", type=int)
     p.add_argument("--alpha", type=float, help="consistency-loss weight")
@@ -422,23 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat the central difference as a constant target")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("detect", help="fit thresholds on training engines and score")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", help="dataset directory or file")
-    p.add_argument("--subset", choices=SUBSETS)
+    p = sub.add_parser("detect", parents=[common, checkpoint, data],
+                       help="fit thresholds on training engines and score")
     p.add_argument("--engines", choices=("train", "test"), default="test")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("diagnose", help="dimension, rank, injectivity and consistency report")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", help="dataset directory or file")
-    p.add_argument("--subset", choices=SUBSETS)
+    p = sub.add_parser("diagnose", parents=[common, checkpoint, data],
+                       help="dimension, rank, injectivity and consistency report")
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("report", help="aggregate per-seed metrics into mean +/- std")
-    common(p)
+    p = sub.add_parser("report", parents=[common],
+                       help="aggregate per-seed metrics into mean +/- std")
     p.add_argument("metrics", nargs="+", help="metrics.json files from detect runs")
     p.set_defaults(func=cmd_report)
 
@@ -450,7 +462,7 @@ def main(argv=None) -> int:
     try:
         cp = load_config(args.config)
         return args.func(cp, args)
-    except (OSError, ValueError, dataio.ParseError, pendulum.DivergenceError) as exc:
+    except (OSError, ValueError, pendulum.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,9 +13,10 @@ All of these are read-only over parameters and data.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +148,8 @@ def two_nn_by_engine(runs: list[EngineRun]) -> DimensionEstimate:
         total += est.n_samples
     if not values:
         raise ValueError("no engine yielded a dimension estimate")
-    return DimensionEstimate(value=float(np.mean(values)), std=float(np.std(values)),
-                             method="two_nn", n_samples=total)
+    mean, std = _mean_std(values)
+    return DimensionEstimate(value=mean, std=std, method="two_nn", n_samples=total)
 
 
 def recommend_embedding_dim(dimension: float) -> int:
@@ -419,30 +420,42 @@ def rho_metric(z_series: np.ndarray, zdot_series: np.ndarray, dt: float = 1.0) -
     return float(np.mean((x - accumulated) ** 2))
 
 
-def _pair_etas(latent: LatentSeries, window: tuple[int, int]) -> list[float]:
-    """Each pair's eta over one index window of a latent series.
+def _pair_values(latents: list[LatentSeries], windows: list[tuple[int, int]],
+                 metric: Callable[[np.ndarray, np.ndarray], float]) -> list[list[float]]:
+    """For each pair, metric(z, z_dot) over each engine's (start, stop) window,
+    in engine order.
 
-    A pair whose state or derivative channel is constant over the window
-    gets eta = nan instead of aborting the whole engine.
+    A value is left out when its window is shorter than 2 rows, when the
+    metric rejects the pair with a ValueError (eta's constant channel), or
+    when it is not finite.
     """
-    start, stop = window
-    if not (0 <= start < stop <= len(latent)) or stop - start < 2:
-        raise ValueError(f"bad window ({start}, {stop}) for series of length {len(latent)}")
-    etas = []
-    for k in range(latent.n_pairs):
-        try:
-            etas.append(eta_metric(latent.z[start:stop, k], latent.z_dot[start:stop, k]))
-        except ValueError:
-            etas.append(float("nan"))
-    return etas
+    n_pairs = latents[0].n_pairs
+    values = [[] for _ in range(n_pairs)]
+    for latent, (start, stop) in zip(latents, windows):
+        if stop - start < 2:
+            continue
+        for k in range(n_pairs):
+            try:
+                value = metric(latent.z[start:stop, k], latent.z_dot[start:stop, k])
+            except ValueError:
+                continue
+            if math.isfinite(value):
+                values[k].append(value)
+    return values
 
 
 def eta_table(latents: list[LatentSeries], windows: list[tuple[int, int]]) -> list[dict]:
-    """Per-pair eta mean +/- std across engines, each on its own window."""
-    per_engine = [_pair_etas(latent, window) for latent, window in zip(latents, windows)]
+    """Per-pair eta mean +/- std across engines, each on its own window.
+
+    Every window must lie inside its series and span at least 2 rows. A pair
+    whose state or derivative channel is constant over an engine's window
+    leaves that engine out of the pair's row.
+    """
+    for latent, (start, stop) in zip(latents, windows):
+        if not (0 <= start < stop <= len(latent)) or stop - start < 2:
+            raise ValueError(f"bad window ({start}, {stop}) for series of length {len(latent)}")
     rows = []
-    for k in range(latents[0].n_pairs):
-        values = [etas[k] for etas in per_engine if math.isfinite(etas[k])]
+    for k, values in enumerate(_pair_values(latents, windows, eta_metric)):
         mean, std = _mean_std(values)
         rows.append({"pair": k, "mean": mean, "std": std, "n_engines": len(values)})
     return rows
@@ -452,36 +465,34 @@ def rho_table(latents: list[LatentSeries], labels: list[np.ndarray],
               dt: float = 1.0) -> list[dict]:
     """Per-pair rho over the normal and anomalous segments, across engines.
 
-    Each segment is re-based to its own first sample, so the anomalous rho
-    measures consistency decay inside the degraded regime, not the jump
-    from the start of life. dt is the step the model was trained with.
+    An engine's segments split at its first anomalous label, and a segment
+    shorter than 2 rows is left out. Each segment is re-based to its own
+    first sample, so the anomalous rho measures consistency decay inside the
+    degraded regime, not the jump from the start of life. dt is the step the
+    model was trained with.
     """
-    n_pairs = latents[0].n_pairs
-    per_pair_normal = [[] for _ in range(n_pairs)]
-    per_pair_anom = [[] for _ in range(n_pairs)]
+    normal, anomalous = [], []
     for latent, lab in zip(latents, labels):
         if len(lab) != len(latent):
             raise ValueError(f"unit {latent.unit_id}: {len(lab)} labels "
                              f"for {len(latent)} latent rows")
         boundary = int(np.argmax(lab)) if lab.any() else len(lab)
-        for (start, stop), sink in (((0, boundary), per_pair_normal),
-                                    ((boundary, len(lab)), per_pair_anom)):
-            if stop - start < 2:
-                continue
-            for k in range(n_pairs):
-                sink[k].append(rho_metric(latent.z[start:stop, k],
-                                          latent.z_dot[start:stop, k], dt))
+        normal.append((0, boundary))
+        anomalous.append((boundary, len(lab)))
+    rho = functools.partial(rho_metric, dt=dt)
     rows = []
-    for k in range(n_pairs):
-        normal_mean, normal_std = _mean_std(per_pair_normal[k])
-        anomalous_mean, anomalous_std = _mean_std(per_pair_anom[k])
+    for k, (normal_values, anomalous_values) in enumerate(
+            zip(_pair_values(latents, normal, rho), _pair_values(latents, anomalous, rho))):
+        normal_mean, normal_std = _mean_std(normal_values)
+        anomalous_mean, anomalous_std = _mean_std(anomalous_values)
         rows.append({"pair": k, "normal_mean": normal_mean, "normal_std": normal_std,
                      "anomalous_mean": anomalous_mean, "anomalous_std": anomalous_std})
     return rows
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
-    """(mean, std) of one pair's values across engines, (nan, nan) if there are none."""
+    """(mean, std) of one quantity's values across engines, (nan, nan) if there are
+    none: every across-engine mean and std that diagnose reports."""
     if not values:
         return math.nan, math.nan
     return float(np.mean(values)), float(np.std(values))

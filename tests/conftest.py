@@ -64,10 +64,11 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def eta_per_engine(latent, window=None) -> float:
     """Mean eta across the latent pairs of one engine, over window (start, stop),
-    by default the whole series."""
+    by default the whole series: nan if a pair's channel is constant there."""
     if window is None:
         window = (0, len(latent))
-    return float(np.mean(diagnostics._pair_etas(latent, window)))
+    rows = diagnostics.eta_table([latent], [window])
+    return float(np.mean([row["mean"] for row in rows]))
 
 
 @pytest.fixture(scope="session")

@@ -589,6 +589,63 @@ def test_train_named_subset_needs_dataset_path(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command", ["train", "detect", "diagnose"])
+def test_dataset_without_cmapss_subset_fails_before_creating_out(command, source, pipeline_dir,
+                                                                 tmp_path, capsys):
+    # the default subset is synthetic, which reads no file: a dataset there is a mistake
+    data = tmp_path / "train_FD001.txt"
+    dataio.write_cmapss(dataio.synthetic_runs(n_engines=8, mean_life=60, seed=4), data)
+    if source == "flag":
+        argv = ["--data", str(data)]
+    else:
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\ndataset = {data}\n")
+        argv = ["--config", str(ini)]
+    ckpt = [] if command == "train" else [
+        "--checkpoint", str(pipeline_dir / "checkpoint_seed0.json")]
+    out = tmp_path / "o"
+    assert run_cli(command, *argv, "--out", str(out), *ckpt) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset {data} is read only for a C-MAPSS subset")
+    assert "--subset FD001 or FD003" in err
+    assert not out.exists()
+
+
+def train_on_other_data(case, tmp_path):
+    """A checkpoint, and the flags that give detect or diagnose data it was not
+    trained on: the surrogate of another root seed, or a dataset file edited
+    after training."""
+    out = tmp_path / "trained"
+    if case == "seed":
+        assert run_cli("train", "--out", str(out), "--seed", "3", "--seeds", "3",
+                       "--epochs", "1") == 0
+        return out / "checkpoint_seed3.json", []
+    data = tmp_path / "train_FD001.txt"
+    runs = dataio.synthetic_runs(n_engines=8, mean_life=60, seed=4)
+    dataio.write_cmapss(runs, data)
+    source = ["--data", str(data), "--subset", "FD001"]
+    assert run_cli("train", "--out", str(out), "--seeds", "0", "--epochs", "1", *source) == 0
+    dataio.write_cmapss([dataio.EngineRun(unit_id=r.unit_id, features=r.features + 1.0,
+                                          labels=r.labels) for r in runs], data)
+    return out / "checkpoint_seed0.json", source
+
+
+@pytest.mark.parametrize("case", ["seed", "edited_file"])
+@pytest.mark.parametrize("command", ["detect", "diagnose"])
+def test_data_the_checkpoint_was_not_trained_on_fails_naming_it(command, case, tmp_path,
+                                                                capsys):
+    ckpt, source = train_on_other_data(case, tmp_path)
+    out = tmp_path / "o"
+    assert run_cli(command, "--checkpoint", str(ckpt), "--out", str(out), *source) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {ckpt}: the data is not what the checkpoint was trained on")
+    assert not out.exists()
+    if case == "seed":
+        # the training root seed regenerates the surrogate the checkpoint saw
+        assert run_cli(command, "--checkpoint", str(ckpt), "--out", str(out), "--seed", "3") == 0
+
+
 def test_diagnose_writes_report(pipeline_dir, tmp_path, capsys):
     out = tmp_path / "diag"
     code = run_cli("diagnose", "--out", str(out), "--seed", "0",

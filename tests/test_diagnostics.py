@@ -652,6 +652,44 @@ def test_eta_table_matches_per_pair_loop():
     assert [row["n_engines"] for row in rows] == [4, 3, 4]
 
 
+def consistency_rhos(latents, labels, k, dt):
+    """Pair k's rho on each engine's normal and anomalous segments, split at its
+    first anomalous label, computed for one (pair, engine, segment) at a time and
+    skipping a segment under 2 rows: the oracle for rho_table."""
+    normal, anomalous = [], []
+    for latent, lab in zip(latents, labels):
+        boundary = int(np.argmax(lab)) if lab.any() else len(lab)
+        for (start, stop), sink in (((0, boundary), normal), ((boundary, len(lab)), anomalous)):
+            if stop - start < 2:
+                continue
+            sink.append(dg.rho_metric(latent.z[start:stop, k], latent.z_dot[start:stop, k], dt))
+    return normal, anomalous
+
+
+def test_rho_table_matches_per_pair_loop():
+    # engines of different lengths; unit 1's anomalous segment is 1 row, unit 2 is all normal
+    rng = np.random.default_rng(37)
+    latents, labels = [], []
+    for unit, (n, boundary) in enumerate([(25, 15), (18, 17), (30, 30), (12, 7)]):
+        t = np.arange(n, dtype=float)
+        z = [np.sin(rng.uniform(0.1, 0.5) * t + k) for k in range(3)]
+        zd = [np.cos(rng.uniform(0.1, 0.5) * t + k) for k in range(3)]
+        latents.append(make_latent(z, zd, unit_id=unit))
+        lab = np.zeros(n, bool)
+        lab[boundary:] = True
+        labels.append(lab)
+    rows = dg.rho_table(latents, labels, dt=0.5)
+    for k, row in enumerate(rows):
+        normal, anomalous = consistency_rhos(latents, labels, k, dt=0.5)
+        assert (len(normal), len(anomalous)) == (4, 2)
+        assert row == {"pair": k,
+                       "normal_mean": float(np.mean(normal)), "normal_std": float(np.std(normal)),
+                       "anomalous_mean": float(np.mean(anomalous)),
+                       "anomalous_std": float(np.std(anomalous))}
+    assert len(rows) == 3
+    assert rows != dg.rho_table(latents, labels, dt=1.0)
+
+
 def test_rho_table_splits_segments_at_first_anomaly():
     # state follows its derivative exactly in the normal half only
     n = 30
