@@ -240,12 +240,11 @@ def cmd_simulate(cp, args) -> int:
                              f"the fit needs {diagnostics.BOX_COUNTING_MIN_POINTS}")
         points = pendulum.phase_slice(traj, start, stop)
         try:
-            est = diagnostics.box_counting_dimension(points)
+            est, counts = diagnostics.box_counting_fit(points)
         except ValueError as exc:
             raise ValueError(f"box counting on steps [{start}, {stop}) failed: {exc}") from None
     out = output_dir(cp, args)
     pendulum.write_trajectory_csv(traj, out / "trajectory.csv")
-    counts = diagnostics.box_counts(points, diagnostics.DEFAULT_EPSILONS)
     write_json(out / "box_counting.json", {
         "slope": est.value,
         "fit_residual": est.std,
@@ -270,6 +269,7 @@ def cmd_train(cp, args) -> int:
     train_runs = select_runs(runs, split.train_engines)
     scaler = dataio.fit_scaler(train_runs)
     scaled_train = [dataio.apply_scaler(r, scaler) for r in train_runs]
+    del runs, train_runs  # training reads only the scaled copies
 
     summary = []
     for seed in seed_list(cp, args):

@@ -13,14 +13,15 @@ pipeline parse each input file once.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import os
 import warnings
+import zipfile
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -286,17 +287,28 @@ def _read_cache(sidecar: Path, key: str) -> list[EngineRun] | None:
 
 def _write_cache(sidecar: Path, key: str, runs: list[EngineRun]) -> None:
     """Best effort: a unit id beyond int64 or a directory that refuses the
-    write leaves no sidecar, and the next load parses the file again."""
+    write leaves no sidecar, and the next load parses the file again.
+
+    The archive is what np.savez writes for key, units, lengths and the
+    runs' features stacked into one table, but the table is never built:
+    each run's rows go straight from its array to the file.
+    """
     try:
         units = np.array([run.unit_id for run in runs], dtype=np.int64)
     except OverflowError:
         return
-    buffer = io.BytesIO()
-    np.savez(buffer, key=np.array(key), units=units,
-             lengths=np.array([run.life_length for run in runs], dtype=np.int64),
-             features=np.concatenate([run.features for run in runs]))
+    lengths = np.array([run.life_length for run in runs], dtype=np.int64)
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+              "fortran_order": False, "shape": (int(lengths.sum()), N_FEATURES)}
     try:
-        atomic_write_bytes(sidecar, buffer.getbuffer())
+        with atomic_writer(sidecar) as fh, zipfile.ZipFile(fh, "w") as archive:
+            for name, array in (("key", np.array(key)), ("units", units), ("lengths", lengths)):
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                    np.lib.format.write_array(entry, array)
+            with archive.open("features.npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array_header_1_0(entry, header)
+                for run in runs:
+                    entry.write(memoryview(np.ascontiguousarray(run.features)).cast("B"))
     except OSError:
         pass
 
@@ -379,24 +391,33 @@ def read_json(path: str | Path):
 
 # --- file output ---------------------------------------------------------------
 
-def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials.
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file whose bytes replace path when the block ends, so readers
+    never see partials.
 
-    Each call writes its own temp file, <name>.<random hex>.tmp, so writers
-    of one path that run at once never rename each other's unfinished file;
-    the last rename wins. The temp file is removed if the write fails.
+    Each call writes its own sibling temp file, <name>.<random hex>.tmp, so
+    writers of one path that run at once never rename each other's
+    unfinished file; the last rename wins. If the block or the rename
+    fails, the temp file is removed and path is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
+    """Write data to path through atomic_writer."""
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -195,6 +195,12 @@ def box_counting_dimension(points: np.ndarray, epsilons=None) -> DimensionEstima
     The returned std is the RMS residual of the log-log fit, a goodness
     measure rather than a sampling spread.
     """
+    return box_counting_fit(points, epsilons)[0]
+
+
+def box_counting_fit(points: np.ndarray,
+                     epsilons=None) -> tuple[DimensionEstimate, np.ndarray]:
+    """box_counting_dimension and the box_counts N(eps) its slope is fitted to."""
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) < BOX_COUNTING_MIN_POINTS:
         raise ValueError(f"need at least {BOX_COUNTING_MIN_POINTS} points, got {len(pts)}")
@@ -207,7 +213,7 @@ def box_counting_dimension(points: np.ndarray, epsilons=None) -> DimensionEstima
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return DimensionEstimate(value=float(slope), std=residual,
-                             method="box_counting", n_samples=len(pts))
+                             method="box_counting", n_samples=len(pts)), counts
 
 
 # --- encoder geometry ------------------------------------------------------------
@@ -451,6 +457,7 @@ def eta_table(latents: list[LatentSeries], windows: list[tuple[int, int]]) -> li
     whose state or derivative channel is constant over an engine's window
     leaves that engine out of the pair's row.
     """
+    _check_per_engine(latents, windows, "windows")
     for latent, (start, stop) in zip(latents, windows):
         if not (0 <= start < stop <= len(latent)) or stop - start < 2:
             raise ValueError(f"bad window ({start}, {stop}) for series of length {len(latent)}")
@@ -471,6 +478,7 @@ def rho_table(latents: list[LatentSeries], labels: list[np.ndarray],
     degraded regime, not the jump from the start of life. dt is the step the
     model was trained with.
     """
+    _check_per_engine(latents, labels, "label arrays")
     normal, anomalous = [], []
     for latent, lab in zip(latents, labels):
         if len(lab) != len(latent):
@@ -488,6 +496,12 @@ def rho_table(latents: list[LatentSeries], labels: list[np.ndarray],
         rows.append({"pair": k, "normal_mean": normal_mean, "normal_std": normal_std,
                      "anomalous_mean": anomalous_mean, "anomalous_std": anomalous_std})
     return rows
+
+
+def _check_per_engine(latents: list[LatentSeries], per_engine: list, what: str) -> None:
+    """Reject a per-engine list that does not pair one to one with latents."""
+    if len(per_engine) != len(latents):
+        raise ValueError(f"{len(latents)} latent series but {len(per_engine)} {what}")
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:

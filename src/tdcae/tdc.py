@@ -89,24 +89,52 @@ class TripletBatch:
     def nxt(self) -> np.ndarray:
         return self.rows[2]
 
-    def take(self, idx: np.ndarray) -> "TripletBatch":
-        """The triplets at idx, in that order. A take along axis 1 keeps the
-        [3 x N x d] shape, so the result skips __post_init__'s checks."""
-        rows = self.rows.take(idx, axis=1)
-        rows.flags.writeable = False
-        taken = object.__new__(TripletBatch)
-        object.__setattr__(taken, "rows", rows)
-        return taken
+
+# table-row offsets of the rows at t, t-1 and t+1 from a triplet's centre row
+_NEIGHBOURS = np.array([[0], [-1], [1]])
 
 
-def make_triplets(runs: list[EngineRun], subset: str = "train") -> TripletBatch:
+@dataclass(frozen=True)
+class TripletSet:
+    """Triplets over one [R x d] table that holds each scaled row once.
+
+    centre[i] is the table row at t of triplet i; the rows at t-1 and t+1
+    are the table rows either side of it, so centre never names the first
+    or last row. take gathers a TripletBatch.
+    """
+
+    table: np.ndarray
+    centre: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.centre)
+
+    def take(self, idx: np.ndarray) -> TripletBatch:
+        """The triplets at idx, in that order, gathered as one [3 x B x d] batch."""
+        return TripletBatch(self.table.take(self.centre[idx] + _NEIGHBOURS, axis=0))
+
+    @property
+    def cur(self) -> np.ndarray:
+        return self.table[self.centre]
+
+    @property
+    def prev(self) -> np.ndarray:
+        return self.table[self.centre - 1]
+
+    @property
+    def nxt(self) -> np.ndarray:
+        return self.table[self.centre + 1]
+
+
+def make_triplets(runs: list[EngineRun], subset: str = "train") -> TripletSet:
     """Triplets over each engine's normal rows, restricted to one row subset.
 
     subset "train" uses each engine's leading 90% of normal rows, "val" the
     trailing 10%. Every index with both neighbors inside the chosen
     contiguous range yields one triplet, so triplets never straddle engines
     or the train/val boundary. Engines whose range has fewer than 3 rows are
-    skipped with a warning.
+    skipped with a warning. The chosen ranges are copied once, back to back,
+    into the set's table.
     """
     if subset not in ("train", "val"):
         raise ValueError(f"unknown subset {subset!r}")
@@ -118,17 +146,18 @@ def make_triplets(runs: list[EngineRun], subset: str = "train") -> TripletBatch:
             warnings.warn(f"unit {run.unit_id}: {subset} range has {len(rows)} rows, "
                           "too short for triplets; skipped")
             continue
-        ranges.append((run.features, rows.start, rows.stop))
-    out = np.empty((3, sum(b - a - 2 for _, a, b in ranges),
-                    runs[0].features.shape[1] if runs else 0))
-    k = 0
-    for features, a, b in ranges:
-        n = b - a - 2
-        out[0, k:k + n] = features[a + 1:b - 1]
-        out[1, k:k + n] = features[a:b - 2]
-        out[2, k:k + n] = features[a + 2:b]
-        k += n
-    return TripletBatch(out)
+        ranges.append(run.features[rows.start:rows.stop])
+    table = np.empty((sum(map(len, ranges)), runs[0].features.shape[1] if runs else 0))
+    centre = np.empty(len(table) - 2 * len(ranges), dtype=np.intp)
+    row = k = 0
+    for features in ranges:
+        n = len(features)
+        table[row:row + n] = features
+        centre[k:k + n - 2] = np.arange(row + 1, row + n - 1)
+        row += n
+        k += n - 2
+    table.flags.writeable = False
+    return TripletSet(table, centre)
 
 
 def central_difference(z_prev: np.ndarray, z_next: np.ndarray, dt: float) -> np.ndarray:
@@ -262,7 +291,8 @@ def train(runs: list[EngineRun],
             rec_sum += rec * len(idx)
             tdc_sum += tdc * len(idx)
         if len(val_set) > 0:
-            val_rec, val_tdc, *_ = _forward(params, val_set, config.dt)
+            val_batch = val_set.take(np.arange(len(val_set)))
+            val_rec, val_tdc, *_ = _forward(params, val_batch, config.dt)
         else:
             val_rec = val_tdc = float("nan")
         history.append(EpochStats(epoch, rec_sum / len(order), tdc_sum / len(order),

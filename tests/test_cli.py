@@ -255,6 +255,17 @@ def test_simulate_reruns_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_simulate_counts_the_boxes_once(tmp_path, monkeypatch):
+    box_counts, calls = diagnostics.box_counts, []
+    monkeypatch.setattr(diagnostics, "box_counts",
+                        lambda *args: calls.append(args) or box_counts(*args))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", simulate_ini(tmp_path), "--out", str(out)) == 0
+    assert len(calls) == 1
+    payload = json.loads((out / "box_counting.json").read_text())
+    assert payload["counts"] == box_counts(*calls[0]).tolist()
+
+
 def test_simulate_no_drift_changes_trajectory(tmp_path):
     ini = simulate_ini(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -372,6 +373,77 @@ def test_sidecar_of_another_cache_format_is_a_miss(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(dataio, "parse_cmapss", lambda p: calls.append(p) or [])
     assert dataio.load_cmapss(path) == [] and calls == [path]
+
+
+def savez_sidecar(path):
+    """Oracle: the sidecar's arrays as np.savez saved them from the parsed runs
+    concatenated into one table."""
+    runs = dataio.parse_cmapss(path)
+    return saved_bytes(np.savez, key=np.array(dataio._file_key(path)),
+                       units=np.array([run.unit_id for run in runs], dtype=np.int64),
+                       lengths=np.array([run.life_length for run in runs], dtype=np.int64),
+                       features=np.concatenate([run.features for run in runs]))
+
+
+def synthetic_file(tmp_path, n_engines=6, mean_life=30):
+    path = tmp_path / "train_FD001.txt"
+    dataio.write_cmapss(dataio.synthetic_runs(n_engines, mean_life, seed=5), path)
+    return path
+
+
+def test_sidecar_holds_the_arrays_np_savez_saves(tmp_path):
+    path = synthetic_file(tmp_path)
+    runs = dataio.load_cmapss(path)
+    with np.load(sidecar_of(path)) as got, np.load(io.BytesIO(savez_sidecar(path))) as want:
+        assert got.files == want.files
+        for name in want.files:
+            assert got[name].dtype == want[name].dtype
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes()
+    with mock.patch.object(dataio, "parse_cmapss", no_parse):
+        assert_same_runs(dataio.load_cmapss(path), runs)
+
+
+def fail_writing_after_1000_bytes(monkeypatch):
+    class DiskFull(io.BufferedWriter):
+        def write(self, data):
+            if self.tell() + memoryview(data).nbytes > 1000:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(data)
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: DiskFull(io.FileIO(fd, mode[0])))
+
+
+def fail_renaming(monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(os, "replace", fail)
+
+
+@pytest.mark.parametrize("fail", [fail_writing_after_1000_bytes, fail_renaming],
+                         ids=["write", "rename"])
+def test_failed_sidecar_write_leaves_no_temp_file_and_no_sidecar(tmp_path, monkeypatch, fail):
+    path = synthetic_file(tmp_path)
+    fail(monkeypatch)
+    assert_same_runs(dataio.load_cmapss(path), dataio.parse_cmapss(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["train_FD001.txt"]
+
+
+def test_sidecar_write_traces_about_one_feature_table_or_less(tmp_path, monkeypatch):
+    path = synthetic_file(tmp_path, n_engines=20, mean_life=200)
+    write_cache, peaks = dataio._write_cache, []
+
+    def traced_write_cache(sidecar, key, runs):
+        tracemalloc.start()
+        try:
+            write_cache(sidecar, key, runs)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak / sum(run.features.nbytes for run in runs))
+    monkeypatch.setattr(dataio, "_write_cache", traced_write_cache)
+    dataio.load_cmapss(path)
+    assert len(peaks) == 1 and sidecar_of(path).is_file()
+    assert peaks[0] <= 1.25  # concatenating into an in-memory archive took 3.00x
 
 
 def refuse_new_files(monkeypatch):

@@ -203,6 +203,13 @@ def test_box_dimension_of_filled_square():
     assert abs(dg.box_counting_dimension(sq).value - 2.0) < 0.2
 
 
+def test_box_counting_fit_returns_the_counts_its_slope_is_fitted_to():
+    pts = np.random.default_rng(110).uniform(size=(3000, 2))
+    est, counts = dg.box_counting_fit(pts)
+    assert counts.tolist() == dg.box_counts(pts, dg.DEFAULT_EPSILONS).tolist()
+    assert est == dg.box_counting_dimension(pts)
+
+
 def test_box_dimension_preconditions():
     rng = np.random.default_rng(109)
     with pytest.raises(ValueError, match="at least 100"):
@@ -592,6 +599,22 @@ def test_rho_table_rejects_misaligned_labels():
     latent = make_latent([np.arange(10.0)], [np.ones(10)])
     with pytest.raises(ValueError, match="labels"):
         dg.rho_table([latent], [np.zeros(11, bool)])
+
+
+@pytest.mark.parametrize("n_windows", [1, 3])
+def test_eta_table_rejects_a_window_list_that_does_not_pair_with_the_engines(n_windows):
+    t = np.arange(12.0)
+    latents = [make_latent([np.sin(t)], [np.cos(t)], unit_id=u) for u in (1, 2)]
+    with pytest.raises(ValueError, match=f"^2 latent series but {n_windows} windows$"):
+        dg.eta_table(latents, [(0, 10)] * n_windows)
+
+
+@pytest.mark.parametrize("n_labels", [1, 3])
+def test_rho_table_rejects_a_label_list_that_does_not_pair_with_the_engines(n_labels):
+    t = np.arange(12.0)
+    latents = [make_latent([np.sin(t)], [np.cos(t)], unit_id=u) for u in (1, 2)]
+    with pytest.raises(ValueError, match=f"^2 latent series but {n_labels} label arrays$"):
+        dg.rho_table(latents, [np.zeros(12, bool)] * n_labels)
 
 
 def test_eta_per_engine_averages_pairs():

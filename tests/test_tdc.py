@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcae import net, tdc
-from tdcae.dataio import EngineRun
+from tdcae import dataio, net, tdc
+from tdcae.dataio import EngineRun, normal_row_split
 
 from conftest import fd_grads, max_rel_err
 
@@ -64,24 +65,103 @@ def test_triplets_align_neighbors():
         assert np.array_equal(batch.nxt[i], feats[i + 2])
 
 
-def test_triplets_are_read_only_views_of_one_cur_prev_nxt_array():
+def test_triplet_batches_are_read_only_and_hold_the_cur_prev_nxt_rows():
     feats = np.arange(9 * 24, dtype=float).reshape(9, 24)
     run = EngineRun(unit_id=1, features=feats, labels=np.zeros(9, bool))
-    batch = tdc.make_triplets([run], "train")
-    assert batch.rows.shape == (3, 7, 24)
-    for view, offset in ((batch.cur, 1), (batch.prev, 0), (batch.nxt, 2)):
-        assert np.shares_memory(view, batch.rows)
-        assert np.array_equal(view, feats[offset:offset + 7])
-        with pytest.raises(ValueError, match="read-only"):
-            view[0, 0] = 0.0
+    triplets = tdc.make_triplets([run], "train")
+    for rows, offset in ((triplets.cur, 1), (triplets.prev, 0), (triplets.nxt, 2)):
+        assert np.array_equal(rows, feats[offset:offset + 7])
     idx = np.array([4, 0, 4, 2])
-    taken = batch.take(idx)
-    assert np.array_equal(taken.rows, np.stack([batch.cur[idx], batch.prev[idx],
-                                                batch.nxt[idx]]))
-    assert np.shares_memory(taken.rows.reshape(12, 24), taken.rows)  # no copy per step
-    assert isinstance(taken, tdc.TripletBatch) and not taken.rows.flags.writeable
+    batch = triplets.take(idx)
+    assert isinstance(batch, tdc.TripletBatch) and batch.rows.shape == (3, 4, 24)
+    assert np.array_equal(batch.rows, np.stack([triplets.cur[idx], triplets.prev[idx],
+                                                triplets.nxt[idx]]))
+    for rows in (batch.rows, batch.cur, batch.prev, batch.nxt, triplets.table):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+    assert np.shares_memory(batch.rows.reshape(12, 24), batch.rows)  # no copy per step
+    assert not np.shares_memory(batch.rows, triplets.table)
     with pytest.raises(ValueError, match=r"\[3 x N x d\]"):
         tdc.TripletBatch(feats)
+
+
+def stacked_triplets(runs, subset="train"):
+    """Oracle: make_triplets as it was when it materialised every triplet into
+    one [3 x N x d] array of its (t, t-1, t+1) rows."""
+    ranges = []
+    for run in runs:
+        train_rows, val_rows = normal_row_split(run)
+        rows = train_rows if subset == "train" else val_rows
+        if len(rows) < 3:
+            warnings.warn(f"unit {run.unit_id}: {subset} range has {len(rows)} rows, "
+                          "too short for triplets; skipped")
+            continue
+        ranges.append((run.features, rows.start, rows.stop))
+    out = np.empty((3, sum(b - a - 2 for _, a, b in ranges),
+                    runs[0].features.shape[1] if runs else 0))
+    k = 0
+    for features, a, b in ranges:
+        n = b - a - 2
+        out[0, k:k + n] = features[a + 1:b - 1]
+        out[1, k:k + n] = features[a:b - 2]
+        out[2, k:k + n] = features[a + 2:b]
+        k += n
+    return StackedTriplets(out)
+
+
+@dataclass(frozen=True)
+class StackedTriplets:
+    """The oracle's triplets; take gathers along the triplet axis."""
+
+    rows: np.ndarray
+
+    def __len__(self):
+        return self.rows.shape[1]
+
+    def take(self, idx):
+        return tdc.TripletBatch(self.rows.take(idx, axis=1))
+
+
+def ragged_runs(seed=0):
+    """Engines of 1 to 90 cycles, several with ranges too short for triplets."""
+    rng = np.random.default_rng(seed)
+    return [EngineRun(unit_id=u, features=rng.uniform(size=(life, 24)))
+            for u, life in enumerate([23, 1, 4, 90, 3, 7, 45, 5, 61])]
+
+
+def warned(make, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        made = make(*args)
+    return made, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("subset", ["train", "val"])
+def test_take_gathers_the_oracle_rows_on_ragged_engines(subset):
+    runs = ragged_runs()
+    triplets, warnings_made = warned(tdc.make_triplets, runs, subset)
+    oracle, oracle_warnings = warned(stacked_triplets, runs, subset)
+    assert warnings_made == oracle_warnings and len(warnings_made) >= 2
+    assert len(triplets) == len(oracle) > 0
+    rng = np.random.default_rng(1)
+    for idx in (np.arange(len(oracle)), rng.permutation(len(oracle)),
+                rng.integers(0, len(oracle), 40), np.array([], dtype=int)):
+        assert triplets.take(idx).rows.tobytes() == oracle.take(idx).rows.tobytes()
+    for name, rows in zip(("cur", "prev", "nxt"), oracle.rows):
+        assert getattr(triplets, name).tobytes() == rows.tobytes()
+
+
+def test_make_triplets_traces_about_one_copy_of_the_rows_it_covers():
+    runs = dataio.synthetic_runs(n_engines=40, mean_life=200, seed=4)
+    covered = sum(len(normal_row_split(run)[0]) for run in runs) * 24 * 8
+    tracemalloc.start()
+    try:
+        triplets = tdc.make_triplets(runs, "train")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * covered  # the stacked [3 x N x 24] oracle takes 2.95x
+    assert triplets.table.nbytes == covered
 
 
 def test_triplets_never_straddle_engines():
@@ -281,16 +361,16 @@ def step_config(name, **overrides):
                    **STEP_CONFIGS[name], **overrides)
 
 
-def replayed_training(runs, config, step):
-    """tdc.train's parameter and loss trajectory, one step(params, batch, config, state)
-    call per batch taken with TripletBatch.take: the loop bench/replay.py runs."""
-    train_set = tdc.make_triplets(runs, "train")
+def replayed_training(runs, config, step, make_triplets=tdc.make_triplets):
+    """tdc.train's parameters and loss history, one step(params, batch, config, state)
+    call per batch taken with the triplets' take: the loop bench/replay.py runs."""
+    train_set, val_set = make_triplets(runs, "train"), make_triplets(runs, "val")
     rng = np.random.default_rng(config.seed)
     params = net.init_params(net.autoencoder_specs(config.input_dim, config.hidden_dim,
                                                    config.latent_dim), rng)
     state = net.init_adamax(params, learning_rate=config.learning_rate)
-    sums = []
-    for _ in range(config.epochs):
+    history = []
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_set))
         rec_sum = tdc_sum = 0.0
         for start in range(0, len(order), config.batch_size):
@@ -298,8 +378,11 @@ def replayed_training(runs, config, step):
             rec, tdc_value = step(params, train_set.take(idx), config, state)
             rec_sum += rec * len(idx)
             tdc_sum += tdc_value * len(idx)
-        sums.append((rec_sum / len(order), tdc_sum / len(order)))
-    return params, sums
+        val_rec, val_tdc, *_ = tdc._forward(params, val_set.take(np.arange(len(val_set))),
+                                            config.dt)
+        history.append(tdc.EpochStats(epoch, rec_sum / len(order), tdc_sum / len(order),
+                                      val_rec, val_tdc))
+    return params, history
 
 
 def pre_buffer_loss_and_grads(params, batch, config):
@@ -339,18 +422,31 @@ def test_train_is_bitwise_the_replayed_step_loop(name):
     runs, config = wavy_runs(), step_config(name)
     assert len(tdc.make_triplets(runs, "train")) % config.batch_size == 6
     params, history = tdc.train(runs, config)
-    replayed, sums = replayed_training(runs, config, tdc.train_step)
+    replayed, replayed_history = replayed_training(runs, config, tdc.train_step)
     assert params.theta.tobytes() == replayed.theta.tobytes()
-    assert [(s.rec, s.tdc) for s in history] == sums
+    assert history == replayed_history
 
 
 @pytest.mark.parametrize("name", STEP_CONFIGS)
 def test_train_step_is_bitwise_the_pre_buffer_composition(name):
     runs, config = wavy_runs(), step_config(name)
-    params, sums = replayed_training(runs, config, tdc.train_step)
-    oracle, oracle_sums = replayed_training(runs, config, pre_buffer_train_step)
+    params, history = replayed_training(runs, config, tdc.train_step)
+    oracle, oracle_history = replayed_training(runs, config, pre_buffer_train_step)
     assert params.theta.tobytes() == oracle.theta.tobytes()
-    assert sums == oracle_sums
+    assert history == oracle_history
+
+
+@pytest.mark.parametrize("stop_gradient", [False, True], ids=["full", "stop_gradient"])
+def test_train_is_bitwise_training_on_the_oracle_triplets(stop_gradient):
+    runs = ragged_runs(seed=2)
+    config = step_config("default", stop_gradient=stop_gradient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the ragged engines' short ranges
+        params, history = tdc.train(runs, config)
+        oracle, oracle_history = replayed_training(runs, config, tdc.train_step,
+                                                   stacked_triplets)
+    assert params.theta.tobytes() == oracle.theta.tobytes()
+    assert history == oracle_history
 
 
 def test_interleaved_trainings_share_no_buffers():
