@@ -17,6 +17,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import math
 import sys
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
@@ -393,6 +394,8 @@ def read_metrics(path: str) -> dict:
         for key in REPORT_KEYS:
             if isinstance(metrics[key], bool) or not isinstance(metrics[key], (int, float)):
                 raise ValueError(f"metrics: {key} must be a number")
+            if isinstance(metrics[key], float) and not math.isfinite(metrics[key]):
+                raise ValueError(f"metrics: {key} must be finite, got {metrics[key]}")
     return metrics
 
 

@@ -414,15 +414,10 @@ def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
-    """Write data to path through atomic_writer."""
-    with atomic_writer(path) as fh:
-        fh.write(data)
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """atomic_write_bytes of the UTF-8 encoded text."""
-    atomic_write_bytes(path, text.encode())
+    """Write the UTF-8 encoded text to path through atomic_writer."""
+    with atomic_writer(path) as fh:
+        fh.write(text.encode())
 
 
 def write_cmapss(runs: list[EngineRun], path: str | Path) -> None:

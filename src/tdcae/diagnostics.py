@@ -499,7 +499,9 @@ def rho_table(latents: list[LatentSeries], labels: list[np.ndarray],
 
 
 def _check_per_engine(latents: list[LatentSeries], per_engine: list, what: str) -> None:
-    """Reject a per-engine list that does not pair one to one with latents."""
+    """Reject no engines, or a per-engine list that does not pair one to one with latents."""
+    if not latents:
+        raise ValueError("no engines to tabulate")
     if len(per_engine) != len(latents):
         raise ValueError(f"{len(latents)} latent series but {len(per_engine)} {what}")
 

@@ -56,40 +56,6 @@ class TrainingConfig:
             raise ValueError("latent_dim must be even (state-derivative pairs)")
 
 
-@dataclass(frozen=True)
-class TripletBatch:
-    """Aligned consecutive scaled measurements as one read-only [3 x N x d] array.
-
-    rows[0], rows[1] and rows[2] hold the rows at t, t-1 and t+1, so
-    rows.reshape(3 * N, d) is the stacked [cur; prev; nxt] block the encoder
-    reads in one pass.
-    """
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64).view()
-        if rows.ndim != 3 or rows.shape[0] != 3:
-            raise ValueError(f"triplet rows must be [3 x N x d], got {rows.shape}")
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-
-    def __len__(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def cur(self) -> np.ndarray:
-        return self.rows[0]
-
-    @property
-    def prev(self) -> np.ndarray:
-        return self.rows[1]
-
-    @property
-    def nxt(self) -> np.ndarray:
-        return self.rows[2]
-
-
 # table-row offsets of the rows at t, t-1 and t+1 from a triplet's centre row
 _NEIGHBOURS = np.array([[0], [-1], [1]])
 
@@ -100,7 +66,7 @@ class TripletSet:
 
     centre[i] is the table row at t of triplet i; the rows at t-1 and t+1
     are the table rows either side of it, so centre never names the first
-    or last row. take gathers a TripletBatch.
+    or last row. A batch is the set take returns, over the same table.
     """
 
     table: np.ndarray
@@ -109,9 +75,14 @@ class TripletSet:
     def __len__(self) -> int:
         return len(self.centre)
 
-    def take(self, idx: np.ndarray) -> TripletBatch:
-        """The triplets at idx, in that order, gathered as one [3 x B x d] batch."""
-        return TripletBatch(self.table.take(self.centre[idx] + _NEIGHBOURS, axis=0))
+    def take(self, idx: np.ndarray) -> TripletSet:
+        """The triplets at idx, in that order, over the same table: no row is copied."""
+        return TripletSet(self.table, self.centre[idx])
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The rows at t, t-1 and t+1, gathered as one fresh [3 x B x d] array."""
+        return self.table.take(self.centre + _NEIGHBOURS, axis=0)
 
     @property
     def cur(self) -> np.ndarray:
@@ -187,25 +158,25 @@ class EpochStats:
     val_tdc: float
 
 
-def _forward(params: net.NetworkParams, batch: TripletBatch, dt: float):
+def _forward(params: net.NetworkParams, batch: TripletSet, dt: float):
     """Encoder over the stacked [cur; prev; nxt] rows, decoder over cur's latents.
 
     Returns (rec, tdc, e, diff, enc_cache, dec_cache), where e is the TDC
     residual (z_next - z_prev)/(2 dt) - z_dot at the current rows and diff
     the reconstruction error out - cur; rec and tdc are their mean squares.
     """
+    rows = batch.rows
     b = len(batch)
     n_enc = net.encoder_layer_count(params)
     half = net.latent_dim(params) // 2
-    latent, enc_cache = net.forward(params, batch.rows.reshape(3 * b, batch.rows.shape[2]),
-                                    n_layers=n_enc)
+    latent, enc_cache = net.forward(params, rows.reshape(3 * b, rows.shape[2]), n_layers=n_enc)
     out, dec_cache = net.forward(params, latent[:b], start=n_enc)
     e = central_difference(latent[b:2 * b, :half], latent[2 * b:, :half], dt) - latent[:b, half:]
-    diff = out - batch.cur
+    diff = out - rows[0]
     return _mean_square(diff), _mean_square(e), e, diff, enc_cache, dec_cache
 
 
-def loss_and_grads(params: net.NetworkParams, batch: TripletBatch, config: TrainingConfig,
+def loss_and_grads(params: net.NetworkParams, batch: TripletSet, config: TrainingConfig,
                    grads: net.Gradients | None = None) -> tuple[float, float, net.Gradients]:
     """(rec, tdc, gradient of rec + alpha * tdc) on a triplet batch.
 
@@ -240,7 +211,7 @@ def loss_and_grads(params: net.NetworkParams, batch: TripletBatch, config: Train
     return rec, tdc, grads
 
 
-def train_step(params: net.NetworkParams, batch: TripletBatch, config: TrainingConfig,
+def train_step(params: net.NetworkParams, batch: TripletSet, config: TrainingConfig,
                state: net.AdamaxState) -> tuple[float, float]:
     """One Adamax update from loss_and_grads, which writes into state.grads;
     returns (rec, tdc) pre-update."""
@@ -291,8 +262,7 @@ def train(runs: list[EngineRun],
             rec_sum += rec * len(idx)
             tdc_sum += tdc * len(idx)
         if len(val_set) > 0:
-            val_batch = val_set.take(np.arange(len(val_set)))
-            val_rec, val_tdc, *_ = _forward(params, val_batch, config.dt)
+            val_rec, val_tdc, *_ = _forward(params, val_set, config.dt)
         else:
             val_rec = val_tdc = float("nan")
         history.append(EpochStats(epoch, rec_sum / len(order), tdc_sum / len(order),

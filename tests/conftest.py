@@ -1,6 +1,7 @@
 """Shared fixtures: surrogate data, a small trained model, optional real data,
-the finite-difference gradient every gradient test compares against, and
-the per-engine eta that the latent-consistency tests check.
+the finite-difference gradient every gradient test compares against, a
+TripletSet built from explicit rows, and the per-engine eta that the
+latent-consistency tests check.
 
 The real turbofan files are looked up via the CMAPSS_DATA environment
 variable or a data/ directory next to the package; data-dependent tests
@@ -60,6 +61,14 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Largest entrywise |a - n| / max(1e-4, |a|, |n|) of two flat gradients."""
     denom = np.maximum(1e-4, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def triplet_set(prev, cur, nxt) -> tdc.TripletSet:
+    """The triplets of explicit [B x d] rows at t-1, t and t+1, as a real TripletSet:
+    an interleaved [prev; cur; nxt] table, triplet k centred on table row 3k + 1."""
+    table = np.stack([prev, cur, nxt], axis=1).reshape(-1, np.shape(cur)[-1])
+    table.flags.writeable = False
+    return tdc.TripletSet(table, 3 * np.arange(len(cur)) + 1)
 
 
 def eta_per_engine(latent, window=None) -> float:

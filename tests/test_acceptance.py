@@ -12,7 +12,7 @@ import pytest
 
 from tdcae import dataio, detector, diagnostics, net, pendulum, tdc
 
-from conftest import cmapss_file, eta_per_engine, fd_grads, max_rel_err
+from conftest import cmapss_file, eta_per_engine, fd_grads, max_rel_err, triplet_set
 
 
 def criterion(num, ok, detail):
@@ -53,7 +53,7 @@ def test_criterion_01_gradient_correctness():
         cfg = tdc.TrainingConfig(alpha=2.5, dt=0.5, input_dim=w_in, hidden_dim=w_hidden,
                                  latent_dim=latent)
         prev, cur, nxt = rng.uniform(-1, 1, (3, 3, w_in))
-        batch = tdc.TripletBatch(np.stack([cur, prev, nxt]))
+        batch = triplet_set(prev, cur, nxt)
 
         def objective(p):
             o, _ = net.forward(p, batch.cur)

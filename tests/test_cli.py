@@ -709,9 +709,12 @@ def metrics_json(**values):
     ("accuracy,f1\n0.9,0.75\n", "not JSON: "),
     (metrics_json(accuracy="x"), "metrics: accuracy must be a number"),
     (metrics_json(accuracy=None), "metrics: accuracy must be a number"),
-    (metrics_json(cdr=True), "metrics: cdr must be a number")],
+    (metrics_json(cdr=True), "metrics: cdr must be a number"),
+    (metrics_json(accuracy=float("nan")), "metrics: accuracy must be finite, got nan"),
+    (metrics_json(f1=float("inf")), "metrics: f1 must be finite, got inf"),
+    (metrics_json(cdr=float("-inf")), "metrics: cdr must be finite, got -inf")],
     ids=["no_metrics", "not_an_object", "missing_keys", "not_json", "string_metric",
-         "null_metric", "bool_metric"])
+         "null_metric", "bool_metric", "nan_metric", "infinite_metric", "minus_infinite_metric"])
 def test_report_rejects_foreign_json_by_name(text, missing, tmp_path, capsys):
     path = tmp_path / "foreign.json"
     path.write_text(text)

@@ -669,7 +669,8 @@ def test_concurrent_writers_of_one_path_never_expose_a_partial_file(tmp_path):
     def writer(data):
         try:
             for _ in range(15):
-                dataio.atomic_write_bytes(path, data)
+                with dataio.atomic_writer(path) as fh:
+                    fh.write(data)
         except OSError as exc:
             errors.append(exc)
 

@@ -617,6 +617,12 @@ def test_rho_table_rejects_a_label_list_that_does_not_pair_with_the_engines(n_la
         dg.rho_table(latents, [np.zeros(12, bool)] * n_labels)
 
 
+@pytest.mark.parametrize("table", [dg.eta_table, dg.rho_table], ids=["eta", "rho"])
+def test_tables_reject_no_engines(table):
+    with pytest.raises(ValueError, match="^no engines to tabulate$"):
+        table([], [])
+
+
 def test_eta_per_engine_averages_pairs():
     z = np.random.default_rng(118).uniform(size=(30, 2))
     latent = make_latent([z[:, 0], z[:, 1]], [z[:, 0], z[:, 1]])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tdcae import dataio, net, tdc
 from tdcae.dataio import EngineRun, normal_row_split
 
-from conftest import fd_grads, max_rel_err
+from conftest import fd_grads, max_rel_err, triplet_set
 
 
 def constant_runs(n_engines=3, life=60):
@@ -65,7 +65,7 @@ def test_triplets_align_neighbors():
         assert np.array_equal(batch.nxt[i], feats[i + 2])
 
 
-def test_triplet_batches_are_read_only_and_hold_the_cur_prev_nxt_rows():
+def test_taken_sets_share_the_read_only_table_and_gather_fresh_rows():
     feats = np.arange(9 * 24, dtype=float).reshape(9, 24)
     run = EngineRun(unit_id=1, features=feats, labels=np.zeros(9, bool))
     triplets = tdc.make_triplets([run], "train")
@@ -73,16 +73,24 @@ def test_triplet_batches_are_read_only_and_hold_the_cur_prev_nxt_rows():
         assert np.array_equal(rows, feats[offset:offset + 7])
     idx = np.array([4, 0, 4, 2])
     batch = triplets.take(idx)
-    assert isinstance(batch, tdc.TripletBatch) and batch.rows.shape == (3, 4, 24)
-    assert np.array_equal(batch.rows, np.stack([triplets.cur[idx], triplets.prev[idx],
-                                                triplets.nxt[idx]]))
-    for rows in (batch.rows, batch.cur, batch.prev, batch.nxt, triplets.table):
-        with pytest.raises(ValueError, match="read-only"):
-            rows[0, 0] = 0.0
-    assert np.shares_memory(batch.rows.reshape(12, 24), batch.rows)  # no copy per step
-    assert not np.shares_memory(batch.rows, triplets.table)
-    with pytest.raises(ValueError, match=r"\[3 x N x d\]"):
-        tdc.TripletBatch(feats)
+    with pytest.raises(ValueError, match="read-only"):
+        batch.table[0, 0] = 0.0
+    rows = batch.rows
+    assert rows.shape == (3, 4, 24)
+    assert np.array_equal(rows, np.stack([triplets.cur[idx], triplets.prev[idx],
+                                          triplets.nxt[idx]]))
+    assert not np.shares_memory(rows, triplets.table)  # a fresh gather
+    assert not np.shares_memory(rows, batch.rows)
+    assert np.shares_memory(rows.reshape(12, 24), rows)  # no copy per step
+
+
+def test_a_batch_copies_no_rows():
+    triplets = tdc.make_triplets(wavy_runs(), "train")
+    idx = np.array([7, 3, 3, 0])
+    batch = triplets.take(idx)
+    assert isinstance(batch, tdc.TripletSet) and batch.table is triplets.table
+    assert np.array_equal(batch.centre, triplets.centre[idx])
+    assert np.array_equal(batch.take(np.array([2, 0])).centre, triplets.centre[[3, 7]])
 
 
 def stacked_triplets(runs, subset="train"):
@@ -111,7 +119,7 @@ def stacked_triplets(runs, subset="train"):
 
 @dataclass(frozen=True)
 class StackedTriplets:
-    """The oracle's triplets; take gathers along the triplet axis."""
+    """The oracle's triplets; take gathers along the triplet axis into a TripletSet."""
 
     rows: np.ndarray
 
@@ -119,7 +127,8 @@ class StackedTriplets:
         return self.rows.shape[1]
 
     def take(self, idx):
-        return tdc.TripletBatch(self.rows.take(idx, axis=1))
+        cur, prev, nxt = self.rows.take(idx, axis=1)
+        return triplet_set(prev, cur, nxt)
 
 
 def ragged_runs(seed=0):
@@ -146,7 +155,7 @@ def test_take_gathers_the_oracle_rows_on_ragged_engines(subset):
     rng = np.random.default_rng(1)
     for idx in (np.arange(len(oracle)), rng.permutation(len(oracle)),
                 rng.integers(0, len(oracle), 40), np.array([], dtype=int)):
-        assert triplets.take(idx).rows.tobytes() == oracle.take(idx).rows.tobytes()
+        assert triplets.take(idx).rows.tobytes() == oracle.rows.take(idx, axis=1).tobytes()
     for name, rows in zip(("cur", "prev", "nxt"), oracle.rows):
         assert getattr(triplets, name).tobytes() == rows.tobytes()
 
@@ -323,7 +332,7 @@ def test_train_step_gradient_matches_finite_differences(overrides):
     specs = net.autoencoder_specs(6, 7, 4, n_hidden=1)
     params = net.init_params(specs, rng)
     prev, cur, nxt = rng.uniform(0, 1, (3, 5, 6))
-    batch = tdc.TripletBatch(np.stack([cur, prev, nxt]))
+    batch = triplet_set(prev, cur, nxt)
     cfg = replace(tdc.TrainingConfig(epochs=1, alpha=3.0, dt=0.7, input_dim=6, hidden_dim=7,
                                      latent_dim=4), **overrides)
     # stop-gradient: the neighbour latents are constants of the unperturbed net
@@ -378,8 +387,7 @@ def replayed_training(runs, config, step, make_triplets=tdc.make_triplets):
             rec, tdc_value = step(params, train_set.take(idx), config, state)
             rec_sum += rec * len(idx)
             tdc_sum += tdc_value * len(idx)
-        val_rec, val_tdc, *_ = tdc._forward(params, val_set.take(np.arange(len(val_set))),
-                                            config.dt)
+        val_rec, val_tdc, *_ = tdc._forward(params, val_set, config.dt)
         history.append(tdc.EpochStats(epoch, rec_sum / len(order), tdc_sum / len(order),
                                       val_rec, val_tdc))
     return params, history
@@ -489,17 +497,18 @@ def test_rejected_steps_leave_params_and_state_untouched():
 
     batch = train_set.take(np.arange(8))
     with np.errstate(over="ignore", invalid="ignore"):
-        huge = tdc.TripletBatch(np.full(batch.rows.shape, 1e200))
+        huge = triplet_set(*np.full(batch.rows.shape, 1e200))
         assert_step_rejected(params, huge, config, state, "non-finite loss")
         # feature 0 of the neighbour rows is huge but meets only zero weights: the
         # loss stays finite while the first layer's weight gradient overflows
-        rows = batch.rows.copy()
-        rows[1:, :, 0] = 1.7e308
+        cur, prev, nxt = batch.rows
+        prev[:, 0] = nxt[:, 0] = 1.7e308
+        overflowing = triplet_set(prev, cur, nxt)
         params.weights[0][:, 0] = 0.0
-        rec, tdc_value, grads = tdc.loss_and_grads(params, tdc.TripletBatch(rows), config)
+        rec, tdc_value, grads = tdc.loss_and_grads(params, overflowing, config)
         assert math.isfinite(rec + config.alpha * tdc_value)
         assert not np.isfinite(grads.theta).all()
-        assert_step_rejected(params, tdc.TripletBatch(rows), config, state, "non-finite")
+        assert_step_rejected(params, overflowing, config, state, "non-finite")
 
 
 # --- loss history / inference ---------------------------------------------------------
