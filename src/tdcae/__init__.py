@@ -10,7 +10,4 @@ latent width respects the data's intrinsic dimension and that the encoder
 stays injective and full rank.
 """
 
-from . import dataio, detector, diagnostics, net, pendulum, tdc
-
-__all__ = ["dataio", "detector", "diagnostics", "net", "pendulum", "tdc"]
 __version__ = "0.1.0"

@@ -36,7 +36,9 @@ def component_seed(root_seed: int, name: str) -> int:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    dataio.atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    """Standard JSON: a NaN or infinity raises, so a value that does not exist is None."""
+    dataio.atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True,
+                                              allow_nan=False) + "\n")
 
 
 # --- config assembly -----------------------------------------------------------
@@ -286,7 +288,9 @@ def cmd_train(cp, args) -> int:
             "seed": seed, "checkpoint": ckpt.name, "loss_csv": loss_csv.name,
             "first_rec": history[0].rec, "first_tdc": history[0].tdc,
             "final_rec": last.rec, "final_tdc": last.tdc,
-            "final_val_rec": last.val_rec, "final_val_tdc": last.val_tdc,
+            # null when no engine leaves a validation triplet
+            "final_val_rec": None if math.isnan(last.val_rec) else last.val_rec,
+            "final_val_tdc": None if math.isnan(last.val_tdc) else last.val_tdc,
         })
         print(f"seed {seed}: rec {history[0].rec:.5f} -> {last.rec:.5f}, "
               f"tdc {history[0].tdc:.5f} -> {last.tdc:.5f} ({ckpt})")

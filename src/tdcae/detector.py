@@ -21,7 +21,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import EngineRun, atomic_write_text
 from .net import encoder_layer_count
@@ -70,36 +69,26 @@ class Thresholds:
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean truncated at the start (causal, no padding).
 
-    Row t is bitwise values[max(0, t - window + 1):t + 1].mean(axis=0), as
-    float64. numpy sums the rows of a C-ordered array at least 2 columns wide
-    one after another in time order, then divides by the row count, and so
-    does this function:
+    Axis 0 is time, and the result has the input's shape. Row t is the
+    float64 sum of rows max(0, t - window + 1) ... t, added one after another
+    in time order, divided by their count. The other axes are n columns:
     - rows t < window - 1 are a cumulative sum of the first rows, divided by
       t + 1;
     - each later row starts as the first row of its window, adds the other
       window - 1 rows in order, and is divided by window. The adds run on
       whole slices shifted by one row each, MEAN_BLOCK_CELLS // n rows (at
-      least one) at a time for n columns.
-    numpy reduces a single column, a 1-D array or a column-major array
-    pairwise once a window spans 9 rows or more, so those keep a mean over a
-    strided window view, which numpy reduces the same way.
+      least one) at a time.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    values = np.asarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    shape, rows = values.shape, values.shape[0]
+    values = values.reshape(rows, math.prod(shape[1:]))
     out = np.empty_like(values)
-    rows = values.shape[0]
     head = min(window - 1, rows)
-    if values.ndim != 2 or values.shape[1] < 2 or not values.flags.c_contiguous:
-        for t in range(head):
-            out[t] = values[:t + 1].mean(axis=0)
-        if head < rows:
-            windows = sliding_window_view(values, window, axis=0)
-            np.moveaxis(windows, -1, 1).mean(axis=1, out=out[head:])
-        return out
     np.cumsum(values[:head], axis=0, out=out[:head])
     out[:head] /= np.arange(1, head + 1)[:, None]
-    step = max(1, MEAN_BLOCK_CELLS // values.shape[1])
+    step = max(1, MEAN_BLOCK_CELLS // max(1, values.shape[1]))
     for start in range(head, rows, step):
         sums = out[start:start + step]
         first, length = start - window + 1, sums.shape[0]
@@ -107,7 +96,7 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
         for k in range(1, window):
             sums += values[first + k:first + k + length]
         sums /= window
-    return out
+    return out.reshape(shape)
 
 
 def baseline(smoothed: np.ndarray, window: int) -> np.ndarray:

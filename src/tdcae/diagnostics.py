@@ -237,7 +237,7 @@ class RankReport:
             "n_samples": int(len(self.ranks)),
             "n_failed": len(self.failed),
             "min_singular_value": float(self.singular_values[:, -1].min())
-            if len(self.ranks) else float("nan"),
+            if len(self.ranks) else None,
         }
 
 
@@ -506,9 +506,9 @@ def _check_per_engine(latents: list[LatentSeries], per_engine: list, what: str) 
         raise ValueError(f"{len(latents)} latent series but {len(per_engine)} {what}")
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    """(mean, std) of one quantity's values across engines, (nan, nan) if there are
-    none: every across-engine mean and std that diagnose reports."""
+def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
+    """(mean, std) of one quantity's values across engines, (None, None) if there
+    are none: every across-engine mean and std that diagnose reports."""
     if not values:
-        return math.nan, math.nan
+        return None, None
     return float(np.mean(values)), float(np.std(values))

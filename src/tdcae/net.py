@@ -371,7 +371,7 @@ def save_checkpoint(path: str | Path, params: NetworkParams, *, seed: int,
         "split": {"train_engines": sorted(split.train_engines),
                   "test_engines": sorted(split.test_engines)},
         "training_config": training_config,
-    }, indent=1))
+    }, indent=1, allow_nan=False))
 
 
 def load_checkpoint(path: str | Path) -> dict:

@@ -224,9 +224,11 @@ def network_specs(config: TrainingConfig) -> list[net.LayerSpec]:
     """The layers train builds for config; they must have a unique bottleneck."""
     specs = net.autoencoder_specs(config.input_dim, config.hidden_dim, config.latent_dim)
     if not net.encoder_depth(specs):
+        wider = (f"hidden_dim {config.hidden_dim}" if config.latent_dim >= config.hidden_dim
+                 else f"the {config.input_dim}-wide output")
         widths = "-".join(str(s.out_dim) for s in specs)
-        raise ValueError(f"latent_dim {config.latent_dim} gives a {config.input_dim}-{widths} "
-                         "network with no unique bottleneck layer")
+        raise ValueError(f"latent_dim {config.latent_dim} is not narrower than {wider}, so a "
+                         f"{config.input_dim}-{widths} network has no unique bottleneck layer")
     return specs
 
 

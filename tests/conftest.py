@@ -77,7 +77,7 @@ def eta_per_engine(latent, window=None) -> float:
     if window is None:
         window = (0, len(latent))
     rows = diagnostics.eta_table([latent], [window])
-    return float(np.mean([row["mean"] for row in rows]))
+    return float(np.mean(np.array([row["mean"] for row in rows], dtype=float)))  # None -> nan
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tdcae import cli, dataio, detector, diagnostics, net, pendulum, tdc
@@ -325,10 +326,16 @@ def pipeline_dir(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("setting,widths", [("--latent-dim 24", "24-24-24-24-24-24-24"),
-                                            ("latent_dim = 30", "24-24-24-30-24-24-24")],
-                         ids=["flag", "file"])
-def test_train_rejects_a_latent_width_with_no_bottleneck_before_reading_data(setting, widths,
+@pytest.mark.parametrize("setting,cause", [
+    ("--latent-dim 24", "latent_dim 24 is not narrower than hidden_dim 24, so a "
+                        "24-24-24-24-24-24-24"),
+    ("latent_dim = 30", "latent_dim 30 is not narrower than hidden_dim 24, so a "
+                        "24-24-24-30-24-24-24"),
+    ("hidden_dim = 8", "latent_dim 8 is not narrower than hidden_dim 8, so a 24-8-8-8-8-8-24"),
+    ("latent_dim = 24\nhidden_dim = 32", "latent_dim 24 is not narrower than the 24-wide "
+                                         "output, so a 24-32-32-24-32-32-24"),
+], ids=["flag", "file", "hidden", "output"])
+def test_train_rejects_a_latent_width_with_no_bottleneck_before_reading_data(setting, cause,
                                                                              tmp_path, capsys):
     if setting.startswith("--"):
         argv, source = setting.split(), ""
@@ -336,15 +343,55 @@ def test_train_rejects_a_latent_width_with_no_bottleneck_before_reading_data(set
         ini = tmp_path / "wide.ini"
         ini.write_text(f"[training]\n{setting}\n")
         argv, source = ["--config", str(ini)], f"{ini}: "
-    width = setting.split()[-1]
     out = tmp_path / "o"
     # the dataset does not exist: the width must fail before it is read
     assert run_cli("train", *argv, "--subset", "FD001", "--data", str(tmp_path / "missing"),
                    "--out", str(out), "--epochs", "1") == 1
     assert capsys.readouterr().err == (
-        f"error: {source}[training] latent_dim {width} gives a {widths} network "
-        "with no unique bottleneck layer\n")
+        f"error: {source}[training] {cause} network has no unique bottleneck layer\n")
     assert not out.exists()
+
+
+def strict_json(path):
+    """A JSON file parsed as standard JSON: NaN and Infinity are errors."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not standard JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_write_json_rejects_a_non_finite_value(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_json(tmp_path / "bad.json", {"value": float("nan")})
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_train_without_validation_rows_writes_null_val_losses(tmp_path):
+    # 30-cycle engines leave under 3 validation rows each: no validation triplet
+    dataio.write_cmapss(dataio.synthetic_runs(12, 30, seed=1), tmp_path / "train_FD001.txt")
+    out = tmp_path / "o"
+    assert run_cli("train", "--subset", "FD001", "--data", str(tmp_path), "--out", str(out),
+                   "--seed", "0", "--seeds", "0", "--epochs", "1") == 0
+    run, = strict_json(out / "train_summary.json")["runs"]
+    assert run["final_val_rec"] is None and run["final_val_tdc"] is None
+    assert isinstance(run["final_rec"], float)
+
+
+def test_a_table_row_with_no_engines_writes_null(tmp_path):
+    t = np.arange(15, dtype=float)
+    flat = [tdc.LatentSeries(unit_id=u, z=np.ones((15, 1)), z_dot=np.sin(t)[:, None])
+            for u in (1, 2)]
+    no_samples = diagnostics.RankReport(singular_values=np.empty((0, 8)), ranks=np.empty(0, int),
+                                        threshold=1e-6, full_rank=8, full_rank_fraction=0.0,
+                                        failed=[0, 1])
+    cli.write_json(tmp_path / "t.json", {
+        "eta": diagnostics.eta_table(flat, windows=[(0, 15), (0, 15)]),
+        "rho": diagnostics.rho_table(flat, [np.zeros(15, bool)] * 2),
+        "rank": no_samples.as_dict()})
+    payload = strict_json(tmp_path / "t.json")
+    assert payload["eta"] == [{"pair": 0, "mean": None, "std": None, "n_engines": 0}]
+    assert payload["rho"][0]["anomalous_mean"] is None
+    assert payload["rho"][0]["anomalous_std"] is None
+    assert payload["rank"]["min_singular_value"] is None
 
 
 def test_train_writes_artifacts(pipeline_dir):

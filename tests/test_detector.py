@@ -59,11 +59,20 @@ def test_moving_average_truncates_at_start():
     assert out3[:, 0].tolist() == [1.0, 1.5, 2.0, 3.0]
 
 
+def ordered_mean(rows):
+    """The rows added one after another in time order, then divided by their count."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total = total + row
+    return total / len(rows)
+
+
 def loop_moving_average(values, window):
-    """The per-timestep loop that moving_average's windowed form replaced, kept as its oracle."""
-    out = np.empty_like(values, dtype=np.float64)
+    """moving_average's contract as a per-timestep loop, kept as its oracle."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty_like(values)
     for t in range(values.shape[0]):
-        out[t] = values[max(0, t - window + 1):t + 1].mean(axis=0)
+        out[t] = ordered_mean(values[max(0, t - window + 1):t + 1])
     return out
 
 
@@ -113,11 +122,11 @@ def test_baseline_starts_at_first_value():
 
 
 def loop_baseline(smoothed, window):
-    """The per-timestep baseline loop that moving_average replaced, kept as its oracle."""
-    out = np.empty_like(smoothed, dtype=np.float64)
-    out[0] = smoothed[0]
+    """baseline's contract as a per-timestep loop, kept as its oracle."""
+    smoothed = np.asarray(smoothed, dtype=np.float64)
+    out = smoothed.copy()
     for t in range(1, smoothed.shape[0]):
-        out[t] = smoothed[max(0, t - window):t].mean(axis=0)
+        out[t] = ordered_mean(smoothed[max(0, t - window):t])
     return out
 
 
@@ -144,15 +153,23 @@ def test_fleet_sized_smoothing_is_bitwise_the_loop(T, n, window, decimals, seed)
     assert np.array_equal(det.baseline(values, window), loop_baseline(values, window))
 
 
-@pytest.mark.parametrize("layout", ["1-D", "column-major", "strided columns"])
+@pytest.mark.parametrize("layout", ["1-D", "one column", "column-major", "strided columns",
+                                    "3-D", "0 rows", "0 rows 1-D", "0 columns", "integer"])
 @pytest.mark.parametrize("window", [1, 5, 12, 40])
 def test_smoothing_other_layouts_is_bitwise_the_loop(layout, window):
-    # numpy reduces these layouts' windows pairwise from 9 rows on, not row after row
-    raw = np.random.default_rng(window).normal(scale=100.0, size=(30, 6))
-    values = {"1-D": raw[:, 0], "column-major": np.asfortranarray(raw),
-              "strided columns": raw[:, ::2]}[layout]
-    assert np.array_equal(det.moving_average(values, window), loop_moving_average(values, window))
-    assert np.array_equal(det.baseline(values, window), loop_baseline(values, window))
+    # every layout takes the one kernel, so windows of 9 rows or more are still
+    # summed row after row, where numpy's mean would reduce them pairwise
+    rng = np.random.default_rng(window)
+    raw = rng.normal(scale=100.0, size=(30, 6))
+    values = {"1-D": raw[:, 0], "one column": raw[:, :1], "column-major": np.asfortranarray(raw),
+              "strided columns": raw[:, ::2], "3-D": raw.reshape(30, 2, 3),
+              "0 rows": raw[:0], "0 rows 1-D": raw[:0, 0], "0 columns": raw[:, :0],
+              "integer": rng.integers(-1000, 1000, size=(30, 6))}[layout]
+    for stage, oracle in ((det.moving_average, loop_moving_average),
+                          (det.baseline, loop_baseline)):
+        actual = stage(values, window)
+        assert actual.shape == values.shape and actual.dtype == np.float64
+        assert np.array_equal(actual, oracle(values, window))
 
 
 @pytest.mark.parametrize("window", [0, -3])

@@ -646,7 +646,7 @@ def test_pair_constant_on_every_engine_gives_nan_eta_without_warning():
         warnings.simplefilter("error")
         rows = dg.eta_table(flat, windows=[(0, 15), (0, 15)])
     assert rows[0]["n_engines"] == 0
-    assert math.isnan(rows[0]["mean"]) and math.isnan(rows[0]["std"])
+    assert rows[0]["mean"] is None and rows[0]["std"] is None
 
 
 def consistency_eta(latent, window, k):
@@ -754,5 +754,5 @@ def test_rho_table_all_normal_engine_leaves_anomalous_nan():
     z = np.arange(20, dtype=float)
     latent = make_latent([z], [np.ones(20)])
     rows = dg.rho_table([latent], [np.zeros(20, bool)])
-    assert math.isnan(rows[0]["anomalous_mean"])
+    assert rows[0]["anomalous_mean"] is None and rows[0]["anomalous_std"] is None
     assert math.isfinite(rows[0]["normal_mean"])
