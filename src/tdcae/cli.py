@@ -398,7 +398,7 @@ def read_metrics(path: str) -> dict:
         for key in REPORT_KEYS:
             if isinstance(metrics[key], bool) or not isinstance(metrics[key], (int, float)):
                 raise ValueError(f"metrics: {key} must be a number")
-            if isinstance(metrics[key], float) and not math.isfinite(metrics[key]):
+            if not abs(metrics[key]) <= sys.float_info.max:  # nan, inf or an int beyond float64
                 raise ValueError(f"metrics: {key} must be finite, got {metrics[key]}")
     return metrics
 

@@ -5,9 +5,9 @@ line, 26 whitespace-separated numeric fields (unit, cycle, 3 operational
 settings, 21 sensors), no header. The 3 settings + 21 sensors form the
 24-dimensional feature vector; unit and cycle are identifiers.
 
-load_cmapss keeps what parse_cmapss read of a file in a binary sidecar,
+load_cmapss keeps the table np.loadtxt read of a file in a binary sidecar,
 <file>.tdcae.npz, keyed on the file's bytes, so the commands of one
-pipeline parse each input file once.
+pipeline parse each input file's text once.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ N_SENSORS = 21
 N_FEATURES = N_SETTINGS + N_SENSORS
 NORMAL_FRACTION = 0.6
 VAL_FRACTION = 0.1
-# load_cmapss's cache key starts with this tag; bump it whenever what
-# parse_cmapss returns for some file changes
-CACHE_FORMAT = b"tdcae-cmapss-cache-1\n"
+# load_cmapss's cache key starts with this tag; bump it whenever the
+# sidecar's layout, or what parse_cmapss returns for some file, changes
+CACHE_FORMAT = b"tdcae-cmapss-cache-2\n"
 CACHE_SUFFIX = ".tdcae.npz"
 
 
@@ -134,18 +134,12 @@ def parse_cmapss(path: str | Path) -> list[EngineRun]:
     same runs for every file the vectorised pass accepts.
     """
     path = Path(path)
-    runs = _parse_table(path)
-    return _parse_lines(path) if runs is None else runs
+    parsed = _parse_table(path)
+    return _parse_lines(path) if parsed is None else parsed[0]
 
 
-def _parse_table(path: Path) -> list[EngineRun] | None:
-    """parse_cmapss in one np.loadtxt pass, or None if _parse_lines must decide.
-
-    Returns runs only for a non-empty table of 26 finite columns whose unit
-    and cycle ids are integers, each unit holding at least 5 rows with
-    cycles 1..T once sorted stably by (unit, cycle): files _parse_lines
-    accepts, read into the same arrays.
-    """
+def _parse_table(path: Path) -> tuple[list[EngineRun], np.ndarray] | None:
+    """parse_cmapss in one np.loadtxt pass, with its table; None if _parse_lines must decide."""
     try:
         with warnings.catch_warnings():
             # an empty file warns; _parse_lines reads it
@@ -153,7 +147,20 @@ def _parse_table(path: Path) -> list[EngineRun] | None:
             table = np.loadtxt(path, dtype=np.float64, ndmin=2, comments=None)
     except (OSError, ValueError):  # _parse_lines raises its own error for the file
         return None
-    if table.shape[0] == 0 or table.shape[1] != 2 + N_FEATURES or not np.isfinite(table).all():
+    runs = _table_runs(table)
+    return None if runs is None else (runs, table)
+
+
+def _table_runs(table: np.ndarray) -> list[EngineRun] | None:
+    """One EngineRun per unit of a [rows x 26] table, or None if _parse_lines must decide.
+
+    Returns runs only for a non-empty float64 table of 26 finite columns
+    whose unit and cycle ids are integers, each unit holding at least 5 rows
+    with cycles 1..T once sorted stably by (unit, cycle): tables of files
+    _parse_lines accepts, read into the same arrays.
+    """
+    if (table.dtype != np.float64 or table.ndim != 2 or table.shape[0] == 0
+            or table.shape[1] != 2 + N_FEATURES or not np.isfinite(table).all()):
         return None
     ids = table[:, :2]
     if not np.all(ids == np.trunc(ids)):
@@ -165,14 +172,9 @@ def _parse_table(path: Path) -> list[EngineRun] | None:
     first_row = np.repeat(starts, counts)
     if counts.min() < 5 or not np.array_equal(cycles, np.arange(len(units)) - first_row + 1):
         return None
-    return _engine_runs(units[starts], counts, np.ascontiguousarray(table[order, 2:]))
-
-
-def _engine_runs(units: np.ndarray, lengths: np.ndarray, features: np.ndarray) -> list[EngineRun]:
-    """One EngineRun per unit, each a view of its consecutive rows of features."""
-    ends = np.cumsum(lengths).tolist()
-    return [EngineRun(unit_id=int(u), features=features[end - n:end])
-            for u, n, end in zip(units.tolist(), lengths.tolist(), ends)]
+    features = np.ascontiguousarray(table[order, 2:])
+    return [EngineRun(unit_id=int(u), features=features[start:start + n])
+            for u, start, n in zip(units[starts].tolist(), starts.tolist(), counts.tolist())]
 
 
 def _parse_lines(path: Path) -> list[EngineRun]:
@@ -188,9 +190,8 @@ def _parse_lines(path: Path) -> list[EngineRun]:
         if not fields:
             continue  # tolerate blank lines
         if len(fields) != 2 + N_FEATURES:
-            raise ParseError(
-                f"{path.name}:{lineno}: expected {2 + N_FEATURES} fields, got {len(fields)}"
-            )
+            raise ParseError(f"{path.name}:{lineno}: expected {2 + N_FEATURES} fields, "
+                             f"got {len(fields)}")
         try:
             unit_id, cycle_id = float(fields[0]), float(fields[1])
             unit, cycle = int(unit_id), int(cycle_id)
@@ -212,9 +213,7 @@ def _parse_lines(path: Path) -> list[EngineRun]:
             raise ParseError(f"{path.name}:{bad[1]}: non-finite field")
         cycles = [c for c, _, _ in rows]
         if cycles != list(range(1, len(rows) + 1)):
-            raise DataIntegrityError(
-                f"{path.name}: unit {unit} cycles are not consecutive from 1"
-            )
+            raise DataIntegrityError(f"{path.name}: unit {unit} cycles are not consecutive from 1")
         if len(rows) < 5:
             # central differences and the smoothing windows need neighbors
             raise DataIntegrityError(f"{path.name}: unit {unit} has fewer than 5 cycles")
@@ -226,26 +225,25 @@ def _parse_lines(path: Path) -> list[EngineRun]:
 
 def load_cmapss(path: str | Path) -> list[EngineRun]:
     """parse_cmapss(path), read from the sidecar <path>.tdcae.npz when that
-    holds the runs of the file's current bytes.
+    holds the table of the file's current bytes.
 
-    The sidecar's key is the sha256 of CACHE_FORMAT followed by the file's
-    bytes. Any other sidecar (missing, unreadable, stale or inconsistent) is
-    ignored: the file is parsed, and its runs are written to the sidecar if
-    the directory takes the write. A file that fails to parse raises
-    parse_cmapss's error and is never cached. Nothing here raises an error
-    of its own.
+    The sidecar holds the float64 table np.loadtxt read, keyed on the sha256
+    of CACHE_FORMAT followed by the file's bytes, and yields runs only
+    through the checks a parse applies to that table. Any other sidecar is
+    ignored: the file is parsed, and its table is written to the sidecar if
+    the directory takes the write. A file only the line loop reads, or one
+    that fails to parse, is never cached. Nothing here raises its own error.
     """
     path = Path(path)
-    key = _file_key(path)
-    if key is None:
-        return parse_cmapss(path)  # which raises the error that names the path
+    key = _file_key(path)  # None for an unreadable file, whose parse raises the error
     sidecar = path.with_name(path.name + CACHE_SUFFIX)
-    runs = _read_cache(sidecar, key)
+    table = _read_cache(sidecar, key)
+    runs = None if table is None else _table_runs(table)
     if runs is None:
-        runs = parse_cmapss(path)
+        runs, table = _parse_table(path) or (_parse_lines(path), None)
         # a file rewritten during the parse must not be cached under the old key
-        if runs and _file_key(path) == key:
-            _write_cache(sidecar, key, runs)
+        if table is not None and _file_key(path) == key:
+            _write_cache(sidecar, key, table)
     return runs
 
 
@@ -263,52 +261,33 @@ def _file_key(path: Path) -> str | None:
     return digest.hexdigest()
 
 
-def _read_cache(sidecar: Path, key: str) -> list[EngineRun] | None:
-    """The runs the sidecar holds under key, or None unless it holds a
-    well-formed set: int64 units strictly increasing, int64 lengths of at
-    least 5 rows summing to the rows of one finite [N x 24] float64 table."""
+def _read_cache(sidecar: Path, key: str | None) -> np.ndarray | None:
+    """The table the sidecar holds under key, or None."""
     try:
         with sidecar.open("rb") as fh, np.lib.npyio.NpzFile(fh) as cache:
             if cache["key"].shape != () or str(cache["key"]) != key:
                 return None
-            units, lengths, features = cache["units"], cache["lengths"], cache["features"]
+            return cache["table"]
     except Exception:
-        # a damaged archive fails inside zipfile or numpy's .npy reader in many
-        # ways (BadZipFile, NotImplementedError, RuntimeError, TokenError, ...);
-        # every one of them is a miss
+        # a damaged archive fails inside zipfile or numpy's .npy reader in many ways
+        # (BadZipFile, NotImplementedError, RuntimeError, TokenError, ...): all misses
         return None
-    ok = (units.dtype == lengths.dtype == np.int64 and features.dtype == np.float64
-          and units.ndim == 1 and lengths.shape == units.shape and len(units) > 0
-          and features.shape == (int(lengths.sum()), N_FEATURES)
-          and lengths.min() >= 5 and np.all(units[1:] > units[:-1])
-          and np.isfinite(features).all())
-    return _engine_runs(units, lengths, np.ascontiguousarray(features)) if ok else None
 
 
-def _write_cache(sidecar: Path, key: str, runs: list[EngineRun]) -> None:
-    """Best effort: a unit id beyond int64 or a directory that refuses the
-    write leaves no sidecar, and the next load parses the file again.
+def _write_cache(sidecar: Path, key: str, table: np.ndarray) -> None:
+    """Best effort: a directory that refuses the write leaves no sidecar, and
+    the next load parses the file again.
 
-    The archive is what np.savez writes for key, units, lengths and the
-    runs' features stacked into one table, but the table is never built:
-    each run's rows go straight from its array to the file.
+    The archive is what np.savez writes for key and table, but the table's
+    bytes go straight from its array to the file, not through a copy.
     """
     try:
-        units = np.array([run.unit_id for run in runs], dtype=np.int64)
-    except OverflowError:
-        return
-    lengths = np.array([run.life_length for run in runs], dtype=np.int64)
-    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-              "fortran_order": False, "shape": (int(lengths.sum()), N_FEATURES)}
-    try:
         with atomic_writer(sidecar) as fh, zipfile.ZipFile(fh, "w") as archive:
-            for name, array in (("key", np.array(key)), ("units", units), ("lengths", lengths)):
+            for name, array in (("key", np.array(key)), ("table", table)):
                 with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
-                    np.lib.format.write_array(entry, array)
-            with archive.open("features.npy", "w", force_zip64=True) as entry:
-                np.lib.format.write_array_header_1_0(entry, header)
-                for run in runs:
-                    entry.write(memoryview(np.ascontiguousarray(run.features)).cast("B"))
+                    header = np.lib.format.header_data_from_array_1_0(array)
+                    np.lib.format.write_array_header_1_0(entry, header)
+                    entry.write(memoryview(array).cast("B"))
     except OSError:
         pass
 
@@ -372,13 +351,12 @@ def normal_row_split(run: EngineRun) -> tuple[range, range]:
 
 @contextlib.contextmanager
 def naming(where: str | Path) -> Iterator[None]:
-    """Re-raise a ValueError or TypeError from the block as ValueError(f"{where}: {exc}").
-
-    Nested from the file down to the field, it names where outside input is bad.
-    """
+    """Re-raise a ValueError, TypeError or OverflowError from the block as
+    ValueError(f"{where}: {exc}"): nested from the file down to the field, it
+    names where outside input is bad."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 

@@ -21,8 +21,9 @@ backward rather than hooked into one pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -351,6 +352,8 @@ CHECKPOINT_VERSION = 1
 
 
 CHECKPOINT_FIELDS = ("specs", "weights", "biases", "scaler", "split", "training_config")
+# the JSON values a training_config field of each annotated type takes: a bool is no number
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
 
 
 def save_checkpoint(path: str | Path, params: NetworkParams, *, seed: int,
@@ -412,8 +415,8 @@ def load_checkpoint(path: str | Path) -> dict:
             if not (isinstance(entry, dict) and isinstance(entry.get("min"), list)
                     and isinstance(entry.get("max"), list)):
                 raise ValueError(f"expected lists min and max, got {entry!r}")
-            scaler = ScalerParams(minimum=np.array(entry["min"], dtype=np.float64),
-                                  maximum=np.array(entry["max"], dtype=np.float64))
+            scaler = ScalerParams(minimum=_json_numbers(entry["min"]),
+                                  maximum=_json_numbers(entry["max"]))
         if scaler.minimum.shape != (params.input_dim,):
             raise ValueError(f"scaler width {scaler.minimum.shape[0]} "
                              f"!= network input dim {params.input_dim}")
@@ -434,6 +437,15 @@ def load_checkpoint(path: str | Path) -> dict:
             "training_config": training_config}
 
 
+def _json_numbers(value) -> np.ndarray:
+    """Nested lists of JSON numbers as float64; a bool, a string or null is no number."""
+    cells = np.array(value, dtype=object)
+    bad = [v for v in cells.flat if type(v) not in (int, float)]
+    if bad:
+        raise ValueError(f"expected numbers, got {bad[0]!r}")
+    return cells.astype(np.float64)  # OverflowError beyond float64's range
+
+
 def _checkpoint_arrays(key: str, entry, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """A checkpoint's weights or biases as finite arrays of the layers' shapes;
     errors name the entry."""
@@ -443,7 +455,7 @@ def _checkpoint_arrays(key: str, entry, shapes: list[tuple[int, ...]]) -> list[n
     arrays = []
     for k, (value, shape) in enumerate(zip(entry, shapes)):
         with naming(f"{key}[{k}]"):
-            array = np.array(value, dtype=np.float64)
+            array = _json_numbers(value)
             if array.shape != shape or not np.all(np.isfinite(array)):
                 raise ValueError(f"expected finite numbers of shape {shape}")
         arrays.append(array)
@@ -452,7 +464,8 @@ def _checkpoint_arrays(key: str, entry, shapes: list[tuple[int, ...]]) -> list[n
 
 def _checkpoint_training_config(entry) -> dict:
     """The checkpoint's training config, unchanged once every tdc.TrainingConfig
-    field is present and the dataclass accepts them.
+    field is present with a JSON value of its annotated type and the dataclass
+    accepts them.
 
     A missing field fails rather than taking its default, which would pass
     off a config the network was not trained with.
@@ -461,9 +474,15 @@ def _checkpoint_training_config(entry) -> dict:
 
     if not isinstance(entry, dict):
         raise ValueError(f"expected an object, got {entry!r}")
-    missing = [f.name for f in fields(TrainingConfig) if f.name not in entry]
+    hints = get_type_hints(TrainingConfig)
+    missing = [name for name in hints if name not in entry]
     if missing:
         raise ValueError(f"lacks {', '.join(missing)}")
+    for name, kind in hints.items():
+        with naming(name):
+            if type(entry[name]) not in _JSON_TYPES[kind]:
+                raise ValueError(f"expected {kind.__name__}, got {entry[name]!r}")
+            float(entry[name])  # OverflowError beyond float64's range
     TrainingConfig(**entry)
     return entry
 

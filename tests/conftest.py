@@ -17,6 +17,11 @@ import pytest
 from tdcae import dataio, diagnostics, tdc
 
 
+# JSON values to put where outside input holds a number: nothing but -1 and 0.5
+# is a finite float64 number, and a bool, a string or 10**400 is not one
+JSON_DRAWS = [None, True, False, "x", "0.5", 10 ** 400, -1, 0.5, [], {}]
+
+
 def cmapss_file(subset: str) -> Path | None:
     candidates = []
     env = os.environ.get("CMAPSS_DATA")

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcae import cli, dataio, detector, diagnostics, net, pendulum, tdc
 
+from conftest import JSON_DRAWS
 from test_detector import per_engine_detect, per_engine_normalize, per_engine_score
 
 
@@ -493,6 +497,10 @@ def set_weight(value):
     return lambda payload: payload["weights"][2][0].__setitem__(1, value)
 
 
+def set_bias(value):
+    return lambda payload: payload["biases"][1].__setitem__(3, value)
+
+
 def set_bottleneck(width):
     """Resize the default network's 8-wide bottleneck: layer 2's output, layer 3's input."""
     def edit(payload):
@@ -517,6 +525,15 @@ MALFORMED_CHECKPOINTS = {
     "scaler_nan": (set_scaler_min(float("nan")), "scaler"),
     "weights_int": (set_fields(weights=3), "weights"),
     "weight_string": (set_weight("abc"), "weights[2]"),
+    "weight_numeral_string": (set_weight("0.123"), "weights[2]"),
+    "weight_beyond_float64": (set_weight(10 ** 400), "weights[2]"),
+    "bias_false": (set_bias(False), "biases[1]"),
+    "scaler_numeral_string": (set_scaler_min("0.5"), "scaler"),
+    "scaler_beyond_float64": (set_scaler_min(10 ** 400), "scaler"),
+    "alpha_true": (set_training(alpha=True), "training_config: alpha"),
+    "alpha_beyond_float64": (set_training(alpha=10 ** 400), "training_config: alpha"),
+    "dt_beyond_float64": (set_training(dt=10 ** 400), "training_config: dt"),
+    "epochs_float": (set_training(epochs=50.0), "training_config: epochs"),
     "no_unique_bottleneck": (set_bottleneck(24), "specs"),
     "odd_latent": (set_bottleneck(7), "specs"),
 }
@@ -759,9 +776,11 @@ def metrics_json(**values):
     (metrics_json(cdr=True), "metrics: cdr must be a number"),
     (metrics_json(accuracy=float("nan")), "metrics: accuracy must be finite, got nan"),
     (metrics_json(f1=float("inf")), "metrics: f1 must be finite, got inf"),
-    (metrics_json(cdr=float("-inf")), "metrics: cdr must be finite, got -inf")],
+    (metrics_json(cdr=float("-inf")), "metrics: cdr must be finite, got -inf"),
+    (metrics_json(f1=10 ** 400), "metrics: f1 must be finite, got 1000")],
     ids=["no_metrics", "not_an_object", "missing_keys", "not_json", "string_metric",
-         "null_metric", "bool_metric", "nan_metric", "infinite_metric", "minus_infinite_metric"])
+         "null_metric", "bool_metric", "nan_metric", "infinite_metric", "minus_infinite_metric",
+         "int_beyond_float64_metric"])
 def test_report_rejects_foreign_json_by_name(text, missing, tmp_path, capsys):
     path = tmp_path / "foreign.json"
     path.write_text(text)
@@ -769,6 +788,19 @@ def test_report_rejects_foreign_json_by_name(text, missing, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and missing in err
     assert not (tmp_path / "rep" / "report.json").exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(cli.REPORT_KEYS), value=st.sampled_from(JSON_DRAWS))
+def test_any_json_metric_reads_or_fails_naming_the_file(tmp_path_factory, key, value):
+    path = tmp_path_factory.mktemp("metrics") / "metrics.json"
+    path.write_text(metrics_json(**{key: value}))
+    try:
+        metrics = cli.read_metrics(str(path))
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert type(metrics[key]) in (int, float) and abs(float(metrics[key])) < math.inf
 
 
 # ten FD001-layout rows of one engine, line 7 ending in a byte that is not UTF-8

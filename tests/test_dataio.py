@@ -180,7 +180,7 @@ def test_vectorised_pass_reads_every_valid_file_as_the_line_loop(tmp_path_factor
     fast = dataio._parse_table(path)
     assert fast is not None  # the vectorised pass took it
     want = dataio._parse_lines(path)
-    assert_same_runs(fast, want)
+    assert_same_runs(fast[0], want)
     assert_same_runs(dataio.parse_cmapss(path), want)
 
 
@@ -221,7 +221,7 @@ def test_unreadable_path_fails_as_the_line_loop(tmp_path):
                 read(path)
             assert (type(fast.value), str(fast.value)) == (type(loop.value), str(loop.value))
 
-def test_underscored_ids_are_read_by_the_line_loop(tmp_path):
+def underscored_file(tmp_path):
     # float() accepts "1_0" as 10.0 and np.loadtxt refuses it: the loop decides
     path = tmp_path / "train.txt"
     rows = raw_rows(10, range(1, 7))
@@ -229,6 +229,11 @@ def test_underscored_ids_are_read_by_the_line_loop(tmp_path):
         row[0] = "1_0"
     rows[2][1] = "0_3"
     write_raw(path, rows)
+    return path
+
+
+def test_underscored_ids_are_read_by_the_line_loop(tmp_path):
+    path = underscored_file(tmp_path)
     assert dataio._parse_table(path) is None
     runs = dataio.parse_cmapss(path)
     assert [run.unit_id for run in runs] == [10] and runs[0].life_length == 6
@@ -270,6 +275,11 @@ def no_parse(path):
     raise AssertionError(f"{path} parsed; the sidecar should have answered")
 
 
+def no_parsing():
+    """Make both readers of the text fail, so that only the sidecar can answer."""
+    return mock.patch.multiple(dataio, _parse_table=no_parse, _parse_lines=no_parse)
+
+
 @settings(max_examples=40, deadline=None)
 @given(text=cmapss_files())
 def test_cache_miss_then_hit_give_the_parsed_runs(tmp_path_factory, text):
@@ -278,7 +288,7 @@ def test_cache_miss_then_hit_give_the_parsed_runs(tmp_path_factory, text):
     want = dataio.parse_cmapss(path)
     assert_same_runs(dataio.load_cmapss(path), want)  # miss: parses and writes
     assert sidecar_of(path).is_file()
-    with mock.patch.object(dataio, "parse_cmapss", no_parse):
+    with no_parsing():
         assert_same_runs(dataio.load_cmapss(path), want)  # hit
 
 
@@ -299,7 +309,7 @@ def test_edited_file_is_parsed_again(tmp_path):
     runs = dataio.load_cmapss(path)
     assert_same_runs(runs, dataio.parse_cmapss(path))
     assert runs[0].features[7, 0] == 0.09 and old[0].features[7, 0] == 0.08
-    with mock.patch.object(dataio, "parse_cmapss", no_parse):
+    with no_parsing():
         assert_same_runs(dataio.load_cmapss(path), runs)  # the sidecar was rewritten
 
 
@@ -310,13 +320,19 @@ def saved_bytes(save, *args, **kwargs):
 
 
 def rewrite_sidecar(**changes):
-    """A sidecar whose arrays are the good ones with `changes` applied."""
+    """A sidecar whose arrays are the good ones with `changes` applied; None drops one."""
     def damage(good):
         with np.load(io.BytesIO(good)) as z:
             arrays = dict(z)
         arrays.update({k: v(arrays) for k, v in changes.items()})
         return saved_bytes(np.savez, **{k: v for k, v in arrays.items() if v is not None})
     return damage
+
+
+def edited(table, at, value):
+    table = table.copy()
+    table[at] = value
+    return table
 
 
 def flip_bytes(seed):
@@ -338,19 +354,19 @@ SIDECAR_DAMAGE = {
     "bare_npy": lambda good: saved_bytes(np.save, np.zeros(3)),
     "wrong_key": rewrite_sidecar(key=lambda a: np.array("0" * 64)),
     "key_array": rewrite_sidecar(key=lambda a: a["key"][None]),
-    "no_features": rewrite_sidecar(features=lambda a: None),
-    "features_23_wide": rewrite_sidecar(features=lambda a: a["features"][:, :23]),
-    "features_float32": rewrite_sidecar(features=lambda a: a["features"].astype(np.float32)),
-    "features_nan": rewrite_sidecar(features=lambda a: np.where(a["features"] > 1, np.nan,
-                                                                a["features"])),
-    "lengths_off_by_one": rewrite_sidecar(lengths=lambda a: a["lengths"] + [1, -2]),
-    "lengths_short": rewrite_sidecar(lengths=lambda a: np.array([4, a["lengths"].sum() - 4])),
-    "lengths_int32": rewrite_sidecar(lengths=lambda a: a["lengths"].astype(np.int32)),
-    "units_unsorted": rewrite_sidecar(units=lambda a: a["units"][::-1].copy()),
-    "units_2d": rewrite_sidecar(units=lambda a: a["units"][None]),
-    "no_units": rewrite_sidecar(units=lambda a: np.zeros(0, np.int64),
-                                lengths=lambda a: np.zeros(0, np.int64),
-                                features=lambda a: np.zeros((0, 24))),
+    # cached_file's table: unit 1 in rows 0-7 (cycles 1-8), unit 4 in rows 8-13 (cycles 1-6)
+    "no_features": rewrite_sidecar(table=lambda a: None),
+    "features_23_wide": rewrite_sidecar(table=lambda a: a["table"][:, :25]),
+    "features_float32": rewrite_sidecar(table=lambda a: a["table"].astype(np.float32)),
+    "features_nan": rewrite_sidecar(table=lambda a: edited(a["table"], (3, 7), np.nan)),
+    "unit_fractional": rewrite_sidecar(table=lambda a: edited(a["table"], (9, 0), 4.5)),
+    "cycle_gap": rewrite_sidecar(table=lambda a: np.delete(a["table"], 2, axis=0)),
+    # unit 4's first row moved to unit 1 as cycle 9: lengths 9 and 5, unit 4 starting at 2
+    "lengths_off_by_one": rewrite_sidecar(table=lambda a: edited(a["table"], (8, slice(0, 2)),
+                                                                 [1, 9])),
+    "lengths_short": rewrite_sidecar(table=lambda a: a["table"][:-2]),  # unit 4 of 4 rows
+    "table_1d": rewrite_sidecar(table=lambda a: a["table"].ravel()),
+    "no_units": rewrite_sidecar(table=lambda a: np.zeros((0, 26))),
     **{f"flipped_{seed}": flip_bytes(seed) for seed in range(6)},
 }
 
@@ -369,20 +385,20 @@ def test_damaged_sidecar_is_a_miss_and_is_rewritten(tmp_path, damage):
 
 def test_sidecar_of_another_cache_format_is_a_miss(tmp_path, monkeypatch):
     path = cached_file(tmp_path)
+    want = dataio.parse_cmapss(path)
     monkeypatch.setattr(dataio, "CACHE_FORMAT", dataio.CACHE_FORMAT + b"next\n")
-    calls = []
-    monkeypatch.setattr(dataio, "parse_cmapss", lambda p: calls.append(p) or [])
-    assert dataio.load_cmapss(path) == [] and calls == [path]
+    calls, parse = [], dataio._parse_table
+    monkeypatch.setattr(dataio, "_parse_table", lambda p: calls.append(p) or parse(p))
+    assert_same_runs(dataio.load_cmapss(path), want)
+    assert calls == [path]
+    with no_parsing():
+        assert_same_runs(dataio.load_cmapss(path), want)  # rewritten under the new format
 
 
 def savez_sidecar(path):
-    """Oracle: the sidecar's arrays as np.savez saved them from the parsed runs
-    concatenated into one table."""
-    runs = dataio.parse_cmapss(path)
+    """Oracle: the sidecar's arrays as np.savez saved them from the table np.loadtxt reads."""
     return saved_bytes(np.savez, key=np.array(dataio._file_key(path)),
-                       units=np.array([run.unit_id for run in runs], dtype=np.int64),
-                       lengths=np.array([run.life_length for run in runs], dtype=np.int64),
-                       features=np.concatenate([run.features for run in runs]))
+                       table=np.loadtxt(path, ndmin=2, comments=None))
 
 
 def synthetic_file(tmp_path, n_engines=6, mean_life=30):
@@ -400,7 +416,7 @@ def test_sidecar_holds_the_arrays_np_savez_saves(tmp_path):
             assert got[name].dtype == want[name].dtype
             assert got[name].shape == want[name].shape
             assert got[name].tobytes() == want[name].tobytes()
-    with mock.patch.object(dataio, "parse_cmapss", no_parse):
+    with no_parsing():
         assert_same_runs(dataio.load_cmapss(path), runs)
 
 
@@ -432,18 +448,18 @@ def test_sidecar_write_traces_about_one_feature_table_or_less(tmp_path, monkeypa
     path = synthetic_file(tmp_path, n_engines=20, mean_life=200)
     write_cache, peaks = dataio._write_cache, []
 
-    def traced_write_cache(sidecar, key, runs):
+    def traced_write_cache(sidecar, key, table):
         tracemalloc.start()
         try:
-            write_cache(sidecar, key, runs)
+            write_cache(sidecar, key, table)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        peaks.append(peak / sum(run.features.nbytes for run in runs))
+        peaks.append(peak / table.nbytes)
     monkeypatch.setattr(dataio, "_write_cache", traced_write_cache)
     dataio.load_cmapss(path)
     assert len(peaks) == 1 and sidecar_of(path).is_file()
-    assert peaks[0] <= 1.25  # concatenating into an in-memory archive took 3.00x
+    assert peaks[0] <= 0.25  # np.savez's write_array copies up to 16 MB at a time: 1.00x
 
 
 def refuse_new_files(monkeypatch):
@@ -498,23 +514,36 @@ def test_undecodable_line_fails_naming_it_on_every_load(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["train.txt"]
 
 
-def test_unit_id_beyond_int64_is_read_but_not_cached(tmp_path):
+def test_unit_id_beyond_int64_is_read_and_cached(tmp_path):
     path = tmp_path / "train.txt"
     write_raw(path, raw_rows(10 ** 19, range(1, 7)))
     assert [run.unit_id for run in dataio.load_cmapss(path)] == [10 ** 19]
+    assert sidecar_of(path).is_file()
+    with no_parsing():
+        assert [run.unit_id for run in dataio.load_cmapss(path)] == [10 ** 19]
+
+
+def test_file_only_the_line_loop_reads_is_parsed_on_every_load_and_not_cached(
+        tmp_path, monkeypatch):
+    path = underscored_file(tmp_path)
+    calls, parse = [], dataio._parse_lines
+    monkeypatch.setattr(dataio, "_parse_lines", lambda p: calls.append(p) or parse(p))
+    for _ in range(2):
+        assert [run.unit_id for run in dataio.load_cmapss(path)] == [10]
+    assert calls == [path, path]
     assert [p.name for p in tmp_path.iterdir()] == ["train.txt"]
 
 
 def test_file_rewritten_during_the_parse_is_not_cached(tmp_path, monkeypatch):
     path = tmp_path / "train.txt"
     write_raw(path, raw_rows(1, range(1, 7)))
-    parse = dataio.parse_cmapss
+    parse = dataio._parse_table
 
     def parse_then_rewrite(p):
-        runs = parse(p)
+        parsed = parse(p)
         write_raw(path, raw_rows(2, range(1, 7)))
-        return runs
-    monkeypatch.setattr(dataio, "parse_cmapss", parse_then_rewrite)
+        return parsed
+    monkeypatch.setattr(dataio, "_parse_table", parse_then_rewrite)
     assert [run.unit_id for run in dataio.load_cmapss(path)] == [1]
     assert not sidecar_of(path).exists()
 

@@ -1,16 +1,18 @@
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcae import net, tdc
 from tdcae.dataio import DatasetSplit, ScalerParams
 from tdcae.diagnostics import RANK_THRESHOLD
 
-from conftest import fd_grads, max_rel_err
+from conftest import JSON_DRAWS, fd_grads, max_rel_err
 
 
 def concat_pairs(pairs) -> np.ndarray:
@@ -669,7 +671,7 @@ def test_checkpoint_with_saved_val_fraction_still_loads(tmp_path):
     ("split", {"train_engines": [1, 2], "test_engines": [2]}, "split: train and test engine"),
     ("scaler", {"lo": [0]}, "scaler: expected"),
     ("scaler", {"min": 0, "max": [1]}, "scaler: expected"),
-    ("scaler", {"min": ["a", 0], "max": [1, 1]}, "scaler: could not convert"),
+    ("scaler", {"min": ["a", 0], "max": [1, 1]}, "scaler: expected numbers, got 'a'"),
     ("scaler", {"min": [0, 2], "max": [1, 1]}, "scaler: max < min"),
     ("scaler", {"min": [float("nan"), 0], "max": [1, 1]}, "scaler: min/max must be finite"),
     ("scaler", {"min": [0, 0], "max": [1, float("inf")]}, "scaler: min/max must be finite"),
@@ -689,7 +691,7 @@ def test_checkpoint_rejects_malformed_split_or_scaler(key, value, match, tmp_pat
     (lambda p: p.update(training_config=[1]), "expected an object, got [1]"),
     (lambda p: p["training_config"].pop("dt"), "lacks dt"),
     (lambda p: p.update(training_config={"dt": "x"}), "lacks epochs, batch_size"),
-    (lambda p: p["training_config"].update(dt="x"), "must be real number, not str"),
+    (lambda p: p["training_config"].update(dt="x"), "dt: expected float, got 'x'"),
     (lambda p: p["training_config"].update(dt=-1), "learning_rate and dt must be positive"),
     (lambda p: p["training_config"].update(dt=float("nan")), "dt must be finite"),
     (lambda p: p["training_config"].update(momentum=0.9), "unexpected keyword argument"),
@@ -743,6 +745,38 @@ def test_checkpoint_rejects_non_numeric_weight(bad, tmp_path):
     rewrite_checkpoint(path, lambda p: p["weights"][1][0].__setitem__(0, bad))
     with pytest.raises(ValueError, match=re.escape(f"{path}: weights[1]: ")):
         net.load_checkpoint(path)
+
+
+# where a saved micro checkpoint holds one value: the keys and indices down to it
+CHECKPOINT_VALUES = [("weights", 1, 0, 2), ("biases", 2, 1), ("scaler", "min", 0),
+                     ("scaler", "max", 2), ("split", "train_engines", 0),
+                     ("split", "test_engines", 0), ("specs", 0, 0), ("specs", 1, 1),
+                     ("specs", 2, 2),
+                     *(("training_config", f.name) for f in fields(tdc.TrainingConfig))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(at=st.sampled_from(CHECKPOINT_VALUES), value=st.sampled_from(JSON_DRAWS))
+def test_checkpoint_with_any_json_value_loads_or_fails_naming_the_file(tmp_path_factory, at,
+                                                                         value):
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    save_micro_checkpoint(path, micro_params(seed=26))
+
+    def edit(payload):
+        *parents, last = at
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+    rewrite_checkpoint(path, edit)
+    try:
+        loaded = net.load_checkpoint(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        # only a number loads, and only an engine id may lie beyond float64's range
+        assert type(value) in (int, float) or at == ("training_config", "stop_gradient")
+        assert value != 10 ** 400 or at[0] == "split"
+        assert np.isfinite(loaded["params"].theta).all()
 
 
 def test_checkpoint_rejects_scaler_width_mismatch(tmp_path):
