@@ -155,15 +155,12 @@ def _section_config(cp: configparser.ConfigParser, section: str, args, **overrid
 
 
 def training_config(cp: configparser.ConfigParser, args) -> tdc.TrainingConfig:
-    """[training] under the flags, for a network that has a unique bottleneck."""
+    """[training] under the flags."""
     flags = {name: getattr(args, name, None) for name in ("epochs", "alpha", "latent_dim")}
     if getattr(args, "stop_gradient", False):
         flags["stop_gradient"] = True
-    cfg = _section_config(cp, "training", args,
-                          **{k: v for k, v in flags.items() if v is not None})
-    with _naming_section(args, "training"):
-        tdc.network_specs(cfg)
-    return cfg
+    return _section_config(cp, "training", args,
+                           **{k: v for k, v in flags.items() if v is not None})
 
 
 def detector_config(cp: configparser.ConfigParser, args,
@@ -404,8 +401,8 @@ def read_metrics(path: str) -> dict:
 
 
 def cmd_report(cp, args) -> int:
-    out = output_dir(cp, args)
     rows = [read_metrics(path) for path in args.metrics]
+    out = output_dir(cp, args)
     table = {k: {"mean": float(np.mean([r[k] for r in rows])),
                  "std": float(np.std([r[k] for r in rows])),
                  "values": [r[k] for r in rows]} for k in REPORT_KEYS}

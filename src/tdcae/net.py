@@ -378,13 +378,15 @@ def save_checkpoint(path: str | Path, params: NetworkParams, *, seed: int,
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Load and check a checkpoint; returns its fields with 'params' added.
+    """Load and check a checkpoint; returns its seed, params, scaler, split and
+    training_config.
 
-    Every field in CHECKPOINT_FIELDS must be present and valid: 'specs' must
-    have a unique bottleneck of even width, 'scaler' and 'split' come back as
-    ScalerParams and DatasetSplit, 'training_config' as the stored dict once
-    it builds a tdc.TrainingConfig whose input_dim and latent_dim are the
-    network's. Any error is a ValueError naming the file and the field.
+    Every field in CHECKPOINT_FIELDS must be present and valid. The network's
+    layers are tdc.network_specs of 'training_config', which must build a
+    tdc.TrainingConfig; the stored 'specs' must list those layers and
+    'weights' and 'biases' must have their shapes. 'scaler' and 'split' come
+    back as ScalerParams and DatasetSplit, 'training_config' as the stored
+    dict. Any error is a ValueError naming the file and the field.
     """
     payload = read_json(path)
     with naming(path):
@@ -395,21 +397,17 @@ def load_checkpoint(path: str | Path) -> dict:
         missing = [key for key in CHECKPOINT_FIELDS if payload.get(key) is None]
         if missing:
             raise ValueError(f"checkpoint lacks {', '.join(missing)}")
-        if not isinstance(payload["specs"], list):
-            raise ValueError(f"specs: expected a list, got {payload['specs']!r}")
-        specs = []
-        for k, entry in enumerate(payload["specs"]):
-            with naming(f"specs[{k}]"):
-                if not (isinstance(entry, list) and len(entry) == 3
-                        and all(type(v) is int for v in entry[:2]) and isinstance(entry[2], str)):
-                    raise ValueError(f"expected [in_dim, out_dim, activation], got {entry!r}")
-                specs.append(LayerSpec(*entry))
+        with naming("training_config"):
+            specs = _checkpoint_layers(payload["training_config"])
+        stored = json.dumps(payload["specs"])  # as text, so a 3.0 or a true is no width
+        derived = json.dumps([[s.in_dim, s.out_dim, s.activation] for s in specs])
+        if stored != derived:
+            raise ValueError(f"specs: stored {stored} are not {derived}, the layers "
+                             "training_config describes")
         weights = _checkpoint_arrays("weights", payload["weights"],
                                      [(s.out_dim, s.in_dim) for s in specs])
         biases = _checkpoint_arrays("biases", payload["biases"], [(s.out_dim,) for s in specs])
-        with naming("specs"):
-            params = NetworkParams(specs=specs, weights=weights, biases=biases)
-            widths = {"input_dim": params.input_dim, "latent_dim": _paired_latent_dim(params)}
+        params = NetworkParams(specs=specs, weights=weights, biases=biases)
         with naming("scaler"):
             entry = payload["scaler"]
             if not (isinstance(entry, dict) and isinstance(entry.get("min"), list)
@@ -428,13 +426,8 @@ def load_checkpoint(path: str | Path) -> dict:
                 raise ValueError("expected integer lists train_engines and "
                                  f"test_engines, got {entry!r}")
             split = DatasetSplit(*(frozenset(entry[k]) for k in keys))
-        with naming("training_config"):
-            training_config = _checkpoint_training_config(payload["training_config"])
-            for key, width in widths.items():
-                if training_config[key] != width:
-                    raise ValueError(f"{key} {training_config[key]} != network's {width}")
-    return {**payload, "params": params, "scaler": scaler, "split": split,
-            "training_config": training_config}
+    return {"seed": payload.get("seed"), "params": params, "scaler": scaler, "split": split,
+            "training_config": payload["training_config"]}
 
 
 def _json_numbers(value) -> np.ndarray:
@@ -462,15 +455,15 @@ def _checkpoint_arrays(key: str, entry, shapes: list[tuple[int, ...]]) -> list[n
     return arrays
 
 
-def _checkpoint_training_config(entry) -> dict:
-    """The checkpoint's training config, unchanged once every tdc.TrainingConfig
+def _checkpoint_layers(entry) -> list[LayerSpec]:
+    """The layers of the checkpoint's training config, once every tdc.TrainingConfig
     field is present with a JSON value of its annotated type and the dataclass
     accepts them.
 
     A missing field fails rather than taking its default, which would pass
     off a config the network was not trained with.
     """
-    from .tdc import TrainingConfig  # tdc imports this module
+    from .tdc import TrainingConfig, network_specs  # tdc imports this module
 
     if not isinstance(entry, dict):
         raise ValueError(f"expected an object, got {entry!r}")
@@ -483,6 +476,5 @@ def _checkpoint_training_config(entry) -> dict:
             if type(entry[name]) not in _JSON_TYPES[kind]:
                 raise ValueError(f"expected {kind.__name__}, got {entry[name]!r}")
             float(entry[name])  # OverflowError beyond float64's range
-    TrainingConfig(**entry)
-    return entry
+    return network_specs(TrainingConfig(**entry))
 

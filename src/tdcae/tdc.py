@@ -54,6 +54,13 @@ class TrainingConfig:
             raise ValueError("alpha must be non-negative")
         if self.latent_dim % 2 != 0:
             raise ValueError("latent_dim must be even (state-derivative pairs)")
+        specs = network_specs(self)
+        if net.encoder_depth(specs) != len(specs) // 2:  # the latent layer is the bottleneck
+            wider = (f"hidden_dim {self.hidden_dim}" if self.latent_dim >= self.hidden_dim
+                     else f"the {self.input_dim}-wide output")
+            widths = "-".join(str(s.out_dim) for s in specs)
+            raise ValueError(f"latent_dim {self.latent_dim} is not narrower than {wider}, so a "
+                             f"{self.input_dim}-{widths} network has no unique bottleneck layer")
 
 
 # table-row offsets of the rows at t, t-1 and t+1 from a triplet's centre row
@@ -221,15 +228,8 @@ def train_step(params: net.NetworkParams, batch: TripletSet, config: TrainingCon
 
 
 def network_specs(config: TrainingConfig) -> list[net.LayerSpec]:
-    """The layers train builds for config; they must have a unique bottleneck."""
-    specs = net.autoencoder_specs(config.input_dim, config.hidden_dim, config.latent_dim)
-    if not net.encoder_depth(specs):
-        wider = (f"hidden_dim {config.hidden_dim}" if config.latent_dim >= config.hidden_dim
-                 else f"the {config.input_dim}-wide output")
-        widths = "-".join(str(s.out_dim) for s in specs)
-        raise ValueError(f"latent_dim {config.latent_dim} is not narrower than {wider}, so a "
-                         f"{config.input_dim}-{widths} network has no unique bottleneck layer")
-    return specs
+    """The layers train builds for config, and the only layers a checkpoint of it holds."""
+    return net.autoencoder_specs(config.input_dim, config.hidden_dim, config.latent_dim)
 
 
 def train(runs: list[EngineRun],

@@ -338,7 +338,10 @@ def pipeline_dir(tmp_path_factory):
     ("hidden_dim = 8", "latent_dim 8 is not narrower than hidden_dim 8, so a 24-8-8-8-8-8-24"),
     ("latent_dim = 24\nhidden_dim = 32", "latent_dim 24 is not narrower than the 24-wide "
                                          "output, so a 24-32-32-24-32-32-24"),
-], ids=["flag", "file", "hidden", "output"])
+    # the output is then the unique narrowest layer, which training cannot split at
+    ("latent_dim = 26\nhidden_dim = 32", "latent_dim 26 is not narrower than the 24-wide "
+                                         "output, so a 24-32-32-26-32-32-24"),
+], ids=["flag", "file", "hidden", "output", "narrower_output"])
 def test_train_rejects_a_latent_width_with_no_bottleneck_before_reading_data(setting, cause,
                                                                              tmp_path, capsys):
     if setting.startswith("--"):
@@ -520,8 +523,11 @@ MALFORMED_CHECKPOINTS = {
     "dt_string": (set_training(dt="x"), "training_config"),
     "dt_negative": (set_training(dt=-1), "training_config"),
     "dt_nan": (set_training(dt=float("nan")), "training_config"),
-    "input_dim_other": (set_training(input_dim=12), "training_config"),
-    "latent_dim_other": (set_training(latent_dim=4), "training_config"),
+    "input_dim_other": (set_training(input_dim=12), "specs"),
+    "latent_dim_other": (set_training(latent_dim=4), "specs"),
+    "hidden_dim_wider": (set_training(hidden_dim=30), "specs"),
+    "hidden_dim_no_bottleneck": (set_training(hidden_dim=7), "training_config"),
+    "output_tanh": (lambda payload: payload["specs"][-1].__setitem__(2, "tanh"), "specs"),
     "scaler_nan": (set_scaler_min(float("nan")), "scaler"),
     "weights_int": (set_fields(weights=3), "weights"),
     "weight_string": (set_weight("abc"), "weights[2]"),
@@ -550,8 +556,7 @@ def test_malformed_checkpoint_fails_naming_file_and_field(case, command, pipelin
     ckpt.write_text(json.dumps(payload))
     assert run_cli(command, "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)) == 1
     assert capsys.readouterr().err.startswith(f"error: {ckpt}: {key}: ")
-    assert not (tmp_path / "o" / "metrics.json").exists()
-    assert not (tmp_path / "o" / "diagnostics.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_diagnose_rho_uses_the_trained_dt(tmp_path):
@@ -644,16 +649,19 @@ def test_detect_missing_checkpoint_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "detect", "diagnose"])
+@pytest.mark.parametrize("command", ["train", "detect", "diagnose", "report"])
 def test_missing_dataset_fails_before_creating_out(command, pipeline_dir, tmp_path, capsys):
     missing = tmp_path / "nowhere"
-    ckpt = [] if command == "train" else [
-        "--checkpoint", str(pipeline_dir / "checkpoint_seed0.json")]
+    if command == "report":  # report's data are its metrics files
+        argv, error = [str(missing)], f"[Errno 2] No such file or directory: '{missing}'"
+    else:
+        argv, error = ["--subset", "FD001", "--data", str(missing)], \
+            f"dataset file not found: {missing}"
+    if command in ("detect", "diagnose"):
+        argv += ["--checkpoint", str(pipeline_dir / "checkpoint_seed0.json")]
     out = tmp_path / "o"
-    assert run_cli(command, "--subset", "FD001", "--data", str(missing), "--out", str(out),
-                   *ckpt) == 1
-    assert capsys.readouterr().err == (
-        f"error: dataset file not found: {missing}\n")
+    assert run_cli(command, *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 

@@ -36,11 +36,15 @@ def micro_params(seed=0, specs=None):
 MICRO_SPLIT = DatasetSplit(train_engines=frozenset({1}), test_engines=frozenset({2}))
 
 
-def save_micro_checkpoint(path, params):
-    """A complete checkpoint for params: a [0, 1] scaler as wide as the input,
-    MICRO_SPLIT and the default training config at the network's widths."""
-    width = params.input_dim
-    config = tdc.TrainingConfig(input_dim=width, latent_dim=net.latent_dim(params))
+# a 3-4-4-2-4-4-3 network: a checkpoint's layers are the ones its config describes
+MICRO_CONFIG = tdc.TrainingConfig(input_dim=3, hidden_dim=4, latent_dim=2)
+
+
+def save_micro_checkpoint(path, seed, config=MICRO_CONFIG):
+    """A complete checkpoint of config's network, Glorot-initialised from seed:
+    a [0, 1] scaler as wide as the input, MICRO_SPLIT and config itself."""
+    width = config.input_dim
+    params = net.init_params(tdc.network_specs(config), np.random.default_rng(seed))
     net.save_checkpoint(path, params, seed=0,
                         scaler=ScalerParams(minimum=np.zeros(width), maximum=np.ones(width)),
                         split=MICRO_SPLIT, training_config=asdict(config))
@@ -579,6 +583,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     net.save_checkpoint(path, params, seed=42, scaler=scaler, split=split,
                         training_config=config)
     loaded = net.load_checkpoint(path)
+    assert set(loaded) == {"seed", "params", "scaler", "split", "training_config"}
     back = loaded["params"]
     assert all(np.array_equal(a, b) for a, b in zip(params.weights, back.weights))
     assert all(np.array_equal(a, b) for a, b in zip(params.biases, back.biases))
@@ -612,7 +617,7 @@ def test_checkpoint_rejects_foreign_payloads(tmp_path):
          "no_training_config"])
 def test_checkpoint_rejects_malformed_payload_by_name(drop, match, tmp_path):
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=20))
+    save_micro_checkpoint(path, seed=20)
     payload = json.loads(path.read_text())
     if drop is None:
         payload = list(payload)
@@ -627,35 +632,45 @@ def test_checkpoint_rejects_malformed_payload_by_name(drop, match, tmp_path):
                                  "training_config"])
 def test_checkpoint_rejects_null_field(key, tmp_path):
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=20))
+    save_micro_checkpoint(path, seed=20)
     rewrite_checkpoint(path, lambda p: p.update({key: None}))
     with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint lacks {key}") + "$"):
         net.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("specs,match", [
-    ([[3, 4]], "specs[0]: expected [in_dim, out_dim, activation]"),
-    ([[3, 4, "tanh", 1]], "specs[0]: expected [in_dim, out_dim, activation]"),
-    ([[3, 4, "tanh"], ["4", 2, "tanh"]], "specs[1]: expected [in_dim, out_dim, activation]"),
-    ([[3, 4, "tanh"], [4, 2, True]], "specs[1]: expected [in_dim, out_dim, activation]"),
-    ([[3, 4, "tanh"], [4, 2, "relu"]], "specs[1]: unknown activation"),
-    ([[3, 4, "tanh"], [4, 0, "tanh"]], "specs[1]: layer dimensions must be positive"),
-    (7, "specs: expected a list, got 7"),
-    ({"0": [3, 4, "tanh"]}, "specs: expected a list"),
+MICRO_SPECS = [[3, 4, "tanh"], [4, 4, "tanh"], [4, 2, "tanh"], [2, 4, "tanh"], [4, 4, "tanh"],
+               [4, 3, "identity"]]
+
+
+@pytest.mark.parametrize("specs", [
+    [[3, 4], *MICRO_SPECS[1:]],
+    [[3, 4, "tanh", 1], *MICRO_SPECS[1:]],
+    [MICRO_SPECS[0], ["4", 4, "tanh"], *MICRO_SPECS[2:]],
+    [MICRO_SPECS[0], [4, 4, True], *MICRO_SPECS[2:]],
+    [MICRO_SPECS[0], [4, 4, "relu"], *MICRO_SPECS[2:]],
+    [MICRO_SPECS[0], [4, 0, "tanh"], *MICRO_SPECS[2:]],
+    7,
+    {"0": [3, 4, "tanh"]},
+    [[3.0, 4, "tanh"], *MICRO_SPECS[1:]],
+    MICRO_SPECS[:-1],
 ], ids=["pair", "quadruple", "string_dim", "bool_activation", "unknown_activation",
-        "zero_dim", "int", "object"])
-def test_checkpoint_rejects_malformed_specs_by_entry(specs, match, tmp_path):
+        "zero_dim", "int", "object", "float_dim", "missing_layer"])
+def test_checkpoint_rejects_malformed_specs_by_entry(specs, tmp_path):
+    # the stored list is checked against the config's layers, never parsed by entry
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=21))
+    save_micro_checkpoint(path, seed=21)
+    assert json.loads(path.read_text())["specs"] == MICRO_SPECS
     rewrite_checkpoint(path, lambda p: p.update(specs=specs))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: specs: stored {json.dumps(specs)} are not {json.dumps(MICRO_SPECS)}, "
+            "the layers training_config describes") + "$"):
         net.load_checkpoint(path)
 
 
 def test_checkpoint_with_saved_val_fraction_still_loads(tmp_path):
     # checkpoints once stored the split's row fraction, which nothing read
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=22))
+    save_micro_checkpoint(path, seed=22)
     payload = json.loads(path.read_text())
     assert "val_fraction" not in payload["split"]
     payload["split"]["val_fraction"] = 0.1
@@ -671,77 +686,107 @@ def test_checkpoint_with_saved_val_fraction_still_loads(tmp_path):
     ("split", {"train_engines": [1, 2], "test_engines": [2]}, "split: train and test engine"),
     ("scaler", {"lo": [0]}, "scaler: expected"),
     ("scaler", {"min": 0, "max": [1]}, "scaler: expected"),
-    ("scaler", {"min": ["a", 0], "max": [1, 1]}, "scaler: expected numbers, got 'a'"),
-    ("scaler", {"min": [0, 2], "max": [1, 1]}, "scaler: max < min"),
-    ("scaler", {"min": [float("nan"), 0], "max": [1, 1]}, "scaler: min/max must be finite"),
-    ("scaler", {"min": [0, 0], "max": [1, float("inf")]}, "scaler: min/max must be finite"),
+    ("scaler", {"min": ["a", 0, 0], "max": [1, 1, 1]}, "scaler: expected numbers, got 'a'"),
+    ("scaler", {"min": [0, 2, 0], "max": [1, 1, 1]}, "scaler: max < min"),
+    ("scaler", {"min": [float("nan"), 0, 0], "max": [1, 1, 1]},
+     "scaler: min/max must be finite"),
+    ("scaler", {"min": [0, 0, 0], "max": [1, 1, float("inf")]},
+     "scaler: min/max must be finite"),
 ], ids=["split_keys", "split_int", "split_string_id", "split_list", "split_overlap",
         "scaler_keys", "scaler_int", "scaler_string", "scaler_order", "scaler_nan",
         "scaler_inf"])
 def test_checkpoint_rejects_malformed_split_or_scaler(key, value, match, tmp_path):
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=22, specs=[net.LayerSpec(2, 2)]))
+    save_micro_checkpoint(path, seed=22)
     rewrite_checkpoint(path, lambda p: p.update({key: value}))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
         net.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("edit,match", [
-    (lambda p: p.update(training_config=3), "expected an object, got 3"),
-    (lambda p: p.update(training_config=[1]), "expected an object, got [1]"),
-    (lambda p: p["training_config"].pop("dt"), "lacks dt"),
-    (lambda p: p.update(training_config={"dt": "x"}), "lacks epochs, batch_size"),
-    (lambda p: p["training_config"].update(dt="x"), "dt: expected float, got 'x'"),
-    (lambda p: p["training_config"].update(dt=-1), "learning_rate and dt must be positive"),
-    (lambda p: p["training_config"].update(dt=float("nan")), "dt must be finite"),
-    (lambda p: p["training_config"].update(momentum=0.9), "unexpected keyword argument"),
-    (lambda p: p["training_config"].update(input_dim=24), "input_dim 24 != network's 3"),
-    (lambda p: p["training_config"].update(latent_dim=4), "latent_dim 4 != network's 2"),
+@pytest.mark.parametrize("edit,field,match", [
+    (lambda p: p.update(training_config=3), "training_config", "expected an object, got 3"),
+    (lambda p: p.update(training_config=[1]), "training_config", "expected an object, got [1]"),
+    (lambda p: p["training_config"].pop("dt"), "training_config", "lacks dt"),
+    (lambda p: p.update(training_config={"dt": "x"}), "training_config",
+     "lacks epochs, batch_size"),
+    (lambda p: p["training_config"].update(dt="x"), "training_config",
+     "dt: expected float, got 'x'"),
+    (lambda p: p["training_config"].update(dt=-1), "training_config",
+     "learning_rate and dt must be positive"),
+    (lambda p: p["training_config"].update(dt=float("nan")), "training_config",
+     "dt must be finite"),
+    (lambda p: p["training_config"].update(momentum=0.9), "training_config",
+     "unexpected keyword argument"),
+    # a valid config of another network: the stored layers are not its layers
+    (lambda p: p["training_config"].update(input_dim=24), "specs",
+     "are not [[24, 4, \"tanh\"], "),
+    (lambda p: p["training_config"].update(latent_dim=4), "training_config",
+     "latent_dim 4 is not narrower than hidden_dim 4, so a 3-4-4-4-4-4-3 network has no "
+     "unique bottleneck layer"),
 ], ids=["int", "list", "no_dt", "only_dt", "string_dt", "negative_dt", "nan_dt", "unknown_key",
         "other_input_dim", "other_latent_dim"])
-def test_checkpoint_rejects_malformed_training_config(edit, match, tmp_path):
+def test_checkpoint_rejects_malformed_training_config(edit, field, match, tmp_path):
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=23))
+    save_micro_checkpoint(path, seed=23)
     rewrite_checkpoint(path, edit)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: training_config: ") + ".*"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {field}: ") + ".*"
                        + re.escape(match)):
         net.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("edit,match", [
-    (lambda p: p.update(weights=3), "weights: expected a list of 3 arrays, got 3"),
-    (lambda p: p["weights"].pop(), "weights: expected a list of 3 arrays, got 2"),
+    (lambda p: p.update(weights=3), "weights: expected a list of 6 arrays, got 3"),
+    (lambda p: p["weights"].pop(), "weights: expected a list of 6 arrays, got 5"),
     (lambda p: p["weights"][1].__setitem__(0, [0.5]), "weights[1]: "),
-    (lambda p: p["weights"][1].pop(), "weights[1]: expected finite numbers of shape (2, 4)"),
-    (lambda p: p["biases"][2].pop(), "biases[2]: expected finite numbers of shape (3,)"),
+    (lambda p: p["weights"][2].pop(), "weights[2]: expected finite numbers of shape (2, 4)"),
+    (lambda p: p["biases"][5].pop(), "biases[5]: expected finite numbers of shape (3,)"),
 ], ids=["weights_int", "weights_short", "ragged_row", "missing_row", "short_bias"])
 def test_checkpoint_rejects_malformed_weights_or_biases(edit, match, tmp_path):
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=24))
+    save_micro_checkpoint(path, seed=24)
     rewrite_checkpoint(path, edit)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
         net.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_dimension_incompatible_layers(tmp_path):
-    # layer 1's arrays match its spec, but it does not read layer 0's output
+    # layer 1's arrays match its stored spec, but it does not read layer 0's output
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=25, specs=[net.LayerSpec(3, 4),
-                                                              net.LayerSpec(4, 2)]))
+    save_micro_checkpoint(path, seed=25)
 
     def edit(payload):
-        payload["specs"][1] = [5, 2, "tanh"]
-        payload["weights"][1] = [[0.0] * 5] * 2
+        payload["specs"][1] = [5, 4, "tanh"]
+        payload["weights"][1] = [[0.0] * 5] * 4
 
     rewrite_checkpoint(path, edit)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: specs: consecutive layers")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: specs: stored [[3, 4, \"tanh\"], "
+                                                   f"[5, 4, \"tanh\"], ")):
+        net.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda p: p["training_config"].update(hidden_dim=30),
+     'specs: stored [[24, 24, "tanh"], [24, 24, "tanh"], [24, 8, "tanh"], [8, 24, "tanh"], '
+     '[24, 24, "tanh"], [24, 24, "identity"]] are not [[24, 30, "tanh"], [30, 30, "tanh"], '
+     '[30, 8, "tanh"], [8, 30, "tanh"], [30, 30, "tanh"], [30, 24, "identity"]], the layers '
+     'training_config describes'),
+    (lambda p: p["training_config"].update(hidden_dim=7),
+     "training_config: latent_dim 8 is not narrower than hidden_dim 7, so a 24-7-7-8-7-7-24 "
+     "network has no unique bottleneck layer"),
+    (lambda p: p["specs"][-1].__setitem__(2, "tanh"), 'specs: stored [[24, 24, "tanh"], '),
+], ids=["wider_hidden", "no_bottleneck", "tanh_output"])
+def test_checkpoint_whose_config_disagrees_with_its_layers_fails(edit, match, tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_micro_checkpoint(path, seed=27, config=tdc.TrainingConfig())
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
         net.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("bad", [None, "abc"], ids=["null", "string"])
 def test_checkpoint_rejects_non_numeric_weight(bad, tmp_path):
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=19))
+    save_micro_checkpoint(path, seed=19)
     rewrite_checkpoint(path, lambda p: p["weights"][1][0].__setitem__(0, bad))
     with pytest.raises(ValueError, match=re.escape(f"{path}: weights[1]: ")):
         net.load_checkpoint(path)
@@ -760,7 +805,7 @@ CHECKPOINT_VALUES = [("weights", 1, 0, 2), ("biases", 2, 1), ("scaler", "min", 0
 def test_checkpoint_with_any_json_value_loads_or_fails_naming_the_file(tmp_path_factory, at,
                                                                          value):
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=26))
+    save_micro_checkpoint(path, seed=26)
 
     def edit(payload):
         *parents, last = at
@@ -777,11 +822,13 @@ def test_checkpoint_with_any_json_value_loads_or_fails_naming_the_file(tmp_path_
         assert type(value) in (int, float) or at == ("training_config", "stop_gradient")
         assert value != 10 ** 400 or at[0] == "split"
         assert np.isfinite(loaded["params"].theta).all()
+        assert loaded["params"].specs == tdc.network_specs(
+            tdc.TrainingConfig(**loaded["training_config"]))
 
 
 def test_checkpoint_rejects_scaler_width_mismatch(tmp_path):
     path = tmp_path / "ckpt.json"
-    save_micro_checkpoint(path, micro_params(seed=18, specs=net.autoencoder_specs()))
+    save_micro_checkpoint(path, seed=18, config=tdc.TrainingConfig())
     payload = json.loads(path.read_text())
     payload["scaler"]["min"] = payload["scaler"]["min"][:23]
     payload["scaler"]["max"] = payload["scaler"]["max"][:23]

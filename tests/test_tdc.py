@@ -39,6 +39,8 @@ def test_training_config_defaults():
 @pytest.mark.parametrize("bad", [
     dict(epochs=0), dict(learning_rate=-1.0), dict(alpha=-5.0),
     dict(latent_dim=7), dict(dt=0.0),
+    # widths with no unique bottleneck, or with the output narrower than the latent layer
+    dict(hidden_dim=8), dict(latent_dim=26, hidden_dim=32),
 ])
 def test_training_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
