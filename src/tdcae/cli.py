@@ -18,9 +18,11 @@ import configparser
 import contextlib
 import json
 import math
+import os
 import sys
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -260,6 +262,101 @@ def cmd_simulate(cp, args) -> int:
     return 0
 
 
+def _train_seed(seed: int, base, train_set, val_set, out: Path, scaler, split) -> dict:
+    """Train one seed, write its checkpoint and loss CSV, and return its summary entry."""
+    cfg = replace(base, seed=component_seed(seed, "training"))
+    params, history = tdc.train(train_set, val_set, cfg)
+    ckpt = out / f"checkpoint_seed{seed}.json"
+    loss_csv = out / f"loss_seed{seed}.csv"
+    net.save_checkpoint(ckpt, params, seed=seed, scaler=scaler, split=split,
+                        training_config=asdict(cfg))
+    tdc.write_loss_history(history, loss_csv)
+    last = history[-1]
+    return {
+        "seed": seed, "checkpoint": ckpt.name, "loss_csv": loss_csv.name,
+        "first_rec": history[0].rec, "first_tdc": history[0].tdc,
+        "final_rec": last.rec, "final_tdc": last.tdc,
+        # null when no engine leaves a validation triplet
+        "final_val_rec": None if math.isnan(last.val_rec) else last.val_rec,
+        "final_val_tdc": None if math.isnan(last.val_tdc) else last.val_tdc,
+    }
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+# The OpenBLAS symbol names numpy's wheels export, as (prefix, suffix): numpy
+# 2's scipy-openblas, then numpy 1's 64-bit-integer and plain builds.
+OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
+
+
+def openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS this process has loaded, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    import ctypes
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in OPENBLAS_NAMES:
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_worker_train = None  # set in each pool worker by _start_worker, never in the parent
+
+
+def _start_worker(train_one) -> None:
+    global _worker_train
+    _worker_train = train_one
+
+
+def _train_in_worker(seed: int) -> dict:
+    return _worker_train(seed)
+
+
+def train_seeds(train_one, seeds: list[int]):
+    """train_one(seed) for each seed, yielded in seed order.
+
+    Two or more seeds on two or more usable CPUs train side by side in
+    forked workers with one OpenBLAS thread each: a batch-32 matmul gains
+    nothing from a second. The parent sets that count around the pool and
+    the workers inherit it; set in a worker, OpenBLAS restarts its thread
+    pool there, and the new thread spins beside the training. Fork, not
+    spawn, so no worker imports the package again or unpickles the data;
+    OpenBLAS's own fork handler stops its threads before each fork. Without
+    fork or OpenBLAS, the seeds train in turn and write the same bytes. A
+    worker's exception is raised at its seed and stops the pool.
+    """
+    workers = min(len(seeds), usable_cpus())
+    blas = openblas_threads() if workers > 1 else None
+    if blas is not None:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            get_blas_threads, set_blas_threads = blas
+            threads = get_blas_threads()
+            set_blas_threads(1)
+            try:
+                # named: Python 3.14 makes another start method the default
+                context = multiprocessing.get_context("fork")
+                with context.Pool(workers, _start_worker, (train_one,)) as pool:
+                    yield from pool.imap(_train_in_worker, seeds)
+            finally:
+                set_blas_threads(threads)
+            return
+    yield from map(train_one, seeds)
+
+
 def cmd_train(cp, args) -> int:
     run = run_config(cp, args)
     base = training_config(cp, args)
@@ -269,28 +366,19 @@ def cmd_train(cp, args) -> int:
     train_runs = select_runs(runs, split.train_engines)
     scaler = dataio.fit_scaler(train_runs)
     scaled_train = [dataio.apply_scaler(r, scaler) for r in train_runs]
-    del runs, train_runs  # training reads only the scaled copies
+    # one pair of triplet sets, built before any fork, serves every seed
+    train_set = tdc.make_triplets(scaled_train, "train")
+    val_set = tdc.make_triplets(scaled_train, "val")
+    del runs, train_runs, scaled_train  # training reads only the sets' tables
 
+    train_one = partial(_train_seed, base=base, train_set=train_set, val_set=val_set, out=out,
+                        scaler=scaler, split=split)
     summary = []
-    for seed in seed_list(cp, args):
-        cfg = replace(base, seed=component_seed(seed, "training"))
-        params, history = tdc.train(scaled_train, cfg)
-        ckpt = out / f"checkpoint_seed{seed}.json"
-        loss_csv = out / f"loss_seed{seed}.csv"
-        net.save_checkpoint(ckpt, params, seed=seed, scaler=scaler, split=split,
-                            training_config=asdict(cfg))
-        tdc.write_loss_history(history, loss_csv)
-        last = history[-1]
-        summary.append({
-            "seed": seed, "checkpoint": ckpt.name, "loss_csv": loss_csv.name,
-            "first_rec": history[0].rec, "first_tdc": history[0].tdc,
-            "final_rec": last.rec, "final_tdc": last.tdc,
-            # null when no engine leaves a validation triplet
-            "final_val_rec": None if math.isnan(last.val_rec) else last.val_rec,
-            "final_val_tdc": None if math.isnan(last.val_tdc) else last.val_tdc,
-        })
-        print(f"seed {seed}: rec {history[0].rec:.5f} -> {last.rec:.5f}, "
-              f"tdc {history[0].tdc:.5f} -> {last.tdc:.5f} ({ckpt})")
+    for entry in train_seeds(train_one, seed_list(cp, args)):
+        summary.append(entry)
+        print(f"seed {entry['seed']}: rec {entry['first_rec']:.5f} -> {entry['final_rec']:.5f}, "
+              f"tdc {entry['first_tdc']:.5f} -> {entry['final_tdc']:.5f} "
+              f"({out / entry['checkpoint']})")
     write_json(out / "train_summary.json", {
         "n_engines_train": len(split.train_engines),
         "n_engines_test": len(split.test_engines),

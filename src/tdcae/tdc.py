@@ -59,8 +59,9 @@ class TrainingConfig:
             wider = (f"hidden_dim {self.hidden_dim}" if self.latent_dim >= self.hidden_dim
                      else f"the {self.input_dim}-wide output")
             widths = "-".join(str(s.out_dim) for s in specs)
-            raise ValueError(f"latent_dim {self.latent_dim} is not narrower than {wider}, so a "
-                             f"{self.input_dim}-{widths} network has no unique bottleneck layer")
+            raise ValueError(f"latent_dim {self.latent_dim} is not narrower than {wider}, so the "
+                             f"latent layer of a {self.input_dim}-{widths} network is not its "
+                             "unique bottleneck")
 
 
 # table-row offsets of the rows at t, t-1 and t+1 from a triplet's centre row
@@ -232,17 +233,16 @@ def network_specs(config: TrainingConfig) -> list[net.LayerSpec]:
     return net.autoencoder_specs(config.input_dim, config.hidden_dim, config.latent_dim)
 
 
-def train(runs: list[EngineRun],
+def train(train_set: TripletSet, val_set: TripletSet,
           config: TrainingConfig) -> tuple[net.NetworkParams, list[EpochStats]]:
-    """Train on the normal training ranges of already-scaled engine runs.
+    """Train on make_triplets' "train" set of scaled engine runs.
 
-    Fixed epoch count, no early stopping; the validation losses (trailing
-    10% of normal rows) are logged for reporting only. Triplets are
-    reshuffled across engines every epoch with the seeded RNG, so a given
-    (config, seed) reproduces the loss history exactly.
+    Fixed epoch count, no early stopping; the losses on the "val" set
+    (trailing 10% of normal rows) are logged for reporting only. Triplets
+    are reshuffled across engines every epoch with the seeded RNG, so a
+    given (config, seed) reproduces the loss history exactly. The sets are
+    only read, so one pair serves every seed.
     """
-    train_set = make_triplets(runs, "train")
-    val_set = make_triplets(runs, "val")
     if len(train_set) == 0:
         raise ValueError("no training triplets available")
 

@@ -1,7 +1,7 @@
 """Shared fixtures: surrogate data, a small trained model, optional real data,
 the finite-difference gradient every gradient test compares against, a
-TripletSet built from explicit rows, and the per-engine eta that the
-latent-consistency tests check.
+TripletSet built from explicit rows, training on a list of runs, and the
+per-engine eta that the latent-consistency tests check.
 
 The real turbofan files are looked up via the CMAPSS_DATA environment
 variable or a data/ directory next to the package; data-dependent tests
@@ -76,6 +76,11 @@ def triplet_set(prev, cur, nxt) -> tdc.TripletSet:
     return tdc.TripletSet(table, 3 * np.arange(len(cur)) + 1)
 
 
+def train_on(runs, config):
+    """tdc.train on the "train" and "val" triplet sets of scaled runs, as train builds them."""
+    return tdc.train(tdc.make_triplets(runs, "train"), tdc.make_triplets(runs, "val"), config)
+
+
 def eta_per_engine(latent, window=None) -> float:
     """Mean eta across the latent pairs of one engine, over window (start, stop),
     by default the whole series: nan if a pair's channel is constant there."""
@@ -98,5 +103,5 @@ def trained_setup(surrogate_runs):
     scaler = dataio.fit_scaler(train_runs)
     scaled = [dataio.apply_scaler(r, scaler) for r in train_runs]
     config = tdc.TrainingConfig(epochs=12, seed=3)
-    params, history = tdc.train(scaled, config)
+    params, history = train_on(scaled, config)
     return params, history, scaler, split, surrogate_runs, config

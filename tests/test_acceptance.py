@@ -12,7 +12,8 @@ import pytest
 
 from tdcae import dataio, detector, diagnostics, net, pendulum, tdc
 
-from conftest import cmapss_file, eta_per_engine, fd_grads, max_rel_err, triplet_set
+from conftest import (cmapss_file, eta_per_engine, fd_grads, max_rel_err, train_on,
+                      triplet_set)
 
 
 def criterion(num, ok, detail):
@@ -178,7 +179,7 @@ def _trained_pipeline(subset, n_seeds=5):
     models = []
     for seed in range(n_seeds):
         started = time.monotonic()
-        params, history = tdc.train(scaled_train, tdc.TrainingConfig(seed=seed))
+        params, history = train_on(scaled_train, tdc.TrainingConfig(seed=seed))
         seconds = time.monotonic() - started
         latents_train = [tdc.infer_latent(params, r) for r in scaled_train]
         thresholds = detector.fit_thresholds(

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -331,16 +332,17 @@ def pipeline_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("setting,cause", [
-    ("--latent-dim 24", "latent_dim 24 is not narrower than hidden_dim 24, so a "
-                        "24-24-24-24-24-24-24"),
-    ("latent_dim = 30", "latent_dim 30 is not narrower than hidden_dim 24, so a "
-                        "24-24-24-30-24-24-24"),
-    ("hidden_dim = 8", "latent_dim 8 is not narrower than hidden_dim 8, so a 24-8-8-8-8-8-24"),
+    ("--latent-dim 24", "latent_dim 24 is not narrower than hidden_dim 24, so the latent "
+                        "layer of a 24-24-24-24-24-24-24"),
+    ("latent_dim = 30", "latent_dim 30 is not narrower than hidden_dim 24, so the latent "
+                        "layer of a 24-24-24-30-24-24-24"),
+    ("hidden_dim = 8", "latent_dim 8 is not narrower than hidden_dim 8, so the latent layer "
+                       "of a 24-8-8-8-8-8-24"),
     ("latent_dim = 24\nhidden_dim = 32", "latent_dim 24 is not narrower than the 24-wide "
-                                         "output, so a 24-32-32-24-32-32-24"),
+                                         "output, so the latent layer of a 24-32-32-24-32-32-24"),
     # the output is then the unique narrowest layer, which training cannot split at
     ("latent_dim = 26\nhidden_dim = 32", "latent_dim 26 is not narrower than the 24-wide "
-                                         "output, so a 24-32-32-26-32-32-24"),
+                                         "output, so the latent layer of a 24-32-32-26-32-32-24"),
 ], ids=["flag", "file", "hidden", "output", "narrower_output"])
 def test_train_rejects_a_latent_width_with_no_bottleneck_before_reading_data(setting, cause,
                                                                              tmp_path, capsys):
@@ -355,7 +357,7 @@ def test_train_rejects_a_latent_width_with_no_bottleneck_before_reading_data(set
     assert run_cli("train", *argv, "--subset", "FD001", "--data", str(tmp_path / "missing"),
                    "--out", str(out), "--epochs", "1") == 1
     assert capsys.readouterr().err == (
-        f"error: {source}[training] {cause} network has no unique bottleneck layer\n")
+        f"error: {source}[training] {cause} network is not its unique bottleneck\n")
     assert not out.exists()
 
 
@@ -418,6 +420,120 @@ def test_train_reruns_byte_identical(tmp_path):
                        "--seeds", "3", "--epochs", "2") == 0
     for name in ("checkpoint_seed3.json", "loss_seed3.csv", "train_summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# --- seeds trained side by side ---------------------------------------------------
+
+pool_path = pytest.mark.skipif(cli.usable_cpus() < 2 or cli.openblas_threads() is None,
+                               reason="train trains seeds in turn: one CPU or no OpenBLAS")
+
+# `tdcae train ...` with the seeds trained in turn, whatever the machine
+IN_TURN = ("import sys; from tdcae import cli; cli.openblas_threads = lambda: None; "
+           "sys.exit(cli.main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("seeds", ["0,1", "0,1,2,3,4"])
+def test_seeds_trained_together_write_each_single_seed_runs_bytes(seeds, tmp_path):
+    together = tmp_path / "together"
+    assert run_cli("train", "--out", str(together), "--seeds", seeds, "--epochs", "2") == 0
+    summary = json.loads((together / "train_summary.json").read_text())
+    entries = []
+    for seed in seeds.split(","):
+        alone = tmp_path / f"seed{seed}"
+        assert run_cli("train", "--out", str(alone), "--seeds", seed, "--epochs", "2") == 0
+        for name in (f"checkpoint_seed{seed}.json", f"loss_seed{seed}.csv"):
+            assert (together / name).read_bytes() == (alone / name).read_bytes()
+        alone_summary = json.loads((alone / "train_summary.json").read_text())
+        entries += alone_summary.pop("runs")
+        assert {k: v for k, v in summary.items() if k != "runs"} == alone_summary
+    assert summary["runs"] == entries
+
+
+@pool_path
+def test_each_seed_trains_in_a_forked_worker_with_one_blas_thread(tmp_path, monkeypatch):
+    real, (threads, set_threads) = tdc.train, cli.openblas_threads()
+    before = threads()
+
+    def recording(train_set, val_set, config):
+        (tmp_path / f"trained_{config.seed}").write_text(f"{os.getpid()} {threads()}")
+        return real(train_set, val_set, config)
+
+    monkeypatch.setattr(tdc, "train", recording)
+    set_threads(2)  # the parent's count, which train must restore
+    try:
+        assert run_cli("train", "--out", str(tmp_path / "o"), "--seeds", "0,1",
+                       "--epochs", "1") == 0
+        assert threads() == 2
+    finally:
+        set_threads(before)
+    workers = [p.read_text().split() for p in sorted(tmp_path.glob("trained_*"))]
+    assert len(workers) == 2
+    for pid, worker_threads in workers:
+        assert int(pid) != os.getpid() and worker_threads == "1"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("case", ["one_seed", "one_cpu", "no_openblas", "no_fork"])
+def test_train_trains_seeds_in_turn_without_a_pool(case, tmp_path, monkeypatch):
+    real, seeds = tdc.train, "0" if case == "one_seed" else "0,1"
+    if case == "one_cpu":
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    elif case == "no_openblas":
+        monkeypatch.setattr(cli, "openblas_threads", lambda: None)
+    elif case == "no_fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+    def recording(train_set, val_set, config):
+        (tmp_path / f"trained_{config.seed}").write_text(str(os.getpid()))
+        return real(train_set, val_set, config)
+
+    monkeypatch.setattr(tdc, "train", recording)
+    assert run_cli("train", "--out", str(tmp_path / "o"), "--seeds", seeds, "--epochs", "1") == 0
+    pids = [p.read_text() for p in tmp_path.glob("trained_*")]
+    assert pids == [str(os.getpid())] * len(seeds.split(","))
+
+
+def test_seeds_trained_together_print_the_in_turn_stderr(tmp_path):
+    # 30-cycle engines: make_triplets warns of every short range, once per command
+    dataio.write_cmapss(dataio.synthetic_runs(12, 30, seed=1), tmp_path / "train_FD001.txt")
+    argv = ["train", "--subset", "FD001", "--data", str(tmp_path), "--seeds", "0,1",
+            "--epochs", "1", "--out"]
+    # -W default also shows a DeprecationWarning, such as Python 3.12's on a
+    # fork while other threads run
+    in_turn = run_python("-W", "default", "-c", IN_TURN, *argv, str(tmp_path / "a"))
+    together = run_python("-W", "default", "-m", "tdcae.cli", *argv, str(tmp_path / "b"))
+    assert "too short for triplets" in in_turn.stderr
+    assert together.stderr == in_turn.stderr
+    for name in ("checkpoint_seed1.json", "loss_seed1.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_a_failing_seed_fails_train_as_training_in_turn_does(tmp_path, monkeypatch, capfd):
+    # seeds 1 and 3 fail; either way the first failing seed names the error
+    real = tdc.train
+    failing = {cli.component_seed(seed, "training"): seed for seed in (1, 3)}
+
+    def fail_some(train_set, val_set, config):
+        if config.seed in failing:
+            raise ValueError(f"epoch 1, batch 0: seed {failing[config.seed]} fails")
+        return real(train_set, val_set, config)
+
+    monkeypatch.setattr(tdc, "train", fail_some)
+    blas = cli.openblas_threads()
+    threads = blas and blas[0]()
+    printed = []
+    for name in ("together", "in_turn"):
+        if name == "in_turn":
+            monkeypatch.setattr(cli, "openblas_threads", lambda: None)
+        out = tmp_path / name
+        assert run_cli("train", "--out", str(out), "--seeds", "0,1,2,3,4", "--epochs", "1") == 1
+        assert not (out / "train_summary.json").exists()
+        assert multiprocessing.active_children() == []
+        assert (blas and blas[0]()) == threads
+        captured = capfd.readouterr()
+        printed.append((captured.out.replace(str(out), "<out>"), captured.err))
+    assert printed[0] == printed[1]
+    assert printed[0][1] == "error: epoch 1, batch 0: seed 1 fails\n"
 
 
 def test_detect_scores_test_engines(pipeline_dir, tmp_path, capsys):
@@ -857,3 +973,9 @@ def test_cli_import_is_numpy_only():
                             "print(*{m.split('.')[0] for m in set(sys.modules) - before}"
                             " - set(sys.stdlib_module_names))")
     assert set(proc.stdout.split()) <= {"numpy", "tdcae"}
+
+
+def test_cli_import_leaves_multiprocessing_to_the_seed_pool():
+    # only train with two or more seeds and CPUs imports it
+    proc = run_python("-c", "import sys, tdcae.cli; print('multiprocessing' in sys.modules)")
+    assert proc.stdout.split() == ["False"]

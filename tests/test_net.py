@@ -721,8 +721,8 @@ def test_checkpoint_rejects_malformed_split_or_scaler(key, value, match, tmp_pat
     (lambda p: p["training_config"].update(input_dim=24), "specs",
      "are not [[24, 4, \"tanh\"], "),
     (lambda p: p["training_config"].update(latent_dim=4), "training_config",
-     "latent_dim 4 is not narrower than hidden_dim 4, so a 3-4-4-4-4-4-3 network has no "
-     "unique bottleneck layer"),
+     "latent_dim 4 is not narrower than hidden_dim 4, so the latent layer of a 3-4-4-4-4-4-3 "
+     "network is not its unique bottleneck"),
 ], ids=["int", "list", "no_dt", "only_dt", "string_dt", "negative_dt", "nan_dt", "unknown_key",
         "other_input_dim", "other_latent_dim"])
 def test_checkpoint_rejects_malformed_training_config(edit, field, match, tmp_path):
@@ -771,8 +771,8 @@ def test_checkpoint_rejects_dimension_incompatible_layers(tmp_path):
      '[30, 8, "tanh"], [8, 30, "tanh"], [30, 30, "tanh"], [30, 24, "identity"]], the layers '
      'training_config describes'),
     (lambda p: p["training_config"].update(hidden_dim=7),
-     "training_config: latent_dim 8 is not narrower than hidden_dim 7, so a 24-7-7-8-7-7-24 "
-     "network has no unique bottleneck layer"),
+     "training_config: latent_dim 8 is not narrower than hidden_dim 7, so the latent layer of "
+     "a 24-7-7-8-7-7-24 network is not its unique bottleneck"),
     (lambda p: p["specs"][-1].__setitem__(2, "tanh"), 'specs: stored [[24, 24, "tanh"], '),
 ], ids=["wider_hidden", "no_bottleneck", "tanh_output"])
 def test_checkpoint_whose_config_disagrees_with_its_layers_fails(edit, match, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tdcae import dataio, net, tdc
 from tdcae.dataio import EngineRun, normal_row_split
 
-from conftest import fd_grads, max_rel_err, triplet_set
+from conftest import fd_grads, max_rel_err, train_on, triplet_set
 
 
 def constant_runs(n_engines=3, life=60):
@@ -275,7 +275,7 @@ def test_rec_loss_is_mse():
 def test_train_constant_dataset_converges():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        params, history = tdc.train(constant_runs(), tdc.TrainingConfig(epochs=150, seed=1))
+        params, history = train_on(constant_runs(), tdc.TrainingConfig(epochs=150, seed=1))
     assert history[0].rec > 1e-2
     assert history[-1].rec < 1e-3
     assert history[-1].tdc < 1e-4
@@ -283,38 +283,39 @@ def test_train_constant_dataset_converges():
 
 
 def test_train_history_shape_and_epoch_numbers():
-    params, history = tdc.train(wavy_runs(), tdc.TrainingConfig(epochs=5, seed=2))
+    params, history = train_on(wavy_runs(), tdc.TrainingConfig(epochs=5, seed=2))
     assert [s.epoch for s in history] == [1, 2, 3, 4, 5]
     assert all(np.isfinite([s.rec, s.tdc, s.val_rec, s.val_tdc]).all() for s in history)
 
 
 def test_train_is_deterministic_per_seed():
     cfg = tdc.TrainingConfig(epochs=4, seed=9)
-    _, h1 = tdc.train(wavy_runs(), cfg)
-    _, h2 = tdc.train(wavy_runs(), cfg)
+    _, h1 = train_on(wavy_runs(), cfg)
+    _, h2 = train_on(wavy_runs(), cfg)
     assert h1 == h2
-    _, h3 = tdc.train(wavy_runs(), tdc.TrainingConfig(epochs=4, seed=10))
+    _, h3 = train_on(wavy_runs(), tdc.TrainingConfig(epochs=4, seed=10))
     assert h1 != h3
 
 
 def test_stop_gradient_changes_updates():
-    _, full = tdc.train(wavy_runs(), tdc.TrainingConfig(epochs=3, seed=7))
-    _, stopped = tdc.train(wavy_runs(), tdc.TrainingConfig(epochs=3, seed=7, stop_gradient=True))
+    _, full = train_on(wavy_runs(), tdc.TrainingConfig(epochs=3, seed=7))
+    _, stopped = train_on(wavy_runs(), tdc.TrainingConfig(epochs=3, seed=7, stop_gradient=True))
     assert full[-1].rec != stopped[-1].rec
 
 
 def test_alpha_zero_still_reports_tdc_loss():
-    _, history = tdc.train(wavy_runs(), tdc.TrainingConfig(epochs=3, seed=7, alpha=0.0))
+    _, history = train_on(wavy_runs(), tdc.TrainingConfig(epochs=3, seed=7, alpha=0.0))
     assert history[-1].tdc > 0.0
-    _, weighted = tdc.train(wavy_runs(), tdc.TrainingConfig(epochs=3, seed=7))
+    _, weighted = train_on(wavy_runs(), tdc.TrainingConfig(epochs=3, seed=7))
     assert weighted[-1].tdc < history[-1].tdc
 
 
 def test_train_requires_triplets():
     run = EngineRun(unit_id=1, features=np.zeros((3, 24)))
     with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match="no training triplets"):
-            tdc.train([run], tdc.TrainingConfig(epochs=1))
+        empty = tdc.make_triplets([run], "train")
+    with pytest.raises(ValueError, match="no training triplets"):
+        tdc.train(empty, empty, tdc.TrainingConfig(epochs=1))
 
 
 def test_non_finite_loss_reports_epoch_and_batch():
@@ -322,7 +323,7 @@ def test_non_finite_loss_reports_epoch_and_batch():
     runs = [EngineRun(unit_id=u, features=np.full((60, 24), 1e200)) for u in range(2)]
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="epoch 1, batch 0: non-finite loss"):
-            tdc.train(runs, tdc.TrainingConfig(epochs=1))
+            train_on(runs, tdc.TrainingConfig(epochs=1))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -431,7 +432,7 @@ def pre_buffer_train_step(params, batch, config, state):
 def test_train_is_bitwise_the_replayed_step_loop(name):
     runs, config = wavy_runs(), step_config(name)
     assert len(tdc.make_triplets(runs, "train")) % config.batch_size == 6
-    params, history = tdc.train(runs, config)
+    params, history = train_on(runs, config)
     replayed, replayed_history = replayed_training(runs, config, tdc.train_step)
     assert params.theta.tobytes() == replayed.theta.tobytes()
     assert history == replayed_history
@@ -452,7 +453,7 @@ def test_train_is_bitwise_training_on_the_oracle_triplets(stop_gradient):
     config = step_config("default", stop_gradient=stop_gradient)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the ragged engines' short ranges
-        params, history = tdc.train(runs, config)
+        params, history = train_on(runs, config)
         oracle, oracle_history = replayed_training(runs, config, tdc.train_step,
                                                    stacked_triplets)
     assert params.theta.tobytes() == oracle.theta.tobytes()
@@ -460,13 +461,17 @@ def test_train_is_bitwise_training_on_the_oracle_triplets(stop_gradient):
 
 
 def test_interleaved_trainings_share_no_buffers():
+    # one pair of sets serves every seed, as in cli.cmd_train
     runs = wavy_runs()
+    sets = tdc.make_triplets(runs, "train"), tdc.make_triplets(runs, "val")
     a, b = step_config("default", seed=1), step_config("stop_gradient", seed=2)
-    first, first_history = tdc.train(runs, a)
-    tdc.train(runs, b)
-    again, again_history = tdc.train(runs, a)
-    assert first.theta.tobytes() == again.theta.tobytes()
-    assert first_history == again_history
+    first, first_history = tdc.train(*sets, a)
+    tdc.train(*sets, b)
+    again, again_history = tdc.train(*sets, a)
+    fresh, fresh_history = train_on(runs, a)
+    for params in (again, fresh):
+        assert first.theta.tobytes() == params.theta.tobytes()
+    assert first_history == again_history == fresh_history
 
 
 def test_train_step_writes_the_gradient_its_state_keeps():
