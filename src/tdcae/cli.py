@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -321,8 +322,31 @@ def _start_worker(train_one) -> None:
     _worker_train = train_one
 
 
-def _train_in_worker(seed: int) -> dict:
-    return _worker_train(seed)
+def _train_in_worker(seed: int) -> tuple:
+    """(entry, None, warnings) or (None, error, warnings) of the seed: the
+    warnings it raised as (message, category, filename, lineno), shown by no
+    one yet."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            entry, error = _worker_train(seed), None
+        except Exception as exc:
+            from multiprocessing.pool import ExceptionWithTraceback
+            # wrapped as Pool wraps what a worker raises: the parent's traceback
+            # then shows the worker's stack
+            entry, error = None, ExceptionWithTraceback(exc, exc.__traceback__)
+    return entry, error, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _show_worker_warnings(caught: list[tuple]) -> None:
+    """Re-emit a worker's warnings under this process's filters, each through the
+    registry of the module that raised it, as warnings.warn would: one that
+    every seed raises prints once, as it does when the seeds train in turn."""
+    modules = {getattr(m, "__file__", None): m for m in sys.modules.values()}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno,
+                               getattr(module, "__name__", None), registry)
 
 
 def train_seeds(train_one, seeds: list[int]):
@@ -336,7 +360,9 @@ def train_seeds(train_one, seeds: list[int]):
     spawn, so no worker imports the package again or unpickles the data;
     OpenBLAS's own fork handler stops its threads before each fork. Without
     fork or OpenBLAS, the seeds train in turn and write the same bytes. A
-    worker's exception is raised at its seed and stops the pool.
+    worker records the warnings its seed raises, and the parent shows them
+    at that seed, before its entry or its error; a worker's exception is
+    raised at its seed and stops the pool.
     """
     workers = min(len(seeds), usable_cpus())
     blas = openblas_threads() if workers > 1 else None
@@ -350,7 +376,11 @@ def train_seeds(train_one, seeds: list[int]):
                 # named: Python 3.14 makes another start method the default
                 context = multiprocessing.get_context("fork")
                 with context.Pool(workers, _start_worker, (train_one,)) as pool:
-                    yield from pool.imap(_train_in_worker, seeds)
+                    for entry, error, caught in pool.imap(_train_in_worker, seeds):
+                        _show_worker_warnings(caught)
+                        if error is not None:
+                            raise error
+                        yield entry
             finally:
                 set_blas_threads(threads)
             return

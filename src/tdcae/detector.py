@@ -39,7 +39,6 @@ class DetectorConfig:
     baseline_window: int = 10
     vote_threshold: int = 2
     latent_dim: int = 8
-    use_baseline: bool = True
 
     def __post_init__(self):
         if not (0 < self.lower_percentile < self.upper_percentile < 100):
@@ -131,10 +130,9 @@ def _normalize(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
     stream normalized alone on the rows the engine fills."""
     smoothed = moving_average(values, config.moving_average_window)
     del values  # frees the raw block, which the caller hands over
-    if config.use_baseline:
-        # smoothed - baseline(smoothed, window), in place: no baseline array
-        smoothed[1:] -= moving_average(smoothed[:-1], config.baseline_window)
-        smoothed[:1] -= smoothed[:1]
+    # smoothed - baseline(smoothed, window), in place: no baseline array
+    smoothed[1:] -= moving_average(smoothed[:-1], config.baseline_window)
+    smoothed[:1] -= smoothed[:1]
     return smoothed
 
 
@@ -367,20 +365,19 @@ def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
     """Grid search maximizing timestep F1 on the training engines.
 
     The training engines sit side by side in one zero-padded time-major
-    block (see _Fleet). Configs sharing their windows and baseline switch
-    share one normalization of that block, made once per group and held one
-    group at a time, and one percentile pass over its pooled rows that gives
-    every config in the group its thresholds. Votes are counted once per
-    distinct band, not per config, and each config is scored on the block
-    against the 60/40 labels. Ties break toward higher specificity, then a
+    block (see _Fleet). Configs sharing their (moving_average_window,
+    baseline_window) share one normalization of that block, made once per
+    group and held one group at a time, and one percentile pass over its
+    pooled rows that gives every config in the group its thresholds. Votes
+    are counted once per distinct band, not per config, and each config is
+    scored on the block against the 60/40 labels. Ties break toward higher specificity, then a
     smaller smoothing window, then the earlier config in the grid.
     """
     if not grid:
         raise ValueError("empty configuration grid")
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, config in enumerate(grid):
-        windows = (config.moving_average_window, config.baseline_window, config.use_baseline)
-        groups.setdefault(windows, []).append(i)
+        groups.setdefault((config.moving_average_window, config.baseline_window), []).append(i)
     fleet = _Fleet(latents, grid[0].latent_dim)
     labels = _Labels([(latent.unit_id, len(latent)) for latent in latents], runs)
     keys = [None] * len(grid)

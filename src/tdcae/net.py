@@ -167,15 +167,14 @@ class Gradients:
     """dLoss/dtheta in the layout of NetworkParams.theta, plus dLoss/d(cache input).
 
     backward() writes each covered layer's dW and db through `layers`, the
-    per-layer (dW, db) views into theta that zero_gradients() makes; a
-    Gradients built without them can only feed adamax_step(). input_grad is
-    shaped like the cache input; it is what a preceding stack of layers
+    per-layer (dW, db) views into theta that zero_gradients() makes. input_grad
+    is shaped like the cache input; it is what a preceding stack of layers
     needs as its output_grad.
     """
 
     theta: np.ndarray
     input_grad: np.ndarray
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def zero_gradients(params: NetworkParams) -> Gradients:
@@ -297,27 +296,26 @@ def encoder_jacobian_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
 
 # --- Adamax ------------------------------------------------------------------
 
+ADAMAX_BETA1 = 0.9
+ADAMAX_BETA2 = 0.999
+ADAMAX_EPS = 1e-8
+
+
 @dataclass
 class AdamaxState:
     """First-moment and infinity-norm accumulators, each shaped like theta,
-    and the buffers every training step reuses: the gradient that backward()
-    writes and adamax_step()'s two temporaries."""
+    and the gradient buffer that backward() writes on every training step."""
 
     learning_rate: float
     m: np.ndarray
     u: np.ndarray
     grads: Gradients
-    scratch: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
 
 
 def init_adamax(params: NetworkParams, learning_rate: float = 0.003) -> AdamaxState:
     return AdamaxState(learning_rate=learning_rate, m=np.zeros_like(params.theta),
-                       u=np.zeros_like(params.theta), grads=zero_gradients(params),
-                       scratch=np.zeros((2, params.theta.size)))
+                       u=np.zeros_like(params.theta), grads=zero_gradients(params))
 
 
 def adamax_step(params: NetworkParams, grads: Gradients, state: AdamaxState) -> None:
@@ -326,23 +324,18 @@ def adamax_step(params: NetworkParams, grads: Gradients, state: AdamaxState) -> 
         m <- b1*m + (1-b1)*g;  u <- max(b2*u, |g|)
         theta <- theta - lr/(1 - b1^t) * m / (u + eps)
 
-    Each product and quotient is the one that formula names, written into
-    state.scratch. A non-finite or mis-sized gradient rejects the step
-    before any state is touched.
+    with b1, b2 and eps the ADAMAX_* constants. A non-finite or mis-sized
+    gradient rejects the step before any state is touched.
     """
     g = grads.theta
     if g.shape != params.theta.shape or not np.isfinite(g).all():
         raise ValueError("non-finite or mis-sized gradient; step rejected")
     state.step_count += 1
-    scale = state.learning_rate / (1.0 - state.beta1**state.step_count)
-    step, denom = state.scratch
-    state.m *= state.beta1
-    state.m += np.multiply(g, 1.0 - state.beta1, out=step)
-    state.u *= state.beta2
-    np.maximum(state.u, np.abs(g, out=step), out=state.u)
-    np.multiply(state.m, scale, out=step)
-    step /= np.add(state.u, state.eps, out=denom)
-    params.theta -= step
+    scale = state.learning_rate / (1.0 - ADAMAX_BETA1**state.step_count)
+    state.m *= ADAMAX_BETA1
+    state.m += (1.0 - ADAMAX_BETA1) * g
+    np.maximum(ADAMAX_BETA2 * state.u, np.abs(g), out=state.u)
+    params.theta -= scale * state.m / (state.u + ADAMAX_EPS)
 
 
 # --- checkpoint format --------------------------------------------------------

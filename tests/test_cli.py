@@ -72,7 +72,7 @@ CONFIG_CASES = {
                  lambda cp, args: cli.detector_config(cp, args, getattr(args, "latent_dim", None)),
                  dict(latent_dim=4), dict(latent_dim=4),
                  dict(upper_percentile=90.0, lower_percentile=5.0, moving_average_window=8,
-                      baseline_window=6, vote_threshold=3, use_baseline=False)),
+                      baseline_window=6, vote_threshold=3)),
     "pendulum": (pendulum.PendulumConfig, cli.pendulum_config,
                  dict(no_drift=True), dict(drift_alpha=0.0, drift_beta=0.0),
                  dict(gamma=0.3, omega0=1.1, amplitude=0.7, omega_drive=1.3, drift_alpha=0.004,
@@ -110,7 +110,8 @@ def test_every_accepted_field_round_trips(section, tmp_path):
 
 @pytest.mark.parametrize("section,key", [
     ("training", "epoch"), ("training", "seed"), ("training", "input_dim"),
-    ("detector", "latent_dim"), ("detector", "min_votes"), ("pendulum", "theta"),
+    ("detector", "latent_dim"), ("detector", "min_votes"), ("detector", "use_baseline"),
+    ("pendulum", "theta"),
     ("run", "seed_list"), ("model", "epochs"), ("DEFAULT", "seed")])
 def test_unknown_section_or_key_names_the_file(section, key, tmp_path, capsys):
     ini = tmp_path / "typo.ini"
@@ -493,19 +494,33 @@ def test_train_trains_seeds_in_turn_without_a_pool(case, tmp_path, monkeypatch):
     assert pids == [str(os.getpid())] * len(seeds.split(","))
 
 
-def test_seeds_trained_together_print_the_in_turn_stderr(tmp_path):
-    # 30-cycle engines: make_triplets warns of every short range, once per command
-    dataio.write_cmapss(dataio.synthetic_runs(12, 30, seed=1), tmp_path / "train_FD001.txt")
-    argv = ["train", "--subset", "FD001", "--data", str(tmp_path), "--seeds", "0,1",
-            "--epochs", "1", "--out"]
+@pytest.mark.parametrize("case", ["short_engines", "overflow"])
+def test_seeds_trained_together_print_the_in_turn_stderr(case, tmp_path):
+    if case == "short_engines":
+        # 30-cycle engines: make_triplets warns of every short range, once per command
+        dataio.write_cmapss(dataio.synthetic_runs(12, 30, seed=1), tmp_path / "train_FD001.txt")
+        source = ["--subset", "FD001", "--data", str(tmp_path)]
+    else:
+        # every seed's first step overflows, a warning raised in each worker, and
+        # its second batch fails training at seed 0
+        (tmp_path / "lr.ini").write_text("[training]\nlearning_rate = 1e200\n")
+        source = ["--config", str(tmp_path / "lr.ini")]
+    argv = ["train", *source, "--seeds", "0,1", "--epochs", "1", "--out"]
     # -W default also shows a DeprecationWarning, such as Python 3.12's on a
     # fork while other threads run
-    in_turn = run_python("-W", "default", "-c", IN_TURN, *argv, str(tmp_path / "a"))
-    together = run_python("-W", "default", "-m", "tdcae.cli", *argv, str(tmp_path / "b"))
-    assert "too short for triplets" in in_turn.stderr
+    in_turn = run_python("-W", "default", "-c", IN_TURN, *argv, str(tmp_path / "a"), check=False)
+    together = run_python("-W", "default", "-m", "tdcae.cli", *argv, str(tmp_path / "b"),
+                          check=False)
     assert together.stderr == in_turn.stderr
-    for name in ("checkpoint_seed1.json", "loss_seed1.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    if case == "short_engines":
+        assert in_turn.returncode == together.returncode == 0
+        assert "too short for triplets" in in_turn.stderr
+        for name in ("checkpoint_seed1.json", "loss_seed1.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    else:
+        assert in_turn.returncode == together.returncode == 1
+        assert in_turn.stderr.count("RuntimeWarning: overflow") == 1
+        assert in_turn.stderr.endswith("error: epoch 1, batch 1: non-finite loss\n")
 
 
 def test_a_failing_seed_fails_train_as_training_in_turn_does(tmp_path, monkeypatch, capfd):
@@ -952,11 +967,11 @@ def test_undecodable_input_fails_naming_the_file(case, tmp_path, capsys):
         "error: " + named.format(path=path, name=path.name))
 
 
-def run_python(*argv):
+def run_python(*argv, check=True):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
+                          env={**os.environ, "PYTHONPATH": path}, check=check)
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -13,8 +13,10 @@ from tdcae.dataio import EngineRun
 from tdcae.tdc import LatentSeries
 
 
-RAW = det.DetectorConfig(moving_average_window=1, baseline_window=10,
-                         use_baseline=False, latent_dim=2, vote_threshold=1)
+TWO_NODES = det.DetectorConfig(latent_dim=2, vote_threshold=1)
+# windows of 1: a normalized row is the first difference of the raw rows, the first row 0
+FIRST_DIFFERENCE = det.DetectorConfig(moving_average_window=1, baseline_window=1,
+                                      latent_dim=2, vote_threshold=1)
 
 
 def two_node_latent(values, unit_id=1):
@@ -190,8 +192,6 @@ def test_normalize_stream_is_smoothing_minus_baseline(T, pairs, ma_window, base_
     smoothed = det.moving_average(values, ma_window)
     assert np.array_equal(det.normalize_stream(latent, config),
                           smoothed - det.baseline(smoothed, base_window))
-    assert np.array_equal(det.normalize_stream(latent, replace(config, use_baseline=False)),
-                          smoothed)
 
 
 def test_ramp_normalizes_to_constant_offset():
@@ -283,8 +283,6 @@ def per_engine_normalize(latent, config):
     if values.shape[0] < 1:
         raise ValueError("empty latent series")
     smoothed = det.moving_average(values, config.moving_average_window)
-    if not config.use_baseline:
-        return smoothed
     return smoothed - det.baseline(smoothed, config.baseline_window)
 
 
@@ -352,12 +350,12 @@ def per_engine_score(results, runs):
 # --- detect ----------------------------------------------------------------------------
 
 def test_detect_votes_and_positives():
+    # first differences (0, 0), (2, 0), (2, 2)
     latent = LatentSeries(unit_id=4,
-                          z=np.array([[0.0], [2.0], [2.0]]),
+                          z=np.array([[0.0], [2.0], [4.0]]),
                           z_dot=np.array([[0.0], [0.0], [2.0]]))
     th = det.Thresholds(upper=np.array([1.0, 1.0]), lower=np.array([-1.0, -1.0]))
-    cfg = det.DetectorConfig(moving_average_window=1, use_baseline=False,
-                             latent_dim=2, vote_threshold=2)
+    cfg = replace(FIRST_DIFFERENCE, vote_threshold=2)
     res = det.detect(latent, th, cfg)
     assert res.unit_id == 4
     assert res.votes.tolist() == [0, 1, 2]
@@ -368,20 +366,20 @@ def test_detect_rejects_node_mismatch():
     latent = two_node_latent(np.zeros(5))
     th = det.Thresholds(upper=np.zeros(3), lower=np.zeros(3))
     with pytest.raises(ValueError, match="nodes"):
-        det.detect(latent, th, RAW)
+        det.detect(latent, th, TWO_NODES)
 
 
 @settings(max_examples=80, deadline=None)
 @given(T=st.integers(1, 80), k=st.integers(1, 80), ma_window=st.integers(1, 20),
-       base_window=st.integers(1, 20), use_baseline=st.booleans(),
-       vote_threshold=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+       base_window=st.integers(1, 20), vote_threshold=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
 def test_detect_on_a_prefix_is_the_prefix_of_detect(T, k, ma_window, base_window,
-                                                    use_baseline, vote_threshold, seed):
+                                                    vote_threshold, seed):
     # causality: rows after cycle k never change a decision made at cycle k
     k = min(k, T)
     rng = np.random.default_rng(seed)
     cfg = det.DetectorConfig(moving_average_window=ma_window, baseline_window=base_window,
-                             use_baseline=use_baseline, vote_threshold=vote_threshold)
+                             vote_threshold=vote_threshold)
     train = rng.normal(size=(40, 8))
     thresholds = det.fit_thresholds(
         [det.normalize_stream(LatentSeries(2, train[:, :4], train[:, 4:]), cfg)], cfg)
@@ -397,8 +395,8 @@ def test_wider_bands_never_add_votes():
     latent = two_node_latent(rng.normal(size=50))
     narrow = det.Thresholds(upper=np.full(2, 0.3), lower=np.full(2, -0.3))
     wide = det.Thresholds(upper=np.full(2, 1.0), lower=np.full(2, -1.0))
-    v_narrow = det.detect(latent, narrow, RAW).votes
-    v_wide = det.detect(latent, wide, RAW).votes
+    v_narrow = det.detect(latent, narrow, FIRST_DIFFERENCE).votes
+    v_wide = det.detect(latent, wide, FIRST_DIFFERENCE).votes
     assert np.all(v_wide <= v_narrow)
 
 
@@ -497,22 +495,19 @@ def test_cdr_counts_only_tail_positives():
 # --- threshold search --------------------------------------------------------------------
 
 def drifting_case():
-    # two nodes at exactly 0 while normal, exactly 1 while anomalous
+    # two nodes whose first differences are exactly 0 while normal, exactly 1 while
+    # anomalous
     labels = np.zeros(100, bool)
     labels[60:] = True
-    latent = two_node_latent(labels.astype(float))
+    latent = two_node_latent(np.cumsum(labels, dtype=float))
     run = run_with_labels(labels)
     return [latent], [run]
 
 
 def test_optimize_thresholds_picks_separating_band():
     latents, runs = drifting_case()
-    good = det.DetectorConfig(upper_percentile=50.0, lower_percentile=9.0,
-                              moving_average_window=1, use_baseline=False,
-                              latent_dim=2, vote_threshold=1)
-    blind = det.DetectorConfig(upper_percentile=99.0, lower_percentile=9.0,
-                               moving_average_window=1, use_baseline=False,
-                               latent_dim=2, vote_threshold=1)
+    good = replace(FIRST_DIFFERENCE, upper_percentile=50.0, lower_percentile=9.0)
+    blind = replace(FIRST_DIFFERENCE, upper_percentile=99.0, lower_percentile=9.0)
     assert det.optimize_thresholds(latents, runs, [blind, good]) is good
     assert det.optimize_thresholds(latents, runs, [good, blind]) is good
 
@@ -541,11 +536,11 @@ def loop_optimize_thresholds(latents, runs, grid):
 
 
 search_config = st.builds(
-    lambda up, lo, w, bw, ub, v: det.DetectorConfig(
+    lambda up, lo, w, bw, v: det.DetectorConfig(
         upper_percentile=up, lower_percentile=lo, moving_average_window=w, baseline_window=bw,
-        use_baseline=ub, vote_threshold=v, latent_dim=2),
+        vote_threshold=v, latent_dim=2),
     up=st.sampled_from([60.0, 80.0, 92.0]), lo=st.sampled_from([5.0, 20.0, 40.0]),
-    w=st.integers(1, 4), bw=st.integers(1, 3), ub=st.booleans(), v=st.integers(1, 2))
+    w=st.integers(1, 4), bw=st.integers(1, 3), v=st.integers(1, 2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -553,10 +548,8 @@ search_config = st.builds(
        lengths=st.lists(st.integers(3, 30), min_size=1, max_size=3), coarse=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_optimize_thresholds_is_the_per_config_loop(data, base, lengths, coarse, seed):
-    # twins differ only in a baseline window they do not use: another group, the same
-    # decisions, so the first of the two in grid order must win
-    twins = [replace(c, baseline_window=c.baseline_window + 3) for c in base if not c.use_baseline]
-    grid = data.draw(st.permutations(base + twins))
+    # a copy of a config ties with it, so the first of the two in grid order must win
+    grid = data.draw(st.permutations(base + [replace(base[0])]))
     rng = np.random.default_rng(seed)
     latents, runs = [], []
     for u, T in enumerate(lengths):
@@ -674,13 +667,13 @@ def per_engine_run_detector(latents, runs, thresholds, config):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), lengths=st.lists(st.integers(1, 60), min_size=1, max_size=8),
        pairs=st.integers(1, 6), windows=st.tuples(st.integers(1, 70), st.integers(1, 70)),
-       base_window=st.integers(1, 70), use_baseline=st.booleans(),
+       base_window=st.integers(1, 70),
        percentiles=st.lists(st.tuples(st.sampled_from([5.0, 9.0, 14.0, 30.0]),
                                       st.sampled_from([70.0, 80.0, 86.0, 92.0])),
                             min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 def test_fleet_block_is_the_per_engine_detector(data, lengths, pairs, windows, base_window,
-                                                use_baseline, percentiles, seed):
+                                                percentiles, seed):
     # ragged lengths from 1 cycle, windows longer than most engines, rounded values for
     # ties, and runs in an order of their own: score matches labels by unit_id
     rng = np.random.default_rng(seed)
@@ -693,7 +686,7 @@ def test_fleet_block_is_the_per_engine_detector(data, lengths, pairs, windows, b
     runs = data.draw(st.permutations(runs))
     groups = [[det.DetectorConfig(upper_percentile=up, lower_percentile=lo,
                                   moving_average_window=w, baseline_window=base_window,
-                                  use_baseline=use_baseline, latent_dim=n,
+                                  latent_dim=n,
                                   vote_threshold=data.draw(st.integers(1, n)))
                for lo, up in percentiles] for w in windows]
 
@@ -730,23 +723,23 @@ THRESHOLDS_2 = det.Thresholds(upper=np.full(2, 0.5), lower=np.full(2, -0.5))
 
 
 def run_detector_call(latents, runs):
-    return det.run_detector(latents, runs, THRESHOLDS_2, RAW)
+    return det.run_detector(latents, runs, THRESHOLDS_2, TWO_NODES)
 
 
 def per_engine_call(latents, runs):
-    return per_engine_run_detector(latents, runs, THRESHOLDS_2, RAW)
+    return per_engine_run_detector(latents, runs, THRESHOLDS_2, TWO_NODES)
 
 
 def optimize_thresholds_call(latents, runs):
-    return det.optimize_thresholds(latents, runs, [RAW])
+    return det.optimize_thresholds(latents, runs, [TWO_NODES])
 
 
 def normalize_fleet_call(latents, runs):
-    return det.normalize_fleet(latents, RAW)
+    return det.normalize_fleet(latents, TWO_NODES)
 
 
 def detect_call(latents, runs):
-    return [det.detect(latent, THRESHOLDS_2, RAW) for latent in latents]
+    return [det.detect(latent, THRESHOLDS_2, TWO_NODES) for latent in latents]
 
 
 fleet_calls = pytest.mark.parametrize(
@@ -804,8 +797,8 @@ def test_config_width_is_the_streams_width(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda latents, runs, thresholds: det.detect(latents[0], thresholds, RAW),
-    lambda latents, runs, thresholds: det.run_detector(latents, runs, thresholds, RAW),
+    lambda latents, runs, thresholds: det.detect(latents[0], thresholds, TWO_NODES),
+    lambda latents, runs, thresholds: det.run_detector(latents, runs, thresholds, TWO_NODES),
 ], ids=["detect", "run_detector"])
 def test_thresholds_width_is_the_streams_width(call):
     latents = [two_node_latent(np.zeros(4), unit_id=1)]

@@ -20,9 +20,11 @@ def concat_pairs(pairs) -> np.ndarray:
     return np.concatenate([np.ravel(a) for pair in pairs for a in pair])
 
 
-def theta_grads(vector) -> net.Gradients:
-    """A Gradients carrying only a theta-shaped vector, for driving adamax_step."""
-    return net.Gradients(np.asarray(vector, dtype=np.float64), np.zeros(0))
+def theta_grads(params, vector) -> net.Gradients:
+    """params' zero_gradients with vector written into its theta, for driving adamax_step."""
+    grads = net.zero_gradients(params)
+    grads.theta[:] = vector
+    return grads
 
 
 def micro_params(seed=0, specs=None):
@@ -449,14 +451,14 @@ def scalar_params(value=0.0):
 def test_adamax_zero_gradient_leaves_params():
     params = scalar_params(0.7)
     state = net.init_adamax(params)
-    net.adamax_step(params, theta_grads([0.0, 0.0]), state)
+    net.adamax_step(params, theta_grads(params, [0.0, 0.0]), state)
     assert params.weights[0][0, 0] == 0.7
 
 
 def test_adamax_first_step_is_exactly_lr():
     params = scalar_params(0.0)
     state = net.init_adamax(params, learning_rate=0.003)
-    grads = theta_grads([1.0, 0.0])
+    grads = theta_grads(params, [1.0, 0.0])
     net.adamax_step(params, grads, state)
     # m=0.1, u=1, correction 1-0.9 -> step = 0.003 * 0.1 / 0.1 / (1 + eps);
     # eps=1e-8 in the denominator shifts the step by 3e-11
@@ -469,7 +471,7 @@ def test_adamax_first_step_is_exactly_lr():
 def test_adamax_constant_gradient_decreases_monotonically():
     params = scalar_params(0.0)
     state = net.init_adamax(params, learning_rate=0.01)
-    grads = theta_grads([1.0, 0.0])
+    grads = theta_grads(params, [1.0, 0.0])
     values = []
     for _ in range(1000):
         net.adamax_step(params, grads, state)
@@ -491,7 +493,7 @@ def test_adamax_matches_reference_sequence():
     params = scalar_params(0.0)
     state = net.init_adamax(params, learning_rate=lr)
     for g in gs:
-        net.adamax_step(params, theta_grads([g, 0.0]), state)
+        net.adamax_step(params, theta_grads(params, [g, 0.0]), state)
     assert params.weights[0][0, 0] == pytest.approx(theta, rel=1e-15)
 
 
@@ -499,7 +501,7 @@ def test_adamax_rejects_non_finite_and_preserves_state():
     params = scalar_params(0.5)
     state = net.init_adamax(params)
     with pytest.raises(ValueError, match="non-finite"):
-        net.adamax_step(params, theta_grads([np.nan, 0.0]), state)
+        net.adamax_step(params, theta_grads(params, [np.nan, 0.0]), state)
     assert params.weights[0][0, 0] == 0.5
     assert state.step_count == 0
 
@@ -509,7 +511,8 @@ def test_adamax_rejects_mis_sized_gradient_and_preserves_state():
     state = net.init_adamax(params)
     before = params.theta.copy()
     with pytest.raises(ValueError, match="mis-sized"):
-        net.adamax_step(params, theta_grads(np.ones(4 * 3 + 4)), state)
+        net.adamax_step(params, theta_grads(micro_params(specs=[net.LayerSpec(3, 4)]),
+                                            np.ones(4 * 3 + 4)), state)
     assert np.array_equal(params.theta, before) and not state.m.any() and state.step_count == 0
 
 
@@ -545,10 +548,12 @@ def test_flat_adamax_is_bitwise_the_per_tensor_loop():
                                  * (rng.uniform() > 0.1) for a in (w, b))
                            for w, b in zip(params.weights, params.biases)])
     weights, biases, m, u = loop_adamax(params, grad_steps, lr=0.003)
+    # the oracle's default b1, b2 and eps are the module's constants
+    assert (net.ADAMAX_BETA1, net.ADAMAX_BETA2, net.ADAMAX_EPS) == (0.9, 0.999, 1e-8)
 
     state = net.init_adamax(params, learning_rate=0.003)
     for grads in grad_steps:
-        net.adamax_step(params, theta_grads(concat_pairs(grads)), state)
+        net.adamax_step(params, theta_grads(params, concat_pairs(grads)), state)
     assert state.step_count == 50
     assert np.array_equal(params.theta, concat_pairs(zip(weights, biases)))
     assert np.array_equal(state.m, concat_pairs(m))
