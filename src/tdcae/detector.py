@@ -8,17 +8,25 @@ streams. A timestep is positive when at least vote_threshold nodes sit
 outside their band. Metrics are micro-averaged over pooled timesteps, plus
 the critical detection rate over each engine's final 10% of life.
 
-One path decides and scores. Engines are normalized, thresholded and voted
-side by side in one zero-padded time-major block (_Fleet), and decisions are
-scored against the runs' labels as [Tmax x E] masks (_Labels). A single
-engine is a block one engine wide: normalize_stream and detect are the
-one-engine case, and score pads finished decisions into a block.
+One path decides and scores. Every engine's stream sits back to back in one
+packed block with no padding (_Fleet): one segmented trailing mean
+normalizes it, and its engines are thresholded and voted at once. Decisions
+are scored against the runs' labels as flat masks over the same rows
+(_Labels). A single engine is a block of one segment: normalize_stream and
+detect are the one-engine case, and score packs finished decisions.
+
+Bands are read off each node's sorted values with numpy's linear
+interpolation, and a zero is read as +0.0 (x + 0.0): a band is bitwise
+np.percentile(values + 0.0). Normalized streams hold no -0.0 (an engine's
+first row is x - x = +0.0, and a later -0.0 needs a window of -0.0
+latents), and -0.0 == +0.0 in every vote, so no decision depends on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,7 +34,7 @@ from .dataio import EngineRun, atomic_write_text
 from .net import encoder_layer_count
 from .tdc import LatentSeries
 
-# rows per chunk in moving_average, as cells: a fleet block's [rows x E*n]
+# rows per chunk of the trailing mean, as cells: a fleet block's [rows x n]
 # running sums (512 KB) stay in cache while each shifted row slice is added
 MEAN_BLOCK_CELLS = 65_536
 
@@ -41,6 +49,10 @@ class DetectorConfig:
     latent_dim: int = 8
 
     def __post_init__(self):
+        for name in ("moving_average_window", "baseline_window", "vote_threshold", "latent_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if not (0 < self.lower_percentile < self.upper_percentile < 100):
             raise ValueError("need 0 < lower_percentile < upper_percentile < 100")
         if self.moving_average_window < 1 or self.baseline_window < 1:
@@ -68,34 +80,53 @@ class Thresholds:
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean truncated at the start (causal, no padding).
 
-    Axis 0 is time, and the result has the input's shape. Row t is the
-    float64 sum of rows max(0, t - window + 1) ... t, added one after another
-    in time order, divided by their count. The other axes are n columns:
-    - rows t < window - 1 are a cumulative sum of the first rows, divided by
-      t + 1;
-    - each later row starts as the first row of its window, adds the other
-      window - 1 rows in order, and is divided by window. The adds run on
-      whole slices shifted by one row each, MEAN_BLOCK_CELLS // n rows (at
-      least one) at a time.
+    Axis 0 is time, and the result has the input's shape: the one-segment
+    case of _trailing_mean over the other axes as n columns.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    shape = values.shape
+    flat = values.reshape(shape[0], math.prod(shape[1:]))
+    return _trailing_mean(flat, np.zeros(1, dtype=np.intp), window).reshape(shape)
+
+
+def _trailing_mean(values: np.ndarray, starts: np.ndarray, window: int) -> np.ndarray:
+    """Trailing mean of each segment of a [N x n] float64 block, truncated at
+    the segment's start. Segment k runs from row starts[k] to the next start.
+
+    Row j of a segment is the float64 sum of its rows max(0, j - window + 1)
+    ... j, added one after another in time order, divided by their count:
+    - every row t >= window - 1 of the block starts as row t - window + 1,
+      adds the next window - 1 rows in order, and is divided by window. The
+      adds run on whole slices shifted by one row each, MEAN_BLOCK_CELLS // n
+      rows (at least one) at a time;
+    - then each segment's first window - 1 rows, which hold every row whose
+      window crossed into the segment before, are written over by one
+      cumulative sum of all segments' first rows gathered side by side (a
+      slice for one segment), divided by j + 1.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    shape, rows = values.shape, values.shape[0]
-    values = values.reshape(rows, math.prod(shape[1:]))
+    rows = values.shape[0]
     out = np.empty_like(values)
-    head = min(window - 1, rows)
-    np.cumsum(values[:head], axis=0, out=out[:head])
-    out[:head] /= np.arange(1, head + 1)[:, None]
     step = max(1, MEAN_BLOCK_CELLS // max(1, values.shape[1]))
-    for start in range(head, rows, step):
+    for start in range(window - 1, rows, step):
         sums = out[start:start + step]
         first, length = start - window + 1, sums.shape[0]
         sums[:] = values[first:first + length]
         for k in range(1, window):
             sums += values[first + k:first + k + length]
         sums /= window
-    return out.reshape(shape)
+    if len(starts) <= 1:
+        head = min(window - 1, rows)
+        np.cumsum(values[:head], axis=0, out=out[:head])
+        out[:head] /= np.arange(1, head + 1)[:, None]
+    elif window > 1:
+        at = starts[:, None] + np.arange(window - 1)
+        inside = at < np.append(starts[1:], rows)[:, None]
+        heads = np.cumsum(values[np.minimum(at, rows - 1)], axis=1)
+        heads /= np.arange(1, window)[:, None]
+        out[at[inside]] = heads[inside]
+    return out
 
 
 def baseline(smoothed: np.ndarray, window: int) -> np.ndarray:
@@ -115,23 +146,30 @@ def normalize_fleet(latents: list[LatentSeries], config: DetectorConfig) -> list
     engine order: views of one normalized block (see _Fleet). Every stream
     must be config.latent_dim nodes wide."""
     fleet = _Fleet(latents, config.latent_dim)
-    return fleet.streams(fleet.normalize(config))
+    block, bounds = fleet.normalize(config), fleet.bounds
+    return [block[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def normalize_stream(latent: LatentSeries, config: DetectorConfig) -> np.ndarray:
     """Moving-averaged, baseline-subtracted latent stream [T x n]: normalize_fleet
     of one engine."""
-    return normalize_fleet([latent], config)[0]
+    return _Fleet([latent], config.latent_dim).normalize(config)
 
 
-def _normalize(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
-    """Smoothing minus baseline of a fleet's raw [Tmax x n*E] block. Both stages
-    are trailing and column-independent, so each column is bitwise its engine's
-    stream normalized alone on the rows the engine fills."""
-    smoothed = moving_average(values, config.moving_average_window)
+def _normalize(values: np.ndarray, starts: np.ndarray, config: DetectorConfig) -> np.ndarray:
+    """Smoothing minus baseline of a fleet's packed raw [N x n] block, each
+    engine a segment from its row in starts (see _trailing_mean). A row's
+    baseline is the trailing mean of its engine's rows before it, and an
+    engine's first row is x - x, so each engine's rows are bitwise its stream
+    normalized alone."""
+    smoothed = _trailing_mean(values, starts, config.moving_average_window)
     del values  # frees the raw block, which the caller hands over
-    # smoothed - baseline(smoothed, window), in place: no baseline array
-    smoothed[1:] -= moving_average(smoothed[:-1], config.baseline_window)
+    # smoothed - baseline(smoothed, window) per engine, in place: no baseline array;
+    # a later engine's first row would subtract the engine before it, so it is written over
+    later = starts[1:]
+    first = smoothed[later]
+    smoothed[1:] -= _trailing_mean(smoothed[:-1], starts, config.baseline_window)
+    smoothed[later] = first - first
     smoothed[:1] -= smoothed[:1]
     return smoothed
 
@@ -140,23 +178,54 @@ def fit_thresholds(normalized: list[np.ndarray], config: DetectorConfig) -> Thre
     """Per-node percentile bands over streams pooled across engines and time.
 
     The inputs must already be normalized by the same pipeline used at
-    detection time (linear-interpolation percentile convention).
+    detection time (linear-interpolation percentile convention, see
+    _fit_thresholds_each).
     """
-    return _fit_thresholds_each(normalized, [config])[0]
-
-
-def _fit_thresholds_each(normalized: list[np.ndarray],
-                         configs: list[DetectorConfig]) -> list[Thresholds]:
-    """fit_thresholds of each config on the same streams: they are stacked
-    once and np.percentile runs once over every percentile the configs name.
-    A percentile's bands do not depend on the others asked for with it."""
     if not normalized:
         raise ValueError("no training streams to fit thresholds on")
+    return _fit_thresholds_each(_node_major(np.vstack(normalized)), [config])[0]
+
+
+def _node_major(block: np.ndarray) -> np.ndarray:
+    """[n x N] copy of a time-major [N x n] block, each node's values
+    contiguous, with zeros read as +0.0 (x + 0.0)."""
+    return np.add(block.T, 0.0, order="C")
+
+
+def _fit_thresholds_each(nodes: np.ndarray, configs: list[DetectorConfig]) -> list[Thresholds]:
+    """fit_thresholds of each config on the same pooled rows, node-major [n x N]
+    (see _node_major).
+
+    One np.sort call orders every node's values, and each percentile the
+    configs name is read off the sorted rows as np.percentile's linear
+    method does (see _percentiles). A percentile's bands do not depend on
+    the others asked for with it."""
+    if nodes.shape[1] == 0:
+        raise ValueError("no training streams to fit thresholds on")
     qs = sorted({q for c in configs for q in (c.upper_percentile, c.lower_percentile)})
-    bands = dict(zip(qs, np.percentile(np.vstack(normalized), qs, axis=0,
-                                       overwrite_input=True)))
+    bands = dict(zip(qs, _percentiles(np.sort(nodes, axis=1), qs)))
     return [Thresholds(upper=bands[c.upper_percentile], lower=bands[c.lower_percentile])
             for c in configs]
+
+
+def _percentiles(ordered: np.ndarray, qs: list[float]) -> np.ndarray:
+    """[len(qs) x n] percentiles of each row of an [n x N] array sorted along
+    its rows, by numpy's linear method: the value at virtual index
+    (N - 1) * q / 100, interpolated between its two neighbours by
+    np.percentile's _lerp formula, and NaN for a row that holds a NaN (NaN
+    sorts last)."""
+    count = ordered.shape[1]
+    virtual = (count - 1) * np.true_divide(qs, 100)
+    last = virtual >= count - 1  # both neighbours are the last value
+    below = np.where(last, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(last, -1, below + 1)
+    gamma = virtual - below
+    low, high = ordered[:, below], ordered[:, above]
+    diff = high - low
+    bands = low + diff * gamma
+    np.subtract(high, diff * (1 - gamma), out=bands, where=gamma >= 0.5)
+    np.copyto(bands, ordered[:, -1:], where=np.isnan(ordered[:, -1:]))
+    return bands.T
 
 
 @dataclass(frozen=True)
@@ -179,7 +248,7 @@ def detect(latent: LatentSeries, thresholds: Thresholds,
            config: DetectorConfig) -> DetectionResult:
     """Vote-based decisions: positive when >= vote_threshold nodes leave their band.
 
-    The decision of a fleet one engine wide (see _Fleet.decide)."""
+    The decision of a fleet of one engine (see _Fleet.decide)."""
     return _Fleet([latent], config.latent_dim).decide(thresholds, config)[0]
 
 
@@ -214,27 +283,25 @@ def score(results: list[DetectionResult], runs: list[EngineRun]) -> MetricsSumma
     """Micro-averaged confusion metrics over pooled timesteps, plus CDR.
 
     CDR is the fraction of engines raising at least one positive inside
-    their final ceil(0.1 T) cycles. The results' positives are zero-padded
-    into one [Tmax x E] block and summarized against the runs' label masks
-    (see _Labels): a KeyError for a unit with no run, a ValueError for a run
-    whose life is not as long as its decisions.
+    their final ceil(0.1 T) cycles. The results' positives are packed back
+    to back and summarized against the runs' label masks (see _Labels): a
+    KeyError for a unit with no run, a ValueError for a run whose life is
+    not as long as its decisions.
     """
     labels = _Labels([(res.unit_id, len(res)) for res in results], runs)
-    positives = np.zeros(labels.truth.shape, dtype=bool)
-    for e, res in enumerate(results):
-        positives[:len(res), e] = res.positives
-    return labels.summary(positives)
+    positives = np.concatenate([res.positives for res in results] or [np.zeros(0, bool)])
+    return labels.summary(positives.astype(bool, copy=False))
 
 
 class _Fleet:
-    """Engines side by side in one time-major block, to normalize and decide
-    them all at once.
+    """Engines back to back in one packed time-major block, to normalize and
+    decide them all at once.
 
-    A block is [Tmax x n x E]: engine e's [T_e x n] latent stream fills rows
-    t < T_e of block[:, :, e], and zeros pad the rows after its last cycle.
-    Normalization is trailing and column-independent, so no filled row ever
-    reads the padding. Nodes before engines in a row let a vote count add up
-    E-wide rows.
+    A block is [N x n] with N the fleet's total cycles: engine e's [T_e x n]
+    latent stream fills rows bounds[e] ... bounds[e + 1] - 1, and no padding
+    sits between engines. Normalization restarts its trailing means at each
+    engine's first row (see _trailing_mean), so no row reads another
+    engine's cycles.
     """
 
     def __init__(self, latents: list[LatentSeries], n_nodes: int):
@@ -246,66 +313,61 @@ class _Fleet:
                 raise ValueError(f"unit {latent.unit_id}: stream has {2 * latent.n_pairs} "
                                  f"nodes, expected {n_nodes}")
         self.latents = latents
-        self.lengths = [len(latent) for latent in latents]
-        self.shape = (max(self.lengths, default=0), n_nodes, len(latents))
+        self.n_nodes = n_nodes
+        self.bounds = list(accumulate((len(latent) for latent in latents), initial=0))
 
     def normalize(self, config: DetectorConfig) -> np.ndarray:
-        """Every engine's normalized stream in one call, as a [Tmax x n x E] block.
+        """Every engine's normalized stream in one call, as an [N x n] block.
 
         The raw block is built anew for each call and passed without another
         reference, so _normalize frees it once smoothed: the search holds at
         most two blocks at a time."""
-        return _normalize(self._raw_block(), config).reshape(self.shape)
+        starts = np.array(self.bounds[:-1], dtype=np.intp)
+        return _normalize(self._raw_block(), starts, config)
 
     def _raw_block(self) -> np.ndarray:
-        """The zero-padded latent streams, state then derivative nodes, as one
-        [Tmax x n*E] array."""
-        block = np.zeros(self.shape)
-        for e, latent in enumerate(self.latents):
-            block[:len(latent), :latent.n_pairs, e] = latent.z
-            block[:len(latent), latent.n_pairs:, e] = latent.z_dot
-        rows, n, engines = self.shape
-        return block.reshape(rows, n * engines)
-
-    def streams(self, block: np.ndarray) -> list[np.ndarray]:
-        """Each engine's [T_e x n] stream in a [Tmax x n x E] block, in engine order."""
-        return [block[:length, :, e] for e, length in enumerate(self.lengths)]
+        """The packed latent streams, state then derivative nodes, as one
+        [N x n] array."""
+        block = np.empty((self.bounds[-1], self.n_nodes))
+        for latent, start, end in zip(self.latents, self.bounds, self.bounds[1:]):
+            block[start:end, :latent.n_pairs] = latent.z
+            block[start:end, latent.n_pairs:] = latent.z_dot
+        return block
 
     def decide(self, thresholds: Thresholds, config: DetectorConfig) -> list[DetectionResult]:
         """Each engine's decisions, in engine order, from one normalization and
         one vote count of the block."""
-        if thresholds.n_nodes != self.shape[1]:
-            raise ValueError(f"thresholds have {thresholds.n_nodes} nodes, expected {self.shape[1]}")
-        block = self.normalize(config)
-        votes = _nodes_above(block, thresholds.upper) + _nodes_below(block, thresholds.lower)
+        if thresholds.n_nodes != self.n_nodes:
+            raise ValueError(f"thresholds have {thresholds.n_nodes} nodes, expected {self.n_nodes}")
+        nodes = self.normalize(config).T
+        outside = nodes > thresholds.upper[:, None]
+        outside |= nodes < thresholds.lower[:, None]
+        votes = _count_rows(outside).astype(np.intp)
         positives = votes >= config.vote_threshold
-        # copies, not views of the [Tmax x E] arrays: a kept result holds its own cycles only
-        return [DetectionResult(unit_id=latent.unit_id, votes=votes[:length, e].copy(),
-                                positives=positives[:length, e].copy())
-                for e, (latent, length) in enumerate(zip(self.latents, self.lengths))]
+        # contiguous views that together cover the fleet's [N] arrays exactly
+        return [DetectionResult(unit_id=latent.unit_id, votes=votes[start:end],
+                                positives=positives[start:end])
+                for latent, start, end in zip(self.latents, self.bounds, self.bounds[1:])]
 
 
-def _nodes_above(block: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """[Tmax x E] count of nodes above their band in a [Tmax x n x E] block."""
-    return np.count_nonzero(block > band[:, None], axis=1)
+def _count_rows(hits: np.ndarray) -> np.ndarray:
+    """[N] column sums of an [n x N] bool array of any layout, added one row
+    at a time, in the smallest unsigned dtype that holds n.
 
-
-def _nodes_below(block: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """[Tmax x E] count of nodes below their band in a [Tmax x n x E] block.
-
-    No node is both above an upper band and below a lower one, because
-    Thresholds keeps lower <= upper, so the two counts add up to the number
-    of nodes outside their band."""
-    return np.count_nonzero(block < band[:, None], axis=1)
+    No node is both above a band and below one no higher (Thresholds keeps
+    lower <= upper, and a lower percentile's band is never above a higher
+    one's), so a config's count above plus its count below is at most n."""
+    rows = hits.view(np.uint8)
+    counts = rows[0].astype(np.min_scalar_type(rows.shape[0]))
+    for row in rows[1:]:
+        counts += row
+    return counts
 
 
 class _Labels:
-    """The runs' labels of a fleet's decisions as [Tmax x E] masks, to score
-    them all at once.
-
-    The masks are the labels of the filled rows split into anomalous (truth)
-    and normal, and each engine's final critical_window cycles; all are
-    False on the padding after an engine's last cycle.
+    """The runs' labels of a fleet's decisions as flat [N] masks, engines back
+    to back as in _Fleet, to score them all at once: the anomalous cycles
+    (truth) and each engine's final critical_window cycles.
     """
 
     def __init__(self, engines: list[tuple[int, int]], runs: list[EngineRun]):
@@ -313,30 +375,33 @@ class _Labels:
         A unit with no run is a KeyError; a run whose life is not as many
         cycles as its engine decided is a ValueError."""
         by_unit = {run.unit_id: run for run in runs}
-        lengths = np.array([length for _, length in engines], dtype=np.int64)
-        rows = int(lengths.max(initial=0))
-        self.truth = np.zeros((rows, len(engines)), dtype=bool)
-        for e, (unit_id, length) in enumerate(engines):
+        truths, lengths = [], []
+        for unit_id, length in engines:
             run = by_unit[unit_id]
             if length != run.life_length:
                 raise ValueError(f"unit {unit_id}: {length} decisions "
                                  f"for {run.life_length} cycles")
-            self.truth[:length, e] = run.labels
-        t = np.arange(rows)[:, None]
-        tails = np.array([critical_window(n) for n in lengths], dtype=np.int64)
-        filled = t < lengths
-        self.normal = filled & ~self.truth
-        self.critical = filled & (t >= lengths - tails)
+            truths.append(run.labels)
+            lengths.append(length)
+        bounds = np.cumsum([0] + lengths)
+        self.truth = np.concatenate(truths or [np.zeros(0, bool)])
+        self.critical = np.zeros(self.truth.shape, dtype=bool)
+        for end, length in zip(bounds[1:], lengths):
+            self.critical[end - critical_window(length):end] = True
+        # an engine with no cycles has no critical cycle, and no segment of its own
+        self.starts = bounds[:-1][np.array(lengths, dtype=np.intp) > 0]
+        self.n_engines = len(engines)
         self.n_truth = int(np.count_nonzero(self.truth))
-        self.n_normal = int(np.count_nonzero(self.normal))
+        self.n_normal = self.truth.size - self.n_truth
 
     def summary(self, positives: np.ndarray) -> MetricsSummary:
-        """The metrics of [Tmax x E] decisions; rows of padding count for nothing."""
+        """The metrics of [N] decisions; CDR from one logical_or.reduceat over
+        the engines' critical cycles."""
         tp = int(np.count_nonzero(positives & self.truth))
-        fp = int(np.count_nonzero(positives & self.normal))
+        fp = int(np.count_nonzero(positives)) - tp
         tn, fn = self.n_normal - fp, self.n_truth - tp
-        critical_hits = int(np.count_nonzero((positives & self.critical).any(axis=0)))
-        n_engines = self.truth.shape[1]
+        hits = np.logical_or.reduceat(positives & self.critical, self.starts)
+        critical_hits = int(np.count_nonzero(hits))
         precision = _safe_div(tp, tp + fp)
         recall = _safe_div(tp, tp + fn)
         return MetricsSummary(
@@ -346,8 +411,8 @@ class _Labels:
             recall=recall,
             specificity=_safe_div(tn, tn + fp),
             f1=_safe_div(2 * precision * recall, precision + recall),
-            cdr=_safe_div(critical_hits, n_engines),
-            n_engines=n_engines,
+            cdr=_safe_div(critical_hits, self.n_engines),
+            n_engines=self.n_engines,
         )
 
 
@@ -364,14 +429,14 @@ def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
                         grid: list[DetectorConfig]) -> DetectorConfig:
     """Grid search maximizing timestep F1 on the training engines.
 
-    The training engines sit side by side in one zero-padded time-major
-    block (see _Fleet). Configs sharing their (moving_average_window,
-    baseline_window) share one normalization of that block, made once per
-    group and held one group at a time, and one percentile pass over its
-    pooled rows that gives every config in the group its thresholds. Votes
-    are counted once per distinct band, not per config, and each config is
-    scored on the block against the 60/40 labels. Ties break toward higher specificity, then a
-    smaller smoothing window, then the earlier config in the grid.
+    The training engines sit back to back in one packed block (see _Fleet).
+    Configs sharing their (moving_average_window, baseline_window) share one
+    normalization of that block, made once per group and held one group at a
+    time, and one sort of its nodes' values that gives every config in the
+    group its thresholds (see _fit_thresholds_each). Votes are counted once
+    per distinct band, not per config, and each config is scored on the
+    block against the 60/40 labels. Ties break toward higher specificity,
+    then a smaller smoothing window, then the earlier config in the grid.
     """
     if not grid:
         raise ValueError("empty configuration grid")
@@ -383,18 +448,18 @@ def optimize_thresholds(latents: list[LatentSeries], runs: list[EngineRun],
     keys = [None] * len(grid)
     for indices in groups.values():
         configs = [grid[i] for i in indices]
-        block = fleet.normalize(configs[0])
-        thresholds = _fit_thresholds_each(fleet.streams(block), configs)
+        nodes = _node_major(fleet.normalize(configs[0]))
+        thresholds = _fit_thresholds_each(nodes, configs)
         uppers = {c.upper_percentile: th.upper for c, th in zip(configs, thresholds)}
         lowers = {c.lower_percentile: th.lower for c, th in zip(configs, thresholds)}
-        above = {q: _nodes_above(block, band) for q, band in uppers.items()}
-        below = {q: _nodes_below(block, band) for q, band in lowers.items()}
+        above = {q: _count_rows(nodes > band[:, None]) for q, band in uppers.items()}
+        below = {q: _count_rows(nodes < band[:, None]) for q, band in lowers.items()}
         for i, config in zip(indices, configs):
             votes = above[config.upper_percentile] + below[config.lower_percentile]
             summary = labels.summary(votes >= config.vote_threshold)
             keys[i] = (summary.f1, summary.specificity, -config.moving_average_window)
         # freed before the next group's normalization, which then holds two blocks at most
-        del block, above, below, votes
+        del nodes, above, below, votes
     return grid[max(range(len(grid)), key=keys.__getitem__)]
 
 

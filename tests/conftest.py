@@ -3,6 +3,9 @@ the finite-difference gradient every gradient test compares against, a
 TripletSet built from explicit rows, training on a list of runs, and the
 per-engine eta that the latent-consistency tests check.
 
+HYPOTHESIS_PROFILE=ci runs each property test that sets no max_examples of
+its own on 1000 examples instead of 100, with no deadline; CI selects it.
+
 The real turbofan files are looked up via the CMAPSS_DATA environment
 variable or a data/ directory next to the package; data-dependent tests
 skip with a notice when the files are absent.
@@ -13,8 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tdcae import dataio, diagnostics, tdc
+
+
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 # JSON values to put where outside input holds a number: nothing but -1 and 0.5

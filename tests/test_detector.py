@@ -1,11 +1,15 @@
+import hashlib
+import json
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tdcae import detector as det
 from tdcae import net
@@ -44,6 +48,16 @@ def test_config_defaults():
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         det.DetectorConfig(**bad)
+
+
+@pytest.mark.parametrize("field", ["moving_average_window", "baseline_window",
+                                   "vote_threshold", "latent_dim"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None, np.int64(2)])
+def test_config_rejects_a_count_that_is_not_an_int(field, value):
+    # 2.5 would otherwise fail deep inside a slice, and a vote_threshold of 1.5
+    # would decide as 2; a numpy integer would not serialize with the config
+    with pytest.raises(ValueError, match=f"^{field} must be an int, not "):
+        det.DetectorConfig(**{field: value})
 
 
 def test_thresholds_ordering_enforced():
@@ -153,6 +167,21 @@ def test_fleet_sized_smoothing_is_bitwise_the_loop(T, n, window, decimals, seed)
     values = np.round(np.random.default_rng(seed).normal(scale=100.0, size=(T, n)), decimals)
     assert np.array_equal(det.moving_average(values, window), loop_moving_average(values, window))
     assert np.array_equal(det.baseline(values, window), loop_baseline(values, window))
+
+
+@settings(deadline=None)
+@given(lengths=st.lists(st.integers(1, 30), max_size=6), n=st.integers(1, 5),
+       window=st.integers(1, 40), decimals=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_segmented_trailing_mean_is_the_loop_on_each_segment(lengths, n, window, decimals, seed):
+    # segments shorter than the window, 1-row segments, windows longer than the
+    # whole block and no rows at all; rounding makes ties
+    values = np.round(np.random.default_rng(seed).normal(scale=100.0, size=(sum(lengths), n)),
+                      decimals)
+    bounds = np.cumsum([0] + lengths)
+    want = [loop_moving_average(values[a:b], window) for a, b in zip(bounds, bounds[1:])]
+    got = det._trailing_mean(values, bounds[:-1].astype(np.intp), window)
+    assert got.shape == values.shape and got.dtype == np.float64
+    assert np.array_equal(got, np.vstack(want) if want else values)
 
 
 @pytest.mark.parametrize("layout", ["1-D", "one column", "column-major", "strided columns",
@@ -273,6 +302,38 @@ def test_fit_thresholds_is_bitwise_two_percentile_calls(lengths, n, lower, upper
     got, want = det.fit_thresholds(streams, config), loop_fit_thresholds(streams, config)
     assert np.array_equal(got.upper, want.upper)
     assert np.array_equal(got.lower, want.lower)
+
+
+# values that tie, zeros of both signs, NaN and infinities, then any finite float
+band_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
+                        st.floats(-1e3, 1e3))
+band_percentiles = st.lists(st.one_of(st.sampled_from([5, 9, 14, 50.0, 80, 86, 92]),
+                                      st.floats(0.01, 99.99)), min_size=1, max_size=6)
+
+
+def recorded_warnings(call):
+    """call()'s result and the messages of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in caught]
+
+
+@settings(deadline=None)
+@given(pooled=st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(
+           lambda shape: arrays(np.float64, shape, elements=band_values)),
+       qs=band_percentiles)
+def test_bands_are_bitwise_percentile_of_the_values_plus_zero(pooled, qs):
+    # the sorted reading of the bands is np.percentile's linear method with every
+    # zero read as +0.0: the same bytes, NaN for a node that holds one, and the
+    # same warnings for infinities
+    qs = sorted(set(qs))
+    got, got_warnings = recorded_warnings(
+        lambda: det._percentiles(np.sort(det._node_major(pooled), axis=1), qs))
+    want, want_warnings = recorded_warnings(lambda: np.percentile(pooled + 0.0, qs, axis=0))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_warnings == want_warnings
 
 
 # --- per-engine oracles: the detector one engine at a time, as it ran before the fleet block
@@ -458,7 +519,7 @@ def loop_score(results, runs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(lengths=st.lists(st.integers(1, 40), max_size=5), rate=st.floats(0.0, 1.0),
+@given(lengths=st.lists(st.integers(0, 40), max_size=5), rate=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
 def test_score_is_the_per_engine_loop(lengths, rate, seed):
     rng = np.random.default_rng(seed)
@@ -563,12 +624,14 @@ def test_optimize_thresholds_is_the_per_config_loop(data, base, lengths, coarse,
 
 
 def test_optimize_thresholds_normalizes_once_per_window(monkeypatch):
-    # one normalization of the whole fleet's block per window group, none per engine
+    # one normalization of the whole fleet's packed block per window group, none per
+    # engine: sum(T_e) rows, each engine's first row in starts
     calls = []
     normalize = det._normalize
     monkeypatch.setattr(det, "_normalize",
-                        lambda values, config: calls.append((values.shape, config))
-                        or normalize(values, config))
+                        lambda values, starts, config: calls.append(
+                            (values.shape, starts.tolist(), config))
+                        or normalize(values, starts, config))
     monkeypatch.setattr(det, "normalize_stream", None)
     rng = np.random.default_rng(4)
     lengths = [30, 24, 30, 17, 29]
@@ -579,8 +642,9 @@ def test_optimize_thresholds_normalizes_once_per_window(monkeypatch):
     assert len(grid) == 27
     det.optimize_thresholds(latents, runs, grid)
     assert len(calls) == 3
-    assert all(shape == (30, 2 * len(latents)) for shape, _ in calls)
-    assert sorted(c.moving_average_window for _, c in calls) == [6, 12, 18]
+    assert all(shape == (sum(lengths), 2) for shape, _, _ in calls)
+    assert all(starts == [0, 30, 54, 84, 101] for _, starts, _ in calls)
+    assert sorted(c.moving_average_window for _, _, c in calls) == [6, 12, 18]
 
 
 def search_keys(latents, runs, configs):
@@ -631,9 +695,10 @@ def test_one_percentile_pass_per_group_is_the_per_config_fit(percentiles, votes,
     configs = [det.DetectorConfig(upper_percentile=up, lower_percentile=lo, latent_dim=4,
                                   moving_average_window=3, vote_threshold=votes)
                for lo, up in percentiles]
-    streams = [per_engine_normalize(latent, configs[0]) for latent in latents]
-    for config, got in zip(configs, det._fit_thresholds_each(streams, configs)):
-        upper, lower = np.percentile(np.vstack(streams),
+    pooled = np.vstack([per_engine_normalize(latent, configs[0]) for latent in latents])
+    for config, got in zip(configs, det._fit_thresholds_each(det._node_major(pooled), configs)):
+        # every zero read as +0.0 (see detector's module docstring)
+        upper, lower = np.percentile(pooled + 0.0,
                                      [config.upper_percentile, config.lower_percentile], axis=0)
         assert got.upper.tobytes() == upper.tobytes()
         assert got.lower.tobytes() == lower.tobytes()
@@ -815,18 +880,55 @@ def test_fleet_of_no_engines():
         optimize_thresholds_call([], [])
 
 
-def test_grid_search_calls_percentile_once_per_window_group(monkeypatch):
+def test_grid_search_sorts_once_per_window_group(monkeypatch):
+    # one sort of the packed block's node-major rows per window group gives all
+    # six bands; np.percentile is not called
     calls = []
-    percentile = np.percentile
-    monkeypatch.setattr(np, "percentile",
-                        lambda a, q, **kw: calls.append(list(q)) or percentile(a, q, **kw))
+    sort = np.sort
+    monkeypatch.setattr(np, "sort",
+                        lambda a, axis=-1, **kw: calls.append((a.shape, axis)) or sort(a, axis, **kw))
+    monkeypatch.setattr(np, "percentile", None)
     rng = np.random.default_rng(4)
     latents = [two_node_latent(rng.normal(size=30), unit_id=u) for u in range(1, 6)]
     runs = [run_with_labels([False] * 18 + [True] * 12, unit_id=u) for u in range(1, 6)]
     grid = det.config_grid(det.DetectorConfig(latent_dim=2, vote_threshold=1),
                            uppers=[80.0, 86.0, 92.0], lowers=[5.0, 9.0, 14.0], windows=[6, 12, 18])
     det.optimize_thresholds(latents, runs, grid)
-    assert calls == [[5.0, 9.0, 14.0, 80.0, 86.0, 92.0]] * 3
+    assert calls == [((2, 150), 1)] * 3
+
+
+# sha256 of the golden run's detections.csv and of its config, metrics and thresholds
+# as JSON, recorded when the fleet block was zero-padded and np.percentile gave the bands
+GOLDEN_DETECTIONS_SHA256 = "a42c26668d66280ef86946c02300f8a2be230dd8dd129cc83e7c723e055eac22"
+GOLDEN_JSON_SHA256 = "f98a81c2d085ba1bf751c7db7cf01544498ffa792a2c6063b14a4848ecdb05ad"
+
+
+def test_golden_grid_search_and_detection(tmp_path):
+    # 12 engines of unequal life, one shorter than the grid's largest window, their
+    # 8 nodes drawn with PCG64 random() and drifting in the anomalous 40%: no BLAS
+    # and no libm call, so the bytes are the same on every platform
+    rng = np.random.Generator(np.random.PCG64(32))
+    latents, runs = [], []
+    for unit, life in enumerate([130, 15, 205, 96, 362, 128, 251, 64, 180, 310, 150, 222],
+                                start=1):
+        run = EngineRun(unit_id=unit, features=np.zeros((life, 24)))
+        values = rng.random((life, 8)) + 0.02 * np.cumsum(run.labels)[:, None] * rng.random(8)
+        latents.append(LatentSeries(unit_id=unit, z=values[:, :4], z_dot=values[:, 4:]))
+        runs.append(run)
+    grid = det.config_grid(det.DetectorConfig(), uppers=[80, 86, 92], lowers=[5, 9, 14],
+                           windows=[6, 12, 18])
+    best = det.optimize_thresholds(latents[:8], runs[:8], grid)
+    thresholds = det.fit_thresholds(det.normalize_fleet(latents[:8], best), best)
+    results, summary = det.run_detector(latents[8:], runs[8:], thresholds, best)
+    det.write_detections_csv(results, runs[8:], tmp_path / "detections.csv")
+    payload = json.dumps({"config": asdict(best), "metrics": summary.as_dict(),
+                          "thresholds": {"upper": thresholds.upper.tolist(),
+                                         "lower": thresholds.lower.tolist()}}, indent=2)
+    assert best.moving_average_window == 18
+    assert (hashlib.sha256((tmp_path / "detections.csv").read_bytes()).hexdigest()
+            == GOLDEN_DETECTIONS_SHA256)
+    assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN_JSON_SHA256
+
 
 def test_optimize_thresholds_rejects_empty_grid():
     with pytest.raises(ValueError, match="empty"):
